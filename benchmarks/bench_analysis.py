@@ -4,13 +4,12 @@ Two contracts keep the new tooling affordable:
 
 * **the full-tree collectives lint stays under 30 s** — it runs in CI on
   every push, so its wall time bounds the feedback loop;
-* **tracer-off harness overhead stays under 2 %** — every communicator
-  construction checks ``env.collective_tracer`` and every collective
-  checks ``self._shared.tracer``; with no tracer attached those checks
-  must be all the instrumentation costs.
+* **tracer-off harness overhead stays under 2 %** — every collective
+  asks the engine's bus for ``collective`` subscribers; with none
+  subscribed that lookup must be all the instrumentation costs.
 
 A third, informational benchmark times the tracer *on*, so the price of
-``--validate-collectives`` stays visible in the benchmark trend line.
+``--instrument collectives`` stays visible in the benchmark trend line.
 """
 
 import time
@@ -65,14 +64,14 @@ def test_full_tree_collectives_lint_under_30s():
 # -- the <2% tracer-off harness overhead guard -------------------------------
 
 def test_tracer_off_overhead_under_two_percent():
-    """With no tracer attached, the per-collective instrumentation must
+    """With no tracer subscribed, the per-collective instrumentation must
     cost no more than 2% over a build with ``_traced`` compiled out.
 
     The baseline arm monkeypatches ``Comm._traced`` to return the
     generator untouched — the pre-instrumentation behavior — and the
     interleaved min-of-repeats cancels warm-up and scheduler noise, so
-    the residual is the true price of the shipped off path (one
-    attribute check per collective).
+    the residual is the true price of the shipped off path (one bus
+    lookup per collective).
     """
     from repro.mpi.comm import Comm
 
@@ -99,7 +98,7 @@ def test_tracer_off_overhead_under_two_percent():
         f"vs bypassed {best_plain * 1e3:.2f} ms")
 
 
-# -- informational: what --validate-collectives costs ------------------------
+# -- informational: what --instrument collectives costs ----------------------
 
 def test_tracer_on_throughput(benchmark):
     """Tracer-on wall time for the same job, tracked as a trend line so

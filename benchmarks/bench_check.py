@@ -1,15 +1,15 @@
 """Model-checker cost guards: free when off, faithful when on.
 
-Three contracts the scheduler hook (:meth:`repro.sim.Engine.attach_scheduler`)
-must keep:
+Three contracts a tie-breaking (``select``) observer on the engine's bus
+(:meth:`repro.sim.Engine.subscribe`) must keep:
 
-* **off by default and off after detach** — a fresh engine and a
-  detached one run the stock inlined loop (the `_sched is None` check is
-  per-``run()``, not per-event);
+* **off by default and off after unsubscribe** — a fresh engine and one
+  whose observer left run the stock inlined loop (the bus is read once
+  per ``run()``, not per event);
 * **explorer-off throughput regresses < 2 %** — interleaved
-  min-of-repeats of an identical event workload on a never-attached
-  engine vs an attached-then-detached one;
-* **the controlled loop with choice 0 everywhere is the stock run** —
+  min-of-repeats of an identical event workload on a never-subscribed
+  engine vs a subscribed-then-unsubscribed one;
+* **the observed loop with choice 0 everywhere is the stock run** —
   identical final simulated time, which is what makes the empty schedule
   (and therefore every recorded trace) an honest replay.
 """
@@ -51,10 +51,9 @@ def _run_stock():
     return env.now
 
 
-def _run_attach_detach():
+def _run_subscribe_unsubscribe():
     env = Engine()
-    env.attach_scheduler(_DefaultScheduler())
-    env.detach_scheduler()
+    env.unsubscribe(env.subscribe(_DefaultScheduler()))
     _workload(env)
     env.run()
     return env.now
@@ -63,24 +62,24 @@ def _run_attach_detach():
 # -- structural: the hook is off unless asked for ---------------------------
 
 def test_scheduler_off_by_default():
-    assert Engine().scheduler is None
+    assert Engine().subscribers("select") == ()
 
 
 def test_detach_restores_stock_loop():
     env = Engine()
-    sched = _DefaultScheduler()
-    env.attach_scheduler(sched)
-    assert env.scheduler is sched
-    env.detach_scheduler()
-    assert env.scheduler is None
+    sched = env.subscribe(_DefaultScheduler())
+    assert env.subscribers("select") == (sched.select,)
+    env.unsubscribe(sched)
+    assert env.subscribers("select") == ()
+    assert env.observers == []
 
 
-# -- fidelity: controlled default == uncontrolled ---------------------------
+# -- fidelity: observed default == unobserved --------------------------------
 
 def test_controlled_default_schedule_matches_stock():
     t_stock = _run_stock()
     env = Engine()
-    env.attach_scheduler(_DefaultScheduler())
+    env.subscribe(_DefaultScheduler())
     _workload(env)
     env.run()
     assert env.now == t_stock == float(_STEPS)
@@ -89,12 +88,12 @@ def test_controlled_default_schedule_matches_stock():
 # -- the <2% guard -----------------------------------------------------------
 
 def test_explorer_off_overhead_under_two_percent():
-    """Attached-then-detached engines must run at stock speed.
+    """Subscribed-then-unsubscribed engines must run at stock speed.
 
     Interleaved min-of-repeats: alternating the two arms within one
     process cancels warm-up and frequency drift, and the min discards
-    scheduler noise — the residual difference is the hook's true cost,
-    which is one per-``run()`` None check.
+    scheduler noise — the residual difference is the bus's true cost,
+    which is one per-``run()`` flag check.
     """
     best_stock = best_detached = float("inf")
     for _ in range(15):
@@ -102,7 +101,7 @@ def test_explorer_off_overhead_under_two_percent():
         _run_stock()
         best_stock = min(best_stock, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        _run_attach_detach()
+        _run_subscribe_unsubscribe()
         best_detached = min(best_detached, time.perf_counter() - t0)
     # 1 ms absolute slack keeps sub-millisecond timer jitter from
     # mattering if the workload ever shrinks.
@@ -111,15 +110,15 @@ def test_explorer_off_overhead_under_two_percent():
         f"vs stock {best_stock * 1e3:.2f} ms")
 
 
-# -- controlled-loop throughput (informational trend line) -------------------
+# -- observed-loop throughput (informational trend line) ---------------------
 
 def test_controlled_loop_throughput(benchmark):
-    """Same workload through the decision-point loop: the price of
+    """Same workload through the observed decision-point loop: the price of
     exploration itself, tracked so checker budgets stay predictable."""
 
     def run():
         env = Engine()
-        env.attach_scheduler(_DefaultScheduler())
+        env.subscribe(_DefaultScheduler())
         _workload(env)
         env.run()
         return env.now

@@ -2,7 +2,7 @@
 
 import time
 
-from repro.analysis.sanitize import tracked
+from repro.analysis.sanitize import Sanitizer, tracked
 from repro.sim import Engine, FairShareServer
 from repro.sim.engine import Process
 
@@ -122,14 +122,21 @@ def test_serve_many_bulk_arrival(benchmark):
 
 
 def test_sanitizer_off_is_structurally_free():
-    """With no sanitizer attached, the race-detection machinery must cost
-    nothing: tracked() hands back the very same dict (every later access
-    is a plain dict op), and the engine's process factory is the stock
-    ``partial(Process, env)`` — no wrapper generator in the resume path."""
+    """With no sanitizer subscribed, the race-detection machinery must
+    cost nothing: tracked() hands back the very same dict (every later
+    access is a plain dict op), and the engine's process factory is the
+    stock ``partial(Process, env)`` — no wrapper generator in the resume
+    path.  Unsubscribing a sanitizer restores exactly that state."""
     env = Engine()
     d = {}
     assert tracked(env, d, "state") is d
-    assert env.sanitizer is None
+    assert env.observers == []
+    assert getattr(env.process, "func", None) is Process
+    assert getattr(env.process, "args", None) == (env,)
+    san = env.subscribe(Sanitizer(env))
+    assert getattr(env.process, "func", None) is not Process
+    env.unsubscribe(san)
+    assert tracked(env, d, "state") is d
     assert getattr(env.process, "func", None) is Process
     assert getattr(env.process, "args", None) == (env,)
 

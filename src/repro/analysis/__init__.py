@@ -19,16 +19,16 @@ enforced invariant, with two engines:
   dynamic checker for the hazard class behind the PR 2 last-closer bug:
   shared mutable state read before a generator ``yield`` and acted on
   after it, while another simulated process mutated it in between.
-  Worlds built with ``REPRO_SANITIZE=1`` (or ``--sanitize`` on the
-  harness CLI) wrap every simulated process with a per-process
-  yield-epoch counter and every registered shared container in a
+  Worlds built with ``--instrument sanitize`` on the harness CLI (or
+  ``REPRO_INSTRUMENT=sanitize``) wrap every simulated process with a
+  per-process yield-epoch counter and every registered shared container in a
   :func:`~repro.analysis.sanitize.tracked` proxy; stale-read and
   lost-update conflicts raise :class:`~repro.errors.RaceConditionError`
   at the exact write that acted on stale data.
 
 * a **schedule-exploring model checker** (:mod:`repro.analysis.explore`)
-  — a CHESS-style bounded enumerator of same-instant interleavings.  A
-  controlled scheduler hooks the engine's tie-breaking, reorders ready
+  — a CHESS-style bounded enumerator of same-instant interleavings.  An
+  observer on the engine's bus breaks its same-instant ties, reorders ready
   events under a preemption bound, prunes DPOR-style using the access
   footprints the ``tracked()`` proxies record, and evaluates semantic
   invariant oracles (:mod:`repro.analysis.oracles`) at every quiescent
@@ -40,7 +40,8 @@ Command line::
     python -m repro.analysis lint src/      # determinism linter
     python -m repro.analysis rules          # rule table
     python -m repro.analysis check --workload smallio --budget 200
-    python -m repro.harness faults --sanitize   # sanitized experiment run
+    python -m repro.harness faults --instrument sanitize,collectives
+                                            # runtime-checked experiment run
     python -m repro.harness --replay-schedule trace.json  # replay a violation
 """
 
@@ -53,9 +54,8 @@ from .sanitize import (
     Sanitizer,
     TrackedDict,
     TrackedSet,
-    attach_sanitizer,
     raw_snapshot,
-    sanitize_enabled,
+    sanitizer_of,
     tracked,
 )
 
@@ -67,10 +67,9 @@ __all__ = [
     "Sanitizer",
     "TrackedDict",
     "TrackedSet",
-    "attach_sanitizer",
     "lint_paths",
     "lint_source",
     "raw_snapshot",
-    "sanitize_enabled",
+    "sanitizer_of",
     "tracked",
 ]

@@ -15,9 +15,9 @@ Exit status: 0 when no findings/violations, 1 when any, 2 on usage
 error.  ``--format sarif`` emits a SARIF 2.1.0 document shared by every
 rule (REP001..REP104) so CI annotates PRs inline from one artifact.
 The sanitizer has no subcommand here — it is a *runtime* check, enabled
-per experiment run with ``python -m repro.harness <figure> --sanitize``
-(and implicitly by ``check``); the collective-trace validator likewise
-runs with ``--validate-collectives``.
+per experiment run with ``python -m repro.harness <figure> --instrument
+sanitize`` (and implicitly by ``check``); the collective-trace validator
+likewise runs with ``--instrument collectives``.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ uses the partitioned comm (the two-level leader idiom) is tolerated;
 both arms using it differently is still flagged.
 
 Every static finding can be confirmed or dismissed at runtime with the
-collective-trace validator (``--validate-collectives``,
+collective-trace validator (``--instrument collectives``,
 :mod:`repro.mpi.trace`), which records per-rank per-communicator
 sequences and asserts congruence at drain.
 """

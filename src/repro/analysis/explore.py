@@ -1,12 +1,12 @@
 """CHESS-style bounded schedule exploration for the simulator.
 
-The engine is deterministic: with no scheduler attached it fires events
-in (time, sequence-id) order, so one workload is one schedule.  This
-module enumerates the *other* schedules.  A :class:`_Controller`
-attaches to the engine's scheduler hook (see
-:meth:`repro.sim.Engine.attach_scheduler`) and decides every same-instant
-tie-break; a **schedule** is the sparse map ``{decision_index: choice}``
-of the tie-breaks where it deviated from the default choice 0.  The
+The engine is deterministic: with no tie-breaking observer it fires
+events in (time, sequence-id) order, so one workload is one schedule.
+This module enumerates the *other* schedules.  A :class:`_Controller`
+subscribes to the engine's observer bus with a ``select`` hook (see
+:class:`repro.sim.Engine`) and decides every same-instant tie-break; a
+**schedule** is the sparse map ``{decision_index: choice}`` of the
+tie-breaks where it deviated from the default choice 0.  The
 empty schedule reproduces the uncontrolled run exactly, which is what
 makes violating schedules replayable as JSON traces.
 
@@ -39,7 +39,6 @@ drained world.  Any violation stops the search, is delta-minimized
 from __future__ import annotations
 
 import json
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -53,7 +52,7 @@ from .oracles import (
     check_namespace,
     quick_invariants,
 )
-from .sanitize import _ENV_FLAG
+from .sanitize import sanitizer_of
 from .scenarios import Scenario, get_scenario
 
 __all__ = [
@@ -85,7 +84,7 @@ class Violation:
 
 
 class _Controller:
-    """Scheduler hook + sanitizer observer for one controlled run.
+    """Engine observer + sanitizer observer for one controlled run.
 
     Doubles as both halves of the instrumentation: the engine asks it to
     break ties (``select``/``fired``/``quiescent``) and the tracked
@@ -94,7 +93,7 @@ class _Controller:
     pruning needs.
     """
 
-    def __init__(self, schedule: Schedule):
+    def __init__(self, schedule: Schedule, env: Any):
         self.schedule = dict(schedule)
         self.decisions: List[Tuple[int, ...]] = []  # ready eids per point
         self.choices: List[int] = []
@@ -106,12 +105,9 @@ class _Controller:
         self.fire_log: List[Tuple[int, int, float]] = []
         self.quick_cb: Any = None
         self._cur: Optional[int] = None
-        self._env: Any = None
-
-    def bind(self, env: Any) -> None:
         self._env = env
 
-    # -- engine scheduler hook --------------------------------------------
+    # -- engine observer hooks --------------------------------------------
     def select(self, ready: Sequence[Tuple[int, Any]]) -> int:
         idx = len(self.decisions)
         self.decisions.append(tuple(eid for eid, _ev in ready))
@@ -168,17 +164,9 @@ def run_schedule(scenario: Scenario, schedule: Schedule, *,
     violation, not an exception, so the run drains and the oracles still
     see the damage the race did.
     """
-    prev = os.environ.get(_ENV_FLAG)
-    os.environ[_ENV_FLAG] = "1"
-    try:
-        world = scenario.build()
-    finally:
-        if prev is None:
-            os.environ.pop(_ENV_FLAG, None)
-        else:
-            os.environ[_ENV_FLAG] = prev
+    world = scenario.build(instrument="sanitize")
     env = world.env
-    san = env.sanitizer
+    san = sanitizer_of(env)
     san.strict = False
     # Collective-trace recording in oracle mode: non-strict, so a
     # divergent schedule drains fully and the mismatch is reported as a
@@ -187,7 +175,7 @@ def run_schedule(scenario: Scenario, schedule: Schedule, *,
 
     tracer = attach_tracer(env, strict=False)
 
-    controller = _Controller(schedule)
+    controller = _Controller(schedule, env)
     quick_msgs: List[str] = []
     seen_quick: set = set()
 
@@ -198,9 +186,8 @@ def run_schedule(scenario: Scenario, schedule: Schedule, *,
                 quick_msgs.append(msg)
 
     controller.quick_cb = on_quiescent
-    controller.bind(env)
     san.observer = controller
-    env.attach_scheduler(controller)
+    env.subscribe(controller)
 
     procs = scenario.drive(world)
     crash: Optional[BaseException] = None
@@ -213,7 +200,7 @@ def run_schedule(scenario: Scenario, schedule: Schedule, *,
     workload_conflicts = list(san.conflicts)
     san.observer = None
     controller.quick_cb = None
-    env.detach_scheduler()
+    env.unsubscribe(controller)
 
     violations: List[Violation] = []
     if crash is not None:

@@ -131,7 +131,7 @@ RULES: Dict[str, Rule] = {
             "collective pairs with garbage.  Loop bounds around "
             "collectives must be rank-uniform; annotate bounds that "
             "are uniform by construction with a justified noqa and a "
-            "runtime-validated trace (--validate-collectives).",
+            "runtime-validated trace (--instrument collectives).",
         ),
     )
 }

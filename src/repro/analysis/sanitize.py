@@ -10,10 +10,10 @@ registry entry — clobbering a writer that re-opened in between.
 
 Two pieces make the hazard observable:
 
-* every simulated process is wrapped (see :meth:`Sanitizer.instrument`,
-  installed by :meth:`repro.sim.Engine.attach_sanitizer`) so the
-  sanitizer always knows *which* process is running and how many times
-  it has yielded — its **yield epoch**;
+* every simulated process is wrapped (the sanitizer is a ``spawn``
+  observer on the engine's bus, see :meth:`Sanitizer.spawn`) so it
+  always knows *which* process is running and how many times it has
+  yielded — its **yield epoch**;
 * shared mutable containers opt in through :func:`tracked`, which
   returns a recording proxy.  Each read notes ``(version, epoch)`` in
   the reading process's read vector; each write checks it: if the
@@ -31,9 +31,10 @@ Conflict kinds:
 
 Everything is disabled by default and free when disabled:
 :func:`tracked` returns the container unchanged and the engine's hot
-paths are untouched unless :func:`attach_sanitizer` ran first.  Enable
-per world with ``REPRO_SANITIZE=1`` (the harness ``--sanitize`` flag
-sets it) — :func:`repro.harness.setup.build_world` checks the variable
+paths are untouched unless a :class:`Sanitizer` is subscribed to the
+engine (``env.subscribe(Sanitizer(env))``).  Harness runs enable it per
+world with ``--instrument sanitize``, which
+:func:`repro.harness.setup.build_world` reads from ``REPRO_INSTRUMENT``
 so sweep worker processes inherit the setting.
 
 In strict mode (the default) a conflict raises
@@ -44,7 +45,6 @@ the container, key, both process names, and both epochs in the message
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
@@ -55,18 +55,10 @@ __all__ = [
     "Sanitizer",
     "TrackedDict",
     "TrackedSet",
-    "attach_sanitizer",
     "raw_snapshot",
-    "sanitize_enabled",
+    "sanitizer_of",
     "tracked",
 ]
-
-_ENV_FLAG = "REPRO_SANITIZE"
-
-
-def sanitize_enabled() -> bool:
-    """True when the ``REPRO_SANITIZE`` environment flag is set."""
-    return os.environ.get(_ENV_FLAG, "") not in ("", "0")
 
 
 @dataclass(frozen=True)
@@ -104,14 +96,18 @@ class _ProcRecord:
 
 
 class Sanitizer:
-    """Collects per-process records, tracked containers, and conflicts."""
+    """Collects per-process records, tracked containers, and conflicts.
 
-    def __init__(self, strict: bool = True):
+    Subscribe it to *env* before the world's containers are registered
+    and its processes spawned: ``env.subscribe(Sanitizer(env))``.
+    """
+
+    def __init__(self, env: Any, strict: bool = True):
         self.strict = strict
         self.conflicts: List[Conflict] = []
         self.current: Optional[_ProcRecord] = None
         self.containers = 0
-        self.env: Any = None
+        self.env = env
         self._nproc = 0
         self._ncid = 0
         # Optional access-footprint observer (the model checker's schedule
@@ -120,11 +116,8 @@ class Sanitizer:
         # load per access and nothing else.
         self.observer: Any = None
 
-    # -- wiring ------------------------------------------------------------
-    def _attach(self, env: Any) -> None:
-        self.env = env
-
-    def instrument(self, gen: Generator, name: str) -> Generator:
+    # -- the engine's spawn hook -------------------------------------------
+    def spawn(self, gen: Generator, name: str) -> Generator:
         """Wrap a process generator with yield-epoch bookkeeping."""
         self._nproc += 1
         return self._run(gen, _ProcRecord(f"{name}#{self._nproc}"))
@@ -164,23 +157,24 @@ class Sanitizer:
                 f"{self._nproc} instrumented processes, {n} conflict(s)")
 
 
-def attach_sanitizer(env: Any, strict: bool = True) -> Sanitizer:
-    """Create a :class:`Sanitizer` and install it on *env* (an Engine)."""
-    san = Sanitizer(strict=strict)
-    env.attach_sanitizer(san)
-    return san
+def sanitizer_of(env: Any) -> Optional[Sanitizer]:
+    """The :class:`Sanitizer` subscribed to *env*, or None."""
+    for obs in env.observers:
+        if isinstance(obs, Sanitizer):
+            return obs
+    return None
 
 
 def tracked(env: Any, container: Any, name: str) -> Any:
     """Register *container* (a dict or a set) as shared mutable state.
 
-    With no sanitizer attached to *env* this returns *container*
+    With no sanitizer subscribed to *env* this returns *container*
     unchanged — the instrumentation is structurally free when disabled.
-    With one attached it returns a :class:`TrackedDict` (or
+    With one subscribed it returns a :class:`TrackedDict` (or
     :class:`TrackedSet`) proxy that records read/write vectors per yield
     epoch.
     """
-    san = getattr(env, "sanitizer", None)
+    san = sanitizer_of(env)
     if san is None:
         return container
     if isinstance(container, set):

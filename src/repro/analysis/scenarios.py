@@ -37,7 +37,7 @@ class Scenario:
 
     name: str
     description: str
-    build: Callable[[], Any]                      # () -> World
+    build: Callable[..., Any]                     # (**build_world kw) -> World
     drive: Callable[[Any], List[Any]]             # world -> live processes
     # path -> write ledger [(offset, length, seed)]; oracles read every
     # path back through all index strategies and compare.
@@ -69,10 +69,11 @@ def _aligned_pfs_cfg(**overrides: Any) -> PfsConfig:
 
 # -- smallio: last-closer vs re-opener on one host --------------------------
 
-def _build_smallio() -> Any:
+def _build_smallio(**world_kw: Any) -> Any:
     return build_world(
         pfs_cfg=_aligned_pfs_cfg(),
         plfs_cfg=PlfsConfig(aggregation="parallel", index_spill_records=1),
+        **world_kw,
     )
 
 
@@ -138,12 +139,13 @@ def _smallio() -> Scenario:
 
 # -- federated: concurrent closes across federated volumes ------------------
 
-def _build_federated() -> Any:
+def _build_federated(**world_kw: Any) -> Any:
     return build_world(
         n_volumes=2,
         pfs_cfg=_aligned_pfs_cfg(),
         plfs_cfg=PlfsConfig(aggregation="parallel", index_spill_records=1,
                             federation="subdir", n_subdirs=2),
+        **world_kw,
     )
 
 
@@ -182,10 +184,11 @@ def _federated() -> Scenario:
 
 # -- partition: retried writes under single-node partitions -----------------
 
-def _build_partition() -> Any:
+def _build_partition(**world_kw: Any) -> Any:
     return build_world(
         pfs_cfg=_aligned_pfs_cfg(),
         plfs_cfg=PlfsConfig(aggregation="parallel", index_spill_records=1),
+        **world_kw,
     )
 
 

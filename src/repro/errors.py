@@ -140,7 +140,7 @@ class CollectiveMismatchError(MPIError):
     """Ranks of one communicator issued non-congruent collective traces.
 
     Raised at job drain by the collective-trace validator
-    (``--validate-collectives``): some rank issued a different
+    (``--instrument collectives``): some rank issued a different
     collective, a different root, or skipped one the others issued —
     the runtime confirmation of a static REP101/REP102/REP104 finding.
     """

@@ -2,14 +2,13 @@
 
 Each component event becomes a pair of engine callbacks — apply at
 ``event.time``, recover at ``event.time + duration`` — scheduled as
-*non-daemon* absolute-time events (:meth:`Engine.schedule_at`).  Non-daemon
+absolute-time events (:meth:`Engine.schedule_at`).  A scheduled recovery
 matters: a process blocked on a paused server holds no scheduled event, so
-a daemon recovery would let ``run()`` drain the queue and report a bogus
-deadlock; non-daemon recovery keeps the run alive until the component is
-restored.
+without one ``run()`` would drain the queue and report a bogus deadlock;
+the recovery event keeps the run alive until the component is restored.
 
 Arming is *windowed* (:meth:`arm_until`): ``Engine.run()`` executes until
-no non-daemon work remains, so arming a whole campaign's timeline at once
+no scheduled work remains, so arming a whole campaign's timeline at once
 would make the first job fast-forward the clock through every future
 fault.  Callers arm exactly as far as the wall-clock window they are about
 to simulate; the campaign does this from its compute-segment loop, and

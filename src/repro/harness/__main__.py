@@ -7,6 +7,8 @@ Usage::
     python -m repro.harness all --scale paper   # published process counts
     python -m repro.harness all --json out.json # also dump JSON
     python -m repro.harness fig4 --jobs 4       # 4 worker processes
+    python -m repro.harness faults --instrument sanitize,collectives
+                                                # under the runtime checkers
     python -m repro.harness --replay-schedule trace.json
                                                 # re-run a model-checker trace
 
@@ -20,9 +22,11 @@ import os
 import sys
 import time
 
+from ..errors import ConfigError
 from .figures import FIGURES
 from .report import render_tables, save_json
 from .scales import get_scale
+from .setup import INSTRUMENT_ENV, INSTRUMENTS, parse_instruments
 
 
 def _replay(trace_path: str) -> int:
@@ -54,6 +58,14 @@ def _replay(trace_path: str) -> int:
     return 1
 
 
+def _instruments(spec: str):
+    """argparse type of ``--instrument``: a usage error lists the names."""
+    try:
+        return parse_instruments(spec)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
@@ -79,17 +91,15 @@ def main(argv=None) -> int:
                         help="render each table as an ASCII chart too")
     parser.add_argument("--logy", action="store_true",
                         help="log-scale the chart y axis (implies --chart)")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="run under the yield-point race sanitizer "
-                             "(repro.analysis): shared-state races raise "
-                             "RaceConditionError instead of silently "
-                             "skewing results")
-    parser.add_argument("--validate-collectives", action="store_true",
-                        help="record every rank's collective trace and "
-                             "assert per-communicator congruence at job "
-                             "drain (CollectiveMismatchError on "
-                             "divergence); the runtime cross-check for "
-                             "REP101..REP104 findings")
+    parser.add_argument("--instrument", default=[], metavar="NAMES",
+                        type=_instruments,
+                        help="comma-separated runtime checkers from "
+                             f"{{{','.join(INSTRUMENTS)}}}: 'sanitize' "
+                             "raises RaceConditionError on a shared-state "
+                             "race (repro.analysis); 'collectives' asserts "
+                             "per-communicator collective congruence at "
+                             "job drain (CollectiveMismatchError), the "
+                             "runtime cross-check for REP101..REP104")
     args = parser.parse_args(argv)
     if args.replay_schedule:
         if args.figures:
@@ -97,13 +107,10 @@ def main(argv=None) -> int:
         return _replay(args.replay_schedule)
     if not args.figures:
         parser.error("name figures to run, or use --replay-schedule")
-    if args.sanitize:
+    if args.instrument:
         # Via the environment so --jobs worker processes inherit it; each
-        # build_world() checks the flag and attaches a sanitizer.
-        os.environ["REPRO_SANITIZE"] = "1"
-    if args.validate_collectives:
-        # Same channel as --sanitize; build_world() attaches the tracer.
-        os.environ["REPRO_VALIDATE_COLLECTIVES"] = "1"
+        # build_world() subscribes the named observers.
+        os.environ[INSTRUMENT_ENV] = ",".join(args.instrument)
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0, got {args.jobs}")
 
@@ -112,9 +119,8 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown figure(s) {unknown}; choose from {sorted(FIGURES)}")
     scale = get_scale(args.scale)
-    san = " | sanitize=on" if args.sanitize else ""
-    val = " | validate-collectives=on" if args.validate_collectives else ""
-    print(f"# repro harness | scale={scale.name}{san}{val}\n", flush=True)
+    inst = f" | instrument={','.join(args.instrument)}" if args.instrument else ""
+    print(f"# repro harness | scale={scale.name}{inst}\n", flush=True)
     all_tables = []
     for name in names:
         t0 = time.time()

@@ -8,11 +8,13 @@ is exactly the PanFS arrangement the paper federates over (§V).
 from __future__ import annotations
 
 import gc
+import os
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from ..analysis.sanitize import attach_sanitizer, sanitize_enabled
-from ..mpi.trace import attach_tracer, validate_collectives_enabled
+from ..analysis.sanitize import Sanitizer
+from ..errors import ConfigError
+from ..mpi.trace import CollectiveTracer
 from ..cluster import Cluster, ClusterSpec, NodeSpec
 from ..pfs import PfsConfig, Volume, panfs
 from ..pfs.locks import RangeLockManager
@@ -20,7 +22,29 @@ from ..pfs.osd import OsdPool
 from ..plfs import PlfsConfig, PlfsMount
 from ..sim import Engine
 
-__all__ = ["World", "build_world"]
+__all__ = ["INSTRUMENTS", "World", "build_world", "parse_instruments"]
+
+# Runtime checkers by ``--instrument`` name: observer factories that
+# build_world() subscribes to each new engine.  The harness passes the
+# names to every world through this variable, so ``--jobs`` sweep worker
+# processes inherit them.
+INSTRUMENT_ENV = "REPRO_INSTRUMENT"
+INSTRUMENTS: Dict[str, Callable[[Any], Any]] = {
+    # Yield-point race sanitizer: RaceConditionError at a stale write.
+    "sanitize": Sanitizer,
+    # Per-communicator collective congruence, checked at each job drain.
+    "collectives": lambda env: CollectiveTracer(strict=True),
+}
+
+
+def parse_instruments(spec: str) -> List[str]:
+    """The names in a comma-separated ``--instrument`` value."""
+    names = [n.strip() for n in spec.split(",") if n.strip()]
+    unknown = [n for n in names if n not in INSTRUMENTS]
+    if unknown:
+        raise ConfigError(f"unknown instrument(s) {', '.join(unknown)}; "
+                          f"choose from {', '.join(INSTRUMENTS)}")
+    return names
 
 
 @dataclass
@@ -48,31 +72,26 @@ def build_world(*, n_volumes: int = 1, n_nodes: int = 4, cores: int = 4,
                 pfs_cfg: Optional[PfsConfig] = None,
                 cluster_spec: Optional[ClusterSpec] = None,
                 plfs_cfg: Optional[PlfsConfig] = None,
+                instrument: Optional[str] = None,
                 **plfs_kw) -> World:
     """Build a world.
 
     ``plfs_kw`` forwards to :class:`~repro.plfs.PlfsConfig`
     (``aggregation=...``, ``federation=...``, ...) unless an explicit
-    ``plfs_cfg`` is given.
+    ``plfs_cfg`` is given.  *instrument* names the :data:`INSTRUMENTS` to
+    subscribe (comma-separated); None reads ``REPRO_INSTRUMENT``.
     """
     # Sweeps build worlds in a loop; a retired world is hundreds of MB of
     # cyclic engine/namespace references at paper scale, and the cycle
     # collector doesn't keep up on its own.  Reclaim before building.
     gc.collect()
     env = Engine()
-    if sanitize_enabled():
-        # REPRO_SANITIZE=1 (the harness --sanitize flag): every process in
-        # this world gets yield-epoch instrumentation and the registered
-        # shared containers become recording proxies; a detected race
-        # raises RaceConditionError at the offending write.  The env-var
-        # channel means sweep worker processes inherit the setting.
-        attach_sanitizer(env)
-    if validate_collectives_enabled():
-        # REPRO_VALIDATE_COLLECTIVES=1 (--validate-collectives): every
-        # communicator created on this engine records per-rank
-        # collective traces, and run_job raises CollectiveMismatchError
-        # at drain when ranks diverge (see repro.mpi.trace).
-        attach_tracer(env, strict=True)
+    if instrument is None:
+        instrument = os.environ.get(INSTRUMENT_ENV, "")
+    # Before any component exists: the sanitizer must see every shared
+    # container registered and every process spawned.
+    for name in parse_instruments(instrument):
+        env.subscribe(INSTRUMENTS[name](env))
     spec = cluster_spec or ClusterSpec(name="world", n_nodes=n_nodes,
                                        node=NodeSpec(cores=cores))
     cluster = Cluster(env, spec)

@@ -15,7 +15,7 @@ traffic weighs what the real 48-byte-per-record indices weigh.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..cluster import Interconnect, Node
 from ..errors import MPIError
@@ -42,13 +42,6 @@ class Communicator:
         self._splits: Dict[Tuple[int, int], "Communicator"] = {}
         self.messages = 0
         self.bytes = 0
-        # Collective-trace validation (repro.mpi.trace): harness runs
-        # under --validate-collectives attach a tracer to the engine and
-        # every communicator picks it up here.  None in normal runs —
-        # the per-collective cost is then a single attribute check.
-        self.tracer = getattr(env, "collective_tracer", None)
-        if self.tracer is not None:
-            self.tracer.register(self)
 
     def _box(self, dst: int, src: int, tag: Any) -> Store:
         key = (dst, src, tag)
@@ -121,21 +114,24 @@ class Comm:
     def _from_vrank(self, v: int, root: int) -> int:
         return (v + root) % self.size
 
-    # -- collective tracing ----------------------------------------------------
+    # -- the ``collective`` layer event ---------------------------------------
     def _traced(self, op: str, root: Optional[int], gen: Generator) -> Generator:
-        """Record ``(op, root)`` when a tracer is attached; no-op pass-
-        through otherwise (one attribute check per collective call)."""
-        if self._shared.tracer is None:
+        """Publish ``collective(communicator, rank, op, root)`` on the
+        engine's bus when someone subscribes; otherwise pass *gen* through
+        (one bus lookup per collective call)."""
+        hooks = self.env.subscribers("collective")
+        if not hooks:
             return gen
-        return self._trace_run(op, root, gen)
+        return self._publish(hooks, op, root, gen)
 
-    def _trace_run(self, op: str, root: Optional[int],
-                   gen: Generator) -> Generator:
+    def _publish(self, hooks: Tuple[Callable[..., Any], ...], op: str,
+                 root: Optional[int], gen: Generator) -> Generator:
         # Depth guard: composite collectives (barrier, allgather,
-        # allreduce, split) are recorded once, at the granularity the
+        # allreduce, split) are published once, at the granularity the
         # caller wrote — their nested gather/bcast stages stay silent.
         if self._trace_depth == 0:
-            self._shared.tracer.record(self._shared, self.rank, op, root)
+            for hook in hooks:
+                hook(self._shared, self.rank, op, root)
         self._trace_depth += 1
         try:
             result = yield from gen

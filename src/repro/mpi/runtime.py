@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator, List
 
 from ..cluster import Cluster
-from ..errors import ConfigError
+from ..errors import ConfigError, DeadlockError
 from ..pfs.volume import Client
-from ..sim import Engine, JobMetrics, PhaseClock
+from ..sim import Engine, JobMetrics, PhaseClock, blocked_report
 from .comm import Comm, Communicator
 
 __all__ = ["RankContext", "JobResult", "run_job"]
@@ -103,41 +103,21 @@ def run_job(env: Engine, cluster: Cluster, nprocs: int,
     finish_stamp = {}
     done._add_callback(lambda _ev: finish_stamp.setdefault("t", env.now))
     env.run()
-    tracer = getattr(env, "collective_tracer", None)
+    stuck = None
     if not done.triggered:
         # Surface which ranks are stuck *and what each is waiting on* to
         # make model bugs debuggable.
-        from ..errors import DeadlockError
-        from ..sim import blocked_report
-
-        stuck = [p for p in procs if not p.triggered]
-        report = (
-            f"job {name!r}: {len(stuck)} of {nprocs} ranks never finished:\n"
-            + blocked_report(stuck[:8])
-            + ("\n  ..." if len(stuck) > 8 else ""))
-        if tracer is not None:
-            # A rank-divergent collective usually *causes* the hang; the
-            # trace comparison names the exact divergence, which is far
-            # more actionable than the generic stuck report.
-            from ..errors import CollectiveMismatchError
-            from .trace import validate_comm
-
-            trace_errors = validate_comm(tracer, shared)
-            if trace_errors:
-                raise CollectiveMismatchError(
-                    report + "\n  non-congruent collective traces:\n  "
-                    + "\n  ".join(trace_errors))
-        raise DeadlockError(report)
-    if tracer is not None:
-        # Quiescent-drain congruence check (--validate-collectives):
-        # every rank of this job's communicator — and of every split
-        # sub-communicator — must have issued the same collective
-        # sequence with the same roots.  Strict tracers (harness runs)
-        # raise CollectiveMismatchError; non-strict ones (the model
-        # checker) leave the errors for the oracle pass to collect.
-        from .trace import check_at_drain
-
-        check_at_drain(tracer, shared, name)
+        blocked = [p for p in procs if not p.triggered]
+        stuck = (
+            f"job {name!r}: {len(blocked)} of {nprocs} ranks never finished:\n"
+            + blocked_report(blocked[:8])
+            + ("\n  ..." if len(blocked) > 8 else ""))
+    # The ``job_drain`` layer event: drain-time checks such as the
+    # collective tracer's congruence validation (repro.mpi.trace).
+    for hook in env.subscribers("job_drain"):
+        hook(shared, name, stuck)
+    if stuck is not None:
+        raise DeadlockError(stuck)
     metrics = JobMetrics.from_rank_clocks(clocks, bytes_total)
     return JobResult(
         nprocs=nprocs,

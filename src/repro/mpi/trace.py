@@ -3,13 +3,15 @@
 The static analyzer (:mod:`repro.analysis.collectives`) proves rank
 congruence where it can and is conservative where it cannot — unresolved
 calls, opaque summaries, justified ``noqa`` sites.  This module is the
-runtime half of the contract: with a :class:`CollectiveTracer` attached
-to the engine (``--validate-collectives`` in the harness), every
-top-level collective a rank issues is recorded as ``(op, root)`` against
-its communicator, and :func:`validate_comm` asserts at job drain that
-every rank of every communicator issued the *same* sequence with the
-*same* roots.  A static finding is confirmed by a non-congruent trace
-and dismissed by a congruent one — each with a replayable run.
+runtime half of the contract: with a :class:`CollectiveTracer` on the
+engine's observer bus (``--instrument collectives`` in the harness), it
+receives the ``collective`` layer event :class:`~repro.mpi.comm.Comm`
+publishes for every top-level collective a rank issues, records it as
+``(op, root)`` against its communicator, and at each ``job_drain`` event
+(:func:`~repro.mpi.runtime.run_job`) asserts that every rank of every
+communicator issued the *same* sequence with the *same* roots.  A static
+finding is confirmed by a non-congruent trace and dismissed by a
+congruent one — each with a replayable run.
 
 Recording is per-communicator, keyed by object identity, so the
 sub-communicators of ``split`` validate independently (each color group
@@ -21,45 +23,34 @@ so the trace matches the caller's source, which is what the analyzer
 models.  ``split`` records root ``None``: its color argument varies by
 rank by design.
 
-The tracer is off by default and costs one attribute check per
-collective call when detached (benchmarks/bench_analysis.py guards the
-overhead at <2%).
+The tracer is off by default; with no ``collective`` subscriber a
+collective call costs one bus lookup (benchmarks/bench_analysis.py
+guards the overhead at <2%).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import CollectiveMismatchError
 
 __all__ = [
-    "CollectiveTracer", "attach_tracer", "validate_collectives_enabled",
-    "validate_comm", "validate_tracer",
+    "CollectiveTracer", "attach_tracer", "validate_comm", "validate_tracer",
 ]
-
-_ENV_FLAG = "REPRO_VALIDATE_COLLECTIVES"
 
 # One recorded collective: (operation name, root argument or None).
 TraceEntry = Tuple[str, Optional[int]]
 
 
-def validate_collectives_enabled() -> bool:
-    """Is ``REPRO_VALIDATE_COLLECTIVES`` set (the harness flag's channel)?
-
-    An environment variable rather than an argument so ``--jobs`` sweep
-    worker processes inherit the setting, same as ``REPRO_SANITIZE``.
-    """
-    return os.environ.get(_ENV_FLAG, "") not in ("", "0")
-
-
 class CollectiveTracer:
     """Per-communicator, per-rank collective sequence recorder.
 
-    ``strict`` decides what a detected mismatch does at job drain:
-    raise :class:`~repro.errors.CollectiveMismatchError` (harness runs)
-    or merely be reported by :func:`validate_comm` for the caller to
-    collect (the model checker's oracle mode).
+    An observer on the engine's bus for the ``collective`` and
+    ``job_drain`` layer events.  ``strict`` decides what a detected
+    mismatch does at job drain: raise
+    :class:`~repro.errors.CollectiveMismatchError` (harness runs) or
+    merely be reported by :func:`validate_comm` for the caller to collect
+    (the model checker's oracle mode).
     """
 
     def __init__(self, strict: bool = True):
@@ -70,19 +61,35 @@ class CollectiveTracer:
         self._traces: Dict[int, Tuple[Any, Dict[int, List[TraceEntry]]]] = {}
         self._order: List[int] = []  # deterministic reporting order
 
-    # -- recording ----------------------------------------------------------
-    def register(self, shared: Any) -> None:
-        """Track *shared* (a Communicator) from its creation."""
+    # -- layer events -------------------------------------------------------
+    def collective(self, shared: Any, rank: int, op: str,
+                   root: Optional[int]) -> None:
+        """One top-level collective entered by *rank* on *shared*."""
         key = id(shared)
         if key not in self._traces:
             self._traces[key] = (shared, {})
             self._order.append(key)
+        self._traces[key][1].setdefault(rank, []).append((op, root))
 
-    def record(self, shared: Any, rank: int, op: str,
-               root: Optional[int]) -> None:
-        """One top-level collective entered by *rank* on *shared*."""
-        self.register(shared)
-        self._traces[id(shared)][1].setdefault(rank, []).append((op, root))
+    def job_drain(self, shared: Any, job_name: str,
+                  stuck: Optional[str]) -> None:
+        """Validate a drained job's communicator and its splits.
+
+        *stuck* is the job's deadlock report, or None when every rank
+        finished.  A rank-divergent collective usually *causes* the hang,
+        so a mismatch then replaces the generic report, strict or not.
+        """
+        errors = validate_comm(self, shared)
+        if not errors:
+            return
+        if stuck is not None:
+            raise CollectiveMismatchError(
+                stuck + "\n  non-congruent collective traces:\n  "
+                + "\n  ".join(errors))
+        if self.strict:
+            raise CollectiveMismatchError(
+                f"job {job_name!r}: non-congruent collective traces "
+                f"({len(errors)} communicator(s)):\n  " + "\n  ".join(errors))
 
     # -- validation ---------------------------------------------------------
     def trace_of(self, shared: Any) -> Dict[int, List[TraceEntry]]:
@@ -91,7 +98,7 @@ class CollectiveTracer:
         return entry[1] if entry is not None else {}
 
     def comms(self) -> List[Any]:
-        """Every registered communicator, in creation order."""
+        """Every communicator that ran a collective, in first-use order."""
         return [self._traces[k][0] for k in self._order]
 
 
@@ -144,28 +151,9 @@ def validate_tracer(tracer: CollectiveTracer) -> List[str]:
 
 
 def attach_tracer(env: Any, strict: bool = True) -> CollectiveTracer:
-    """Attach a :class:`CollectiveTracer` to *env*; idempotent.
-
-    Communicators created on *env* afterwards pick the tracer up from
-    ``env.collective_tracer`` (mirroring the sanitizer's attachment
-    protocol) and :func:`~repro.mpi.runtime.run_job` validates at
-    drain, raising :class:`~repro.errors.CollectiveMismatchError` when
-    *strict*.
-    """
-    tracer = getattr(env, "collective_tracer", None)
-    if tracer is None:
-        tracer = CollectiveTracer(strict=strict)
-        env.collective_tracer = tracer
-    return tracer
-
-
-def check_at_drain(tracer: CollectiveTracer, shared: Any,
-                   job_name: str) -> List[str]:
-    """Drain-time validation used by ``run_job``: validate *shared* and
-    its splits; raise when strict, else return the error list."""
-    errors = validate_comm(tracer, shared)
-    if errors and tracer.strict:
-        raise CollectiveMismatchError(
-            f"job {job_name!r}: non-congruent collective traces "
-            f"({len(errors)} communicator(s)):\n  " + "\n  ".join(errors))
-    return errors
+    """Subscribe a :class:`CollectiveTracer` to *env*'s bus; idempotent
+    (returns the tracer already subscribed, if any)."""
+    for obs in env.observers:
+        if isinstance(obs, CollectiveTracer):
+            return obs
+    return env.subscribe(CollectiveTracer(strict=strict))

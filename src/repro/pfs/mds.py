@@ -51,7 +51,7 @@ class MetadataServer:
         self.server = FairShareServer(env, cfg.mds_ops_per_sec, name=f"{name}.srv")
         # Both registries are mutated by concurrent client processes and by
         # the fault injector across yields; tracked() is a no-op without a
-        # sanitizer and a recording proxy under --sanitize.
+        # sanitizer and a recording proxy under --instrument sanitize.
         self._dir_servers: Dict[int, FairShareServer] = tracked(
             env, {}, f"{name}.dir-servers")
         self._dir_inflight: Dict[int, int] = tracked(

@@ -44,7 +44,7 @@ class Osd:
         self.fail_count = 0
         # Per-object sequentiality state, mutated by every client process
         # that touches this device; tracked() is free when no sanitizer is
-        # attached and a recording proxy under --sanitize.
+        # subscribed and a recording proxy under --instrument sanitize.
         self._last_end: Dict[int, int] = tracked(
             env, {}, f"osd{index}.last-end")  # object uid -> end of previous access
         self._last_client: Dict[int, int] = tracked(

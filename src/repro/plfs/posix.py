@@ -4,7 +4,7 @@ The paper's first interface is a FUSE mount point: applications just use
 open/read/write/seek/close and never know the middleware exists.  This
 adapter is that view for simulated non-MPI applications: cursor-based
 file objects over a :class:`~repro.plfs.api.PlfsMount`, one adapter per
-process (it carries the client identity a FUSE daemon would).
+process (it carries the client identity a FUSE server process would).
 
 Because there is no communicator on this path, reads fall back to the
 uncoordinated Original index aggregation — exactly the real FUSE

@@ -20,6 +20,10 @@ self-contained and tuned for the bulk-synchronous workloads we simulate:
   O(log heap).  The observable order is unchanged: events still fire in
   (time, sequence-id) order, exactly as if everything went through the heap.
 
+Instrumentation (the race sanitizer, the collective tracer, the model
+checker, throughput probes) attaches through one observer bus,
+:meth:`Engine.subscribe`; see :class:`Engine` for the protocol.
+
 Example
 -------
 >>> env = Engine()
@@ -37,7 +41,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from ..errors import DeadlockError, SimulationError
 
@@ -62,21 +66,17 @@ class Event:
     :meth:`fail` is called, and *processed* once the engine has run its
     callbacks.  Processes wait on events by ``yield``-ing them.
 
-    Setting ``daemon = True`` *before* the event is scheduled marks it as
-    background work: the engine stops once only daemon events remain
-    (instrumentation probes use this so they never keep a run alive).
-
     ``callbacks`` storage is lazy to keep pending events small: ``None``
     while nothing waits, a bare callable for the overwhelmingly common
     single-waiter case, and a list only once a second waiter attaches.
     Use :meth:`_add_callback` rather than touching the attribute.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_exc", "_processed", "daemon")
+    __slots__ = ("env", "callbacks", "_value", "_exc", "_processed")
 
     # Class-level flag: plain events need no start hook.  Process overrides
     # it with a per-instance slot so the engine can lazily kick generators
-    # off without a throwaway start event (see Engine.step).
+    # off without a throwaway start event (see Engine.run).
     _started = True
 
     def __init__(self, env: "Engine"):
@@ -85,7 +85,6 @@ class Event:
         self._value: Any = _PENDING
         self._exc: Optional[BaseException] = None
         self._processed = False
-        self.daemon = False
 
     # -- state ------------------------------------------------------------
     @property
@@ -125,8 +124,6 @@ class Event:
         self._value = value
         env = self.env
         env._eid += 1
-        if not self.daemon:
-            env._live += 1
         env._immediate.append((env._eid, self))
         return self
 
@@ -144,8 +141,6 @@ class Event:
         self._exc = exc
         env = self.env
         env._eid += 1
-        if not self.daemon:
-            env._live += 1
         env._immediate.append((env._eid, self))
         return self
 
@@ -166,15 +161,11 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed simulated delay.
-
-    ``daemon=True`` marks it background work (see :class:`Event`).
-    """
+    """An event that fires after a fixed simulated delay."""
 
     __slots__ = ()
 
-    def __init__(self, env: "Engine", delay: float, value: Any = None,
-                 daemon: bool = False):
+    def __init__(self, env: "Engine", delay: float, value: Any = None):
         # Inlined Event.__init__ + scheduling: timeouts are the single
         # hottest allocation in the simulator, so they pay no super() call.
         if delay < 0:
@@ -184,10 +175,7 @@ class Timeout(Event):
         self._value = value
         self._exc = None
         self._processed = False
-        self.daemon = daemon
         env._eid += 1
-        if not daemon:
-            env._live += 1
         if delay == 0.0:
             env._immediate.append((env._eid, self))
         else:
@@ -212,7 +200,7 @@ class Process(Event):
     value when the generator finishes (or fails with its exception), so
     processes can wait on other processes by yielding them.
 
-    The process schedules *itself* for start — the engine's step sees the
+    The process schedules *itself* for start — the engine's run loop sees the
     per-instance ``_started = False`` and resumes the generator instead of
     processing a completion, avoiding a throwaway start event per process
     (65,536-rank jobs allocate 65,536 fewer events and callback attaches).
@@ -233,8 +221,6 @@ class Process(Event):
         self._rcb = self._resume  # one bound method, reused for every yield
         self._waiting: Optional[Event] = None
         env._eid += 1
-        if not self.daemon:
-            env._live += 1
         env._immediate.append((env._eid, self))
 
     @property
@@ -295,8 +281,6 @@ class Process(Event):
         self._waiting = None
         env = self.env
         env._eid += 1
-        if not self.daemon:
-            env._live += 1
         env._immediate.append((env._eid, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -420,12 +404,39 @@ def blocked_report(procs: Iterable[Process]) -> str:
 
 
 class Engine:
-    """The event loop: an immediate FIFO plus a time-ordered heap.
+    """The event loop: an immediate FIFO, a time-ordered heap, an observer bus.
 
     Events scheduled for the *current* instant (triggers, process starts
     and completions) go to the immediate deque; only genuine delays enter
-    the heap.  :meth:`step` interleaves the two so that events still fire
+    the heap.  :meth:`run` interleaves the two so that events still fire
     in exact (time, sequence-id) order.
+
+    The factories ``event()``, ``timeout(delay, value=None)``,
+    ``process(gen, name="")``, ``all_of(events)`` and ``any_of(events)``
+    are per-instance partials of the event classes: they are the hottest
+    constructors in the simulator, and a C-level partial costs no Python
+    wrapper frame per call.
+
+    **Observers.**  :meth:`subscribe` puts any object on the bus; the
+    engine calls whichever of these methods it defines:
+
+    * ``spawn(gen, name) -> gen`` — wrap the generator of every process
+      spawned afterwards (the race sanitizer's yield-epoch counter);
+    * ``fired(eid, event)`` — before each event's callbacks run;
+    * ``quiescent(now)`` — whenever the current instant has fully
+      drained: before time advances, and once when the run ends.  It
+      must not schedule events;
+    * ``select(ready) -> int`` — break a same-instant tie: *ready* is the
+      ``(eid, event)`` pairs runnable now, sorted by eid, and index 0 is
+      the default order.  At most one observer may define it (the model
+      checker).
+
+    Any other name is a *layer event* that a model layer publishes to
+    :meth:`subscribers` of that name, and only when there are some:
+    ``collective`` (:class:`repro.mpi.Comm`) and ``job_drain``
+    (:func:`repro.mpi.run_job`).  With no ``fired``, ``quiescent`` or
+    ``select`` subscriber, :meth:`run` is the inlined fast loop and the
+    bus costs nothing per event.
 
     Typical use::
 
@@ -439,15 +450,12 @@ class Engine:
         self._heap: List = []
         self._immediate: deque = deque()
         self._eid = 0
-        self._live = 0  # scheduled non-daemon events
-        self._san = None  # yield-point race sanitizer (see attach_sanitizer)
-        self._sched = None  # controlled scheduler (see attach_scheduler)
-        # The factories are the hottest constructors in the simulator;
-        # binding them as C-level partials (shadowing the documented
-        # methods below) removes a Python wrapper frame per call.
+        self.observers: List[Any] = []
+        self._subs: Dict[str, Tuple[Callable[..., Any], ...]] = {}
+        self._observed = False  # some observer takes per-event hooks
         self.event = partial(Event, self)
         self.timeout = partial(Timeout, self)
-        self.process = partial(Process, self)
+        self.process: Callable[..., Process] = partial(Process, self)
         self.all_of = partial(AllOf, self)
         self.any_of = partial(AnyOf, self)
 
@@ -456,85 +464,53 @@ class Engine:
         """Current simulated time in seconds."""
         return self._now
 
-    @property
-    def sanitizer(self):
-        """The attached yield-point race sanitizer, or None (the default)."""
-        return self._san
+    # -- the observer bus --------------------------------------------------
+    def subscribe(self, observer: Any) -> Any:
+        """Put *observer* on the bus and return it.
 
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Enable yield-point race detection for every future process.
-
-        Rebinds this engine's :meth:`process` factory so each spawned
-        generator is wrapped with the sanitizer's per-process *yield
-        epoch* counter: the wrapper bumps the epoch and marks the process
-        current on every resume, which is what lets shared state proxies
-        (:func:`repro.analysis.sanitize.tracked`) tell a same-turn
-        read-modify-write from a write acting on a value read before a
-        ``yield``.  Call before spawning processes (worlds attach at
-        construction).  When never called, nothing in the engine's hot
-        paths changes — sanitizing is structurally free when off.
+        A ``spawn`` observer wraps only processes spawned after it
+        subscribes; the run loops read the bus when :meth:`run` starts.
         """
-        self._san = sanitizer
-        sanitizer._attach(self)
+        if hasattr(observer, "select") and self.subscribers("select"):
+            raise SimulationError("at most one observer may define select()")
+        self.observers.append(observer)
+        self._rewire()
+        return observer
+
+    def unsubscribe(self, observer: Any) -> None:
+        """Take *observer* off the bus."""
+        self.observers.remove(observer)
+        self._rewire()
+
+    def subscribers(self, hook: str) -> Tuple[Callable[..., Any], ...]:
+        """The bound *hook* methods of the observers defining it, in
+        subscription order (empty when nobody listens)."""
+        subs = self._subs.get(hook)
+        if subs is None:
+            subs = self._subs[hook] = tuple(
+                getattr(o, hook) for o in self.observers if hasattr(o, hook))
+        return subs
+
+    def _rewire(self) -> None:
+        self._subs = {}
+        self._observed = any(self.subscribers(h)
+                             for h in ("fired", "quiescent", "select"))
         make = partial(Process, self)
+        spawns = self.subscribers("spawn")
+        if not spawns:
+            self.process = make
+            return
 
-        def _sanitized_process(gen: Generator, name: str = "") -> Process:
-            label = name or getattr(gen, "__name__", "process")
-            return make(sanitizer.instrument(gen, label), label)
+        def process(gen: Generator, name: str = "") -> Process:
+            name = name or getattr(gen, "__name__", "process")
+            for spawn in spawns:
+                gen = spawn(gen, name)
+            return make(gen, name)
 
-        self.process = _sanitized_process
+        self.process = process
 
-    @property
-    def scheduler(self):
-        """The attached controlled scheduler, or None (the default)."""
-        return self._sched
-
-    def attach_scheduler(self, scheduler) -> None:
-        """Route :meth:`run` through the controlled (model-checking) loop.
-
-        *scheduler* decides tie-breaks among same-instant ready events:
-
-        * ``select(ready)`` — called with the ready set (``(eid, event)``
-          pairs sorted by eid) whenever more than one event is runnable at
-          the current instant; returns the index to fire.  Index 0 always
-          reproduces the engine's default (time, eid) order.
-        * ``fired(eid, event)`` — called for every event the controlled
-          loop fires, before its callbacks run.
-        * ``quiescent(now)`` — called whenever the current instant has
-          fully drained (before time advances, and once at the end).
-
-        The stock :meth:`run` loop is untouched when no scheduler is
-        attached — exploration is structurally free when off.
-        """
-        self._sched = scheduler
-
-    def detach_scheduler(self) -> None:
-        """Return :meth:`run` to the uncontrolled fast path."""
-        self._sched = None
-
-    # -- factory helpers (shadowed by equivalent partials per instance) ----
-    def event(self) -> Event:
-        """A fresh untriggered event."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None, *,
-                daemon: bool = False) -> Timeout:
-        """An event firing after *delay* simulated seconds."""
-        return Timeout(self, delay, value, daemon=daemon)
-
-    def process(self, gen: Generator, name: str = "") -> Process:
-        """Spawn *gen* as a simulated process."""
-        return Process(self, gen, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all children have."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires with the first child."""
-        return AnyOf(self, events)
-
-    def schedule_at(self, t: float, *, daemon: bool = False) -> Event:
+    # -- scheduling --------------------------------------------------------
+    def schedule_at(self, t: float) -> Event:
         """An event firing at *absolute* simulated time *t* (value ``None``).
 
         Unlike ``timeout(t - now)``, the fire time is exactly the float
@@ -545,94 +521,33 @@ class Engine:
             raise SimulationError(f"schedule_at({t}) is in the past (now={self._now})")
         ev = Event(self)
         ev._value = None
-        ev.daemon = daemon
         self._eid += 1
-        if not daemon:
-            self._live += 1
         if t == self._now:
             self._immediate.append((self._eid, ev))
         else:
             heapq.heappush(self._heap, (t, self._eid, ev))
         return ev
 
-    # -- scheduling --------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        self._eid += 1
-        if not event.daemon:
-            self._live += 1
-        if delay == 0.0:
-            self._immediate.append((self._eid, event))
-        else:
-            heapq.heappush(self._heap, (self._now + delay, self._eid, event))
-
-    def step(self) -> None:
-        """Process the next event in (time, sequence-id) order.
-
-        Raises :class:`SimulationError` when both the immediate queue and
-        the heap are empty (stepping an exhausted simulation is a bug in
-        the caller, not an expected condition).
-        """
-        imm = self._immediate
-        if imm:
-            # Every immediate entry is stamped with the current time, but a
-            # heap entry may share that timestamp with a smaller sequence id
-            # (a timeout armed earlier that lands exactly now) — it must
-            # fire first to preserve the global (time, eid) order.
-            heap = self._heap
-            if heap and heap[0][0] <= self._now and heap[0][1] < imm[0][0]:
-                _, _, event = heapq.heappop(heap)
-            else:
-                _, event = imm.popleft()
-        else:
-            heap = self._heap
-            if not heap:
-                raise SimulationError("step() on an empty event queue")
-            t, _, event = heapq.heappop(heap)
-            if t < self._now:  # pragma: no cover - defensive
-                raise SimulationError("time went backwards")
-            self._now = t
-        if not event.daemon:
-            self._live -= 1
-        if not event._started:
-            # A process awaiting its first resume, not a completion.
-            event._started = True
-            event._resume(_INIT)
-            return
-        cbs = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        if cbs is not None:
-            if type(cbs) is list:
-                for cb in cbs:
-                    cb(event)
-            else:
-                cbs(event)
-        elif event._exc is not None:
-            # A failed event nobody waited for: surface the bug.
-            raise event._exc
-
     def run(self, until: Optional[float] = None) -> None:
-        """Run until only daemon work remains, or until simulated time *until*.
-
-        Daemon events (instrumentation probes) never keep a run alive; they
-        stay queued and resume if later real work advances the clock past
-        them.
-        """
+        """Run until the event queue drains, or until simulated time *until*."""
         if until is not None and until < self._now:
             raise SimulationError(f"run(until={until}) is in the past (now={self._now})")
-        if self._sched is not None:
-            self._run_controlled(until)
+        if self._observed:
+            self._run_observed(until)
             return
-        # The loop below is step() inlined (minus the defensive checks that
-        # structurally cannot trip here): one Python frame per event is the
-        # difference between "tens of minutes" and "minutes" at paper scale.
+        # The fast loop: one Python frame per event is the difference
+        # between "tens of minutes" and "minutes" at paper scale.
         imm = self._immediate
         heap = self._heap
         heappop = heapq.heappop
         horizon = float("inf") if until is None else until
         popleft = imm.popleft
-        while self._live > 0:
+        while True:
             if imm:
+                # Every immediate entry is stamped with the current time,
+                # but a heap entry may share that timestamp with a smaller
+                # sequence id (a timeout armed earlier that lands exactly
+                # now) — it must fire first to keep the (time, eid) order.
                 if heap and heap[0][0] <= self._now and heap[0][1] < imm[0][0]:
                     _, _, event = heappop(heap)
                 else:
@@ -646,9 +561,8 @@ class Engine:
                 self._now = t
             else:
                 return
-            if not event.daemon:
-                self._live -= 1
             if not event._started:
+                # A process awaiting its first resume, not a completion.
                 event._started = True
                 event._resume(_INIT)
                 continue
@@ -662,54 +576,56 @@ class Engine:
                 else:
                     cbs(event)
             elif event._exc is not None:
+                # A failed event nobody waited for: surface the bug.
                 raise event._exc
 
-    def _run_controlled(self, until: Optional[float]) -> None:
-        """The model-checker's run loop: every same-instant tie-break is a
-        *decision point* delegated to the attached scheduler.
+    def _run_observed(self, until: Optional[float]) -> None:
+        """:meth:`run` with the ``fired``/``quiescent``/``select`` hooks.
 
-        Instead of firing the single (time, eid)-minimal event, the loop
-        materializes the whole ready set of the current instant — all
-        immediate entries plus every heap entry already due — and asks the
-        scheduler which to fire.  Choosing index 0 at every decision
-        reproduces the uncontrolled order exactly (new events always get
-        larger sequence ids, so the eid-minimal ready event is the one
-        :meth:`run` would have fired).  Unchosen events go back on the
-        immediate queue; the re-gather-and-sort next iteration restores
-        the global order among them.
+        Without a ``select`` subscriber the firing order is the fast
+        loop's.  With one, every instant with more than one runnable
+        event is a *decision point*: the loop gathers the whole ready set
+        (immediate entries plus heap entries already due), fires the one
+        ``select`` picks, and puts the rest back on the immediate queue in
+        eid order.  Choosing index 0 everywhere reproduces the default
+        order, because new events always get larger sequence ids.
         """
-        sched = self._sched
+        fired = self.subscribers("fired")
+        quiescent = self.subscribers("quiescent")
+        select = (self.subscribers("select") or (None,))[0]
         imm = self._immediate
         heap = self._heap
         heappop = heapq.heappop
         horizon = float("inf") if until is None else until
-        while self._live > 0:
-            ready = []
-            while heap and heap[0][0] <= self._now:
-                _, eid, ev = heappop(heap)
-                ready.append((eid, ev))
-            while imm:
-                ready.append(imm.popleft())
-            if not ready:
+        while True:
+            now = self._now
+            due = bool(heap) and heap[0][0] <= now
+            if not (imm or due):
+                for hook in quiescent:
+                    hook(now)
                 if not heap:
-                    break
-                sched.quiescent(self._now)
+                    return
                 t = heap[0][0]
                 if t > horizon:
                     self._now = until
                     return
                 self._now = t
                 continue
-            if len(ready) > 1:
-                ready.sort()
-                choice = sched.select(ready)
-                eid, event = ready.pop(choice)
-                imm.extendleft(reversed(ready))
+            if select is None:
+                if due and (not imm or heap[0][1] < imm[0][0]):
+                    _, eid, event = heappop(heap)
+                else:
+                    eid, event = imm.popleft()
             else:
-                eid, event = ready[0]
-            if not event.daemon:
-                self._live -= 1
-            sched.fired(eid, event)
+                while heap and heap[0][0] <= now:
+                    _, eid, event = heappop(heap)
+                    imm.append((eid, event))
+                ready = sorted(imm)
+                imm.clear()
+                eid, event = ready.pop(select(ready) if len(ready) > 1 else 0)
+                imm.extend(ready)
+            for hook in fired:
+                hook(eid, event)
             if not event._started:
                 event._started = True
                 event._resume(_INIT)
@@ -725,7 +641,6 @@ class Engine:
                     cbs(event)
             elif event._exc is not None:
                 raise event._exc
-        sched.quiescent(self._now)
 
     def run_process(self, gen: Generator, name: str = "") -> Any:
         """Convenience: spawn *gen*, run to completion, return its result.

@@ -11,8 +11,9 @@ burst).
     for t, rate in probe.series():
         ...
 
-Probes are simulated processes; they stop sampling automatically when the
-run ends (the event queue drains) and add negligible event load.
+A probe is a ``quiescent`` observer on the engine's bus (see
+:class:`~repro.sim.engine.Engine`): it schedules no events, so it can
+neither keep a run alive nor change what the run computes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ __all__ = ["BandwidthProbe", "summarize_probe"]
 
 
 class BandwidthProbe:
-    """Periodic sampler of a :class:`FairShareServer`'s *delivered* units/second."""
+    """Periodic sampler of a :class:`FairShareServer`'s *delivered* units/second.
+
+    Between two drained instants no event fires, so the server's delivered
+    work grows linearly; at each drained instant the probe reads it and
+    interpolates the value at every period boundary it has passed.
+    """
 
     def __init__(self, env: Engine, server: FairShareServer, period: float,
                  name: str = ""):
@@ -38,22 +44,32 @@ class BandwidthProbe:
         self.period = period
         self.name = name or getattr(server, "name", "probe")
         self._samples: List[Tuple[float, float]] = []
-        self._last_total = server.work_delivered()
+        self._t0 = env.now
+        self._k = 1  # index of the next period boundary
+        self._last = (env.now, server.work_delivered())  # last drained instant
+        self._boundary_work = self._last[1]  # delivered at the last boundary
         self._running = True
-        env.process(self._run(), name=f"probe:{self.name}")
+        env.subscribe(self)
 
-    def _run(self):
-        while self._running:
-            # Daemon ticks: the probe never keeps the run alive by itself.
-            yield self.env.timeout(self.period, daemon=True)
-            delivered = self.server.work_delivered()
-            rate = (delivered - self._last_total) / self.period
-            self._samples.append((self.env.now, rate))
-            self._last_total = delivered
+    def quiescent(self, now: float) -> None:
+        if not self._running:
+            return
+        work = self.server.work_delivered()
+        t_prev, w_prev = self._last
+        boundary = self._t0 + self._k * self.period
+        while boundary <= now:
+            w = w_prev + (work - w_prev) * (boundary - t_prev) / (now - t_prev)
+            self._samples.append((boundary, (w - self._boundary_work) / self.period))
+            self._boundary_work = w
+            self._k += 1
+            boundary = self._t0 + self._k * self.period
+        self._last = (now, work)
 
     def stop(self) -> None:
-        """Stop sampling after the next tick (lets a run's queue drain)."""
-        self._running = False
+        """Stop sampling now."""
+        if self._running:
+            self._running = False
+            self.env.unsubscribe(self)
 
     def series(self) -> List[Tuple[float, float]]:
         """(sample time, average rate over the preceding period) pairs."""

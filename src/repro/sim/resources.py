@@ -353,9 +353,17 @@ class FairShareServer:
         self._reschedule()
 
     def work_remaining(self) -> float:
-        """Demand units still owed to in-flight jobs (at the current time)."""
-        self._advance()
-        return sum(fv - self._vtime for fv, _, _ in self._jobs)
+        """Demand units still owed to in-flight jobs (at the current time).
+
+        A pure read: virtual time is brought up to date in a local, never
+        committed, so sampling a server (probes, reports) cannot change how
+        its later completions round.
+        """
+        vtime = self._vtime
+        dt = self.env.now - self._t_last
+        if self._jobs and not self._paused and dt > 0:
+            vtime += dt * self.capacity / len(self._jobs)
+        return sum(fv - vtime for fv, _, _ in self._jobs)
 
     def work_delivered(self) -> float:
         """Demand units actually served so far (total accepted minus in flight)."""

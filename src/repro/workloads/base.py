@@ -177,7 +177,7 @@ def _writer_fn(workload: Workload, stack: IOStack):
                 # Workload contract: write_rounds(rank) varies offsets
                 # per rank but yields the same *round count* on every
                 # rank (tests/mpi/test_collectives_edges.py validates a
-                # run under --validate-collectives).
+                # run under --instrument collectives).
                 yield from f.write_at_all(pieces)  # noqa: REP104 -- round count is rank-uniform by the Workload contract; trace-validated
             else:
                 for off, spec in pieces:

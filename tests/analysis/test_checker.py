@@ -42,9 +42,7 @@ def test_empty_schedule_matches_uncontrolled_run():
     plain.env.run()
 
     controlled = scenario.build()
-    ctrl = _Controller({})
-    ctrl.bind(controlled.env)
-    controlled.env.attach_scheduler(ctrl)
+    ctrl = controlled.env.subscribe(_Controller({}, controlled.env))
     scenario.drive(controlled)
     controlled.env.run()
 

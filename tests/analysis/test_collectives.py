@@ -2,7 +2,7 @@
 and its runtime cross-check, the collective-trace validator.
 
 The acceptance fixture is the leader-only broadcast: REP101 must flag the
-divergent ``bcast`` line statically, and a ``--validate-collectives`` run of
+divergent ``bcast`` line statically, and an ``--instrument collectives`` run of
 the same shape must report the non-congruent per-rank traces at runtime.
 """
 

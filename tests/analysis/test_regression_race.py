@@ -18,6 +18,7 @@ delays; the shipped close at none of them.
 
 import pytest
 
+from repro.analysis.sanitize import sanitizer_of
 from repro.errors import RaceConditionError
 from repro.harness.setup import build_world
 from repro.pfs.data import ZeroData
@@ -51,9 +52,8 @@ def _racy_drop_metadata(self):
         del reg[(self.layout.path, node_id)]   # acts on the stale zero-check
 
 
-def _sanitized_world(monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    return build_world()
+def _sanitized_world():
+    return build_world(instrument="sanitize")
 
 
 def _measure_window(monkeypatch):
@@ -61,7 +61,7 @@ def _measure_window(monkeypatch):
     t_zero_check, t_retire) in simulated seconds."""
     monkeypatch.setattr(PlfsWriteHandle, "_drop_metadata",
                         _racy_drop_metadata)
-    world = _sanitized_world(monkeypatch)
+    world = _sanitized_world()
     env, mount = world.env, world.mount
     client = Client(node=world.cluster.nodes[0], client_id=0)
     marks = []
@@ -80,11 +80,11 @@ def _measure_window(monkeypatch):
     return marks[0], t_check, t_del
 
 
-def _run_overlap(monkeypatch, delay):
+def _run_overlap(delay):
     """One sanitized world: close a host's only writer while a second
     writer on the same host starts re-opening *delay* seconds after the
     close begins.  Returns the recorded conflicts."""
-    world = _sanitized_world(monkeypatch)
+    world = _sanitized_world()
     env, mount = world.env, world.mount
     node = world.cluster.nodes[0]
     first = Client(node=node, client_id=0)
@@ -110,7 +110,7 @@ def _run_overlap(monkeypatch, delay):
         env.run()
     except RaceConditionError:
         pass  # strict mode stops the run at the offending write
-    return env.sanitizer.conflicts
+    return sanitizer_of(env).conflicts
 
 
 def _scan_delays(monkeypatch):
@@ -131,7 +131,7 @@ def test_sanitizer_detects_reintroduced_last_closer_race(monkeypatch):
     monkeypatch.setattr(PlfsWriteHandle, "_drop_metadata",
                         _racy_drop_metadata)
     for delay in delays:
-        conflicts = _run_overlap(monkeypatch, delay)
+        conflicts = _run_overlap(delay)
         if conflicts:
             c = conflicts[0]
             assert c.container.startswith("plfs-host-refs")
@@ -145,9 +145,8 @@ def test_sanitizer_detects_reintroduced_last_closer_race(monkeypatch):
 def test_shipped_close_path_is_race_free(monkeypatch):
     delays = _scan_delays(monkeypatch)
     monkeypatch.undo()   # drop the racy patch; keep scanning the window
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
     for delay in delays:
-        conflicts = _run_overlap(monkeypatch, delay)
+        conflicts = _run_overlap(delay)
         assert conflicts == [], (
             f"shipped close path flagged at re-open delay {delay}: "
             f"{[c.render() for c in conflicts]}")

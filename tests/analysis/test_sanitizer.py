@@ -3,15 +3,16 @@
 import pytest
 
 from repro.analysis.sanitize import (
-    Sanitizer, TrackedDict, attach_sanitizer, sanitize_enabled, tracked,
+    Sanitizer, TrackedDict, sanitizer_of, tracked,
 )
 from repro.errors import RaceConditionError
+from repro.harness.setup import build_world
 from repro.sim import Engine
 
 
 def make_env(strict=False):
     env = Engine()
-    san = attach_sanitizer(env, strict=strict)
+    san = env.subscribe(Sanitizer(env, strict=strict))
     return env, san
 
 
@@ -29,12 +30,12 @@ def test_tracked_returns_proxy_with_sanitizer():
 
 
 def test_sanitize_enabled_reads_env_flag(monkeypatch):
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    assert not sanitize_enabled()
-    monkeypatch.setenv("REPRO_SANITIZE", "0")
-    assert not sanitize_enabled()
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    assert sanitize_enabled()
+    monkeypatch.delenv("REPRO_INSTRUMENT", raising=False)
+    assert sanitizer_of(build_world().env) is None
+    monkeypatch.setenv("REPRO_INSTRUMENT", "collectives")
+    assert sanitizer_of(build_world().env) is None
+    monkeypatch.setenv("REPRO_INSTRUMENT", "collectives,sanitize")
+    assert isinstance(sanitizer_of(build_world().env), Sanitizer)
 
 
 def test_lost_update_detected_on_check_then_act():

@@ -11,9 +11,10 @@ import pytest
 
 from repro.analysis.sanitize import (
     TrackedDict,
+    Sanitizer,
     TrackedSet,
-    attach_sanitizer,
     raw_snapshot,
+    sanitizer_of,
     tracked,
 )
 from repro.sim import Engine
@@ -22,7 +23,7 @@ from repro.sim import Engine
 @pytest.fixture
 def env():
     e = Engine()
-    attach_sanitizer(e, strict=False)
+    e.subscribe(Sanitizer(e, strict=False))
     return e
 
 
@@ -109,7 +110,7 @@ def test_raw_snapshot_identity(env):
 
 def _race(env, reader_steps, writer_steps):
     """Run two processes; return the conflicts their interplay produced."""
-    san = env.sanitizer
+    san = sanitizer_of(env)
 
     def reader(env):
         yield from reader_steps(env)
@@ -178,4 +179,4 @@ def test_setdefault_same_turn_is_clean(env):
     env.process(proc(env), "a")
     env.process(proc(env), "b")
     env.run()
-    assert env.sanitizer.conflicts == []
+    assert sanitizer_of(env).conflicts == []

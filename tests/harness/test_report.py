@@ -79,6 +79,16 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["figX"])
 
+    def test_main_rejects_unknown_instrument(self, capsys):
+        from repro.harness.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig7", "--instrument", "sanitize,bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown instrument(s) bogus" in err
+        assert "choose from sanitize, collectives" in err
+
     def test_main_runs_smallest_figure(self, tmp_path, capsys):
         from repro.harness.__main__ import main
 

@@ -1,41 +1,10 @@
-"""Tests for daemon events and bandwidth probes."""
+"""Tests for bandwidth probes, the engine's ``quiescent`` observers."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Engine, FairShareServer
 from repro.sim.probes import BandwidthProbe, summarize_probe
-
-
-class TestDaemonEvents:
-    def test_daemon_timeout_does_not_keep_run_alive(self):
-        env = Engine()
-        env.timeout(100.0, daemon=True)
-
-        def proc(env):
-            yield env.timeout(1.0)
-            return env.now
-
-        assert env.run_process(proc(env)) == 1.0
-        assert env.now == 1.0  # did not run on to t=100
-
-    def test_daemon_events_fire_when_real_work_passes_them(self):
-        env = Engine()
-        fired = []
-        t = env.timeout(5.0, daemon=True)
-        t._add_callback(lambda ev: fired.append(env.now))
-
-        def proc(env):
-            yield env.timeout(10.0)
-
-        env.run_process(proc(env))
-        assert fired == [5.0]
-
-    def test_pure_daemon_engine_stops_immediately(self):
-        env = Engine()
-        env.timeout(1.0, daemon=True)
-        env.run()
-        assert env.now == 0.0
 
 
 class TestBandwidthProbe:
@@ -54,6 +23,21 @@ class TestBandwidthProbe:
         assert series[1.0] == 0.0                      # idle before the burst
         assert series[4.0] == pytest.approx(100.0)     # mid-burst at capacity
         assert series[7.0] == 0.0                      # idle after
+
+    def test_probe_interpolates_between_drained_instants(self):
+        """Boundaries inside a long busy stretch get the linear share."""
+        env = Engine()
+        srv = FairShareServer(env, capacity=10.0)
+        probe = BandwidthProbe(env, srv, period=0.25)
+
+        def proc(env):
+            yield env.timeout(0.5)
+            yield srv.serve(10.0)  # t=0.5..1.5, no event in between
+
+        env.run_process(proc(env))
+        assert probe.series() == pytest.approx(
+            [(0.25, 0.0), (0.5, 0.0), (0.75, 10.0), (1.0, 10.0),
+             (1.25, 10.0), (1.5, 10.0)])
 
     def test_probe_does_not_extend_the_run(self):
         env = Engine()
@@ -105,10 +89,56 @@ class TestBandwidthProbe:
         srv = FairShareServer(env, capacity=10.0)
         probe = BandwidthProbe(env, srv, period=1.0)
         probe.stop()
+        probe.stop()  # idempotent
 
         def proc(env):
             yield srv.serve(100.0)
 
         env.run_process(proc(env))
-        # Stopped after at most one further tick.
-        assert len(probe.series()) <= 1
+        assert probe.series() == []
+        assert env.observers == []
+
+
+class TestProbeLeavesTheModelAlone:
+    """Reading a server must not change its float rounding: completion
+    times are bit-identical with and without a probe attached."""
+
+    @staticmethod
+    def _completions(period):
+        env = Engine()
+        srv = FairShareServer(env, capacity=7.3)
+        if period is not None:
+            BandwidthProbe(env, srv, period=period)
+        done = {}
+
+        def job(env, i):
+            yield env.timeout(i * 0.0137)
+            yield srv.serve(0.3 + (i * 0.61) % 1.9)
+            done[i] = env.now.hex()
+
+        for i in range(40):
+            env.process(job(env, i))
+        env.run()
+        return done
+
+    @pytest.mark.parametrize("period", [0.01, 0.0371, 0.1])
+    def test_completion_times_bitwise_identical(self, period):
+        bare = self._completions(None)
+        assert len(bare) == 40
+        assert self._completions(period) == bare
+
+    def test_work_remaining_is_a_pure_read(self):
+        env = Engine()
+        srv = FairShareServer(env, capacity=3.0)
+        seen = []
+
+        def proc(env):
+            ev = srv.serve(9.0)
+            yield env.timeout(1.1)
+            before = (srv._vtime, srv._t_last, srv.busy_time)
+            seen.append(srv.work_remaining())
+            assert (srv._vtime, srv._t_last, srv.busy_time) == before
+            yield ev
+
+        env.run_process(proc(env))
+        assert seen == [pytest.approx(9.0 - 3.3)]
