@@ -5,15 +5,16 @@ bit-identical across runs, seeds, ``--jobs`` counts, and fault plans.
 This package turns that contract from a hand-audited convention into an
 enforced invariant, with two engines:
 
-* a **determinism linter** (:mod:`repro.analysis.linter`) — an AST pass
+* a **static linter** (:mod:`repro.analysis.linter`) — one AST pass
   over the source tree that flags the constructs that historically break
   simulated determinism: wall-clock reads, unseeded global RNGs, salted
   ``hash()``, unordered-container iteration feeding results or event
-  schedules, mutable default arguments, and order-sensitive float
-  reductions.  Rules are identified as ``REP001``..``REP006``
-  (:mod:`repro.analysis.rules`), suppressible per line with
-  ``# repro: noqa[REPnnn]`` and per file via ``[tool.repro.analysis]``
-  in ``pyproject.toml``.
+  schedules, mutable default arguments, order-sensitive float
+  reductions, and registry reads gone stale across a yield
+  (``REP001``..``REP007``); plus the interprocedural collective-matching
+  rules ``REP101``..``REP104`` (:mod:`repro.analysis.collectives`).
+  Rules are listed in :mod:`repro.analysis.rules` and suppressible per
+  line with ``# repro: noqa[REPnnn] -- reason``.
 
 * a **yield-point race sanitizer** (:mod:`repro.analysis.sanitize`) — a
   dynamic checker for the hazard class behind the PR 2 last-closer bug:
@@ -37,7 +38,7 @@ enforced invariant, with two engines:
 
 Command line::
 
-    python -m repro.analysis lint src/      # determinism linter
+    python -m repro.analysis lint src/      # every static rule
     python -m repro.analysis rules          # rule table
     python -m repro.analysis check --workload smallio --budget 200
     python -m repro.harness faults --instrument sanitize,collectives
@@ -46,30 +47,3 @@ Command line::
 """
 
 from __future__ import annotations
-
-from .linter import Finding, lint_paths, lint_source
-from .rules import RULES, Rule
-from .sanitize import (
-    Conflict,
-    Sanitizer,
-    TrackedDict,
-    TrackedSet,
-    raw_snapshot,
-    sanitizer_of,
-    tracked,
-)
-
-__all__ = [
-    "Conflict",
-    "Finding",
-    "RULES",
-    "Rule",
-    "Sanitizer",
-    "TrackedDict",
-    "TrackedSet",
-    "lint_paths",
-    "lint_source",
-    "raw_snapshot",
-    "sanitizer_of",
-    "tracked",
-]

@@ -1,19 +1,20 @@
-"""Analysis CLI: determinism linter, collective analyzer, model checker.
+"""Analysis CLI: determinism and collective linter, model checker.
 
 Usage::
 
-    python -m repro.analysis lint src/              # lint a tree
-    python -m repro.analysis lint src/ --json       # machine-readable
+    python -m repro.analysis lint src/              # every rule, one tree
+    python -m repro.analysis lint src/ --format json       # machine-readable
     python -m repro.analysis lint src/ --format sarif -o out.sarif
     python -m repro.analysis lint src/ --show-suppressed   # noqa audit
-    python -m repro.analysis lint a.py --select REP004,REP006
-    python -m repro.analysis collectives src/       # REP101..REP104
+    python -m repro.analysis lint a.py --select REP004,REP101
     python -m repro.analysis rules                  # rule table
     python -m repro.analysis check --workload smallio --budget 200
 
 Exit status: 0 when no findings/violations, 1 when any, 2 on usage
-error.  ``--format sarif`` emits a SARIF 2.1.0 document shared by every
-rule (REP001..REP104) so CI annotates PRs inline from one artifact.
+error.  ``lint`` runs the module-local rules (REP001..REP007) and the
+whole-tree collective rules (REP101..REP104) in one pass, so
+``--select`` and ``--format sarif`` cover every rule and CI annotates
+PRs inline from one artifact.
 The sanitizer has no subcommand here — it is a *runtime* check, enabled
 per experiment run with ``python -m repro.harness <figure> --instrument
 sanitize`` (and implicitly by ``check``); the collective-trace validator
@@ -28,35 +29,12 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .config import AnalysisConfig, load_config
 from .linter import Finding, collect_suppressions, lint_paths
 from .rules import RULES
 
 
-def _load_cli_config(args: argparse.Namespace) -> Optional[AnalysisConfig]:
-    """Config per the shared --config/--no-config/--select flags; None
-    on a usage error (already reported)."""
-    config: AnalysisConfig
-    if args.no_config:
-        config = AnalysisConfig()
-    else:
-        pyproject = Path(args.config) if args.config else None
-        config = load_config(pyproject)
-    if args.select:
-        wanted = {r.strip().upper() for r in args.select.split(",") if r.strip()}
-        unknown = wanted - set(RULES)
-        if unknown:
-            print(f"unknown rule(s): {sorted(unknown)}", file=sys.stderr)
-            return None
-        config = AnalysisConfig(
-            disable=frozenset(set(RULES) - wanted) | config.disable,
-            exclude=config.exclude,
-            per_file_rules=config.per_file_rules)
-    return config
-
-
-def _show_suppressed(paths: List[str], config: AnalysisConfig) -> int:
-    suppressions = collect_suppressions(paths, config)
+def _show_suppressed(paths: List[str]) -> int:
+    suppressions = collect_suppressions(paths)
     for s in suppressions:
         print(s.render())
     n = len(suppressions)
@@ -67,18 +45,10 @@ def _show_suppressed(paths: List[str], config: AnalysisConfig) -> int:
 
 
 def _report(findings: List[Finding], args: argparse.Namespace) -> int:
-    fmt = getattr(args, "format", "text")
-    if args.json:
-        fmt = "json"
-    if fmt == "sarif":
-        from .sarif import render_sarif, to_sarif, validate_sarif
-        errors = validate_sarif(to_sarif(findings))
-        if errors:  # never expected; a reporter bug must fail loudly
-            for e in errors:
-                print(f"sarif internal error: {e}", file=sys.stderr)
-            return 2
+    if args.format == "sarif":
+        from .sarif import render_sarif
         text = render_sarif(findings)
-    elif fmt == "json":
+    elif args.format == "json":
         text = json.dumps([f.__dict__ for f in findings], indent=2)
     else:
         lines = [f.render() for f in findings]
@@ -87,7 +57,7 @@ def _report(findings: List[Finding], args: argparse.Namespace) -> int:
         lines.append(f"\n{n} finding(s) in {files} file(s)" if n
                      else "no findings")
         text = "\n".join(lines)
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
         print(f"wrote {args.output}")
     else:
@@ -96,25 +66,17 @@ def _report(findings: List[Finding], args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    config = _load_cli_config(args)
-    if config is None:
-        return 2
+    enabled = None
+    if args.select:
+        enabled = {r.strip().upper() for r in args.select.split(",")
+                   if r.strip()}
+        unknown = enabled - set(RULES)
+        if unknown:
+            print(f"unknown rule(s): {sorted(unknown)}", file=sys.stderr)
+            return 2
     if args.show_suppressed:
-        return _show_suppressed(args.paths, config)
-    findings = lint_paths(args.paths, config)
-    return _report(findings, args)
-
-
-def _cmd_collectives(args: argparse.Namespace) -> int:
-    config = _load_cli_config(args)
-    if config is None:
-        return 2
-    if args.show_suppressed:
-        return _show_suppressed(args.paths, config)
-    from .collectives import analyze_paths
-
-    findings = analyze_paths(args.paths, config)
-    return _report(findings, args)
+        return _show_suppressed(args.paths)
+    return _report(lint_paths(args.paths, enabled), args)
 
 
 def _cmd_rules(_args: argparse.Namespace) -> int:
@@ -145,41 +107,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _add_common_lint_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("paths", nargs="+", help="files or directories")
-    p.add_argument("--select", default="",
-                   help="comma-separated rule IDs to run (default: all)")
-    p.add_argument("--config", default="",
-                   help="explicit pyproject.toml (default: nearest)")
-    p.add_argument("--no-config", action="store_true",
-                   help="ignore [tool.repro.analysis] settings")
-    p.add_argument("--json", action="store_true",
-                   help="emit findings as JSON (same as --format json)")
-    p.add_argument("--format", choices=("text", "json", "sarif"),
-                   default="text", help="output format (default text)")
-    p.add_argument("-o", "--output", default="",
-                   help="write the report to a file instead of stdout")
-    p.add_argument("--show-suppressed", action="store_true",
-                   help="audit: list every noqa suppression with its "
-                        "justification instead of linting")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Determinism analysis for the repro source tree.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lint = sub.add_parser("lint", help="run the determinism linter")
-    _add_common_lint_args(lint)
+    lint = sub.add_parser(
+        "lint", help="run every rule (REP001..REP104) over a source tree")
+    lint.add_argument("paths", nargs="+", help="files or directories")
+    lint.add_argument("--select", default="",
+                      help="comma-separated rule IDs to run (default: all)")
+    lint.add_argument("--format", choices=("text", "json", "sarif"),
+                      default="text", help="output format (default text)")
+    lint.add_argument("-o", "--output", default="",
+                      help="write the report to a file instead of stdout")
+    lint.add_argument("--show-suppressed", action="store_true",
+                      help="audit: list every noqa suppression with its "
+                           "justification instead of linting")
     lint.set_defaults(fn=_cmd_lint)
-
-    coll = sub.add_parser(
-        "collectives",
-        help="interprocedural collective-matching analysis "
-             "(REP101..REP104)")
-    _add_common_lint_args(coll)
-    coll.set_defaults(fn=_cmd_collectives)
 
     rules = sub.add_parser("rules", help="print the rule table")
     rules.set_defaults(fn=_cmd_rules)

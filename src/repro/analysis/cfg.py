@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["Block", "CFG", "LoopContext", "Path", "build_cfg", "iter_paths"]
 
@@ -259,8 +259,6 @@ def iter_paths(cfg: CFG, max_paths: int = 64,
         while True:
             block = cfg.block(bid)
             steps = steps + [(s, block.loops) for s in block.stmts]
-            if block.test is not None and not block.is_loop_header:
-                pass  # the branch decision is recorded per successor below
             succs = block.succs
             if not succs:
                 if len(paths) < max_paths:
@@ -305,7 +303,3 @@ def iter_paths(cfg: CFG, max_paths: int = 64,
             bid = dst
     return paths, overflow
 
-
-def iter_blocks(cfg: CFG) -> Iterator[Block]:
-    """Blocks in allocation (roughly source) order."""
-    return iter(cfg.blocks)

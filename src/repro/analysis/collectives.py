@@ -45,15 +45,14 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path as _Path
+from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import CallGraph, FuncInfo, build_callgraph
 from .cfg import build_cfg, iter_paths
-from .config import AnalysisConfig, load_config
-from .linter import Finding, filter_findings
+from .linter import Finding, _dotted
 
-__all__ = ["COLLECTIVE_OPS", "analyze_paths", "analyze_modules"]
+__all__ = ["COLLECTIVE_OPS", "analyze_modules"]
 
 COLLECTIVE_OPS = frozenset({
     "gather", "bcast", "barrier", "allgather", "reduce", "allreduce",
@@ -64,8 +63,6 @@ _P2P_OPS = frozenset({"send", "recv", "isend", "irecv"})
 # them LAUNDERS taint.  gather/reduce/scatter results are rank-dependent
 # (root-only or per-rank) and are NOT here.
 _UNIFORM_RESULTS = frozenset({"bcast", "allgather", "allreduce", "alltoall"})
-
-_REP1XX = frozenset({"REP101", "REP102", "REP103", "REP104"})
 
 _MAX_PATHS = 64          # CFG paths per function
 _MAX_VARIANTS = 24       # exported sequence variants per summary
@@ -121,17 +118,6 @@ class Summary:
 
 
 # -- small AST helpers -------------------------------------------------------
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
 
 def _calls_in_order(node: ast.AST) -> List[ast.Call]:
     """Call nodes in source order, skipping nested function definitions."""
@@ -377,9 +363,6 @@ class _FunctionPass:
         return dotted in self.comm_vars or head in self.comm_vars \
             or last == "comm" or last.endswith("_comm")
 
-    def _comm_id(self, dotted: str) -> str:
-        return dotted
-
     # -- main entry ---------------------------------------------------------
     def run(self) -> Summary:
         cfg = build_cfg(self.info.node)
@@ -574,7 +557,6 @@ class _FunctionPass:
         dotted = _dotted(func.value)
         if dotted is None or not self._is_comm(dotted):
             return None
-        comm = self._comm_id(dotted)
         if op in COLLECTIVE_OPS:
             root_expr = _arg(call, _ROOT_POS[op], "root") \
                 if op in _ROOT_POS else None
@@ -582,14 +564,14 @@ class _FunctionPass:
                 if op in _ROOT_POS else "u"
             if root.startswith("p:"):
                 self.root_params.append((root[2:], op, call.lineno))
-            return Event(kind="coll", comm=comm, op=op, root=root, tag="",
+            return Event(kind="coll", comm=dotted, op=op, root=root, tag="",
                          line=call.lineno,
                          partitioned=dotted in self.partitioned)
         peer = _peer_class(_arg(call, _PEER_POS[op],
                                 "dst" if "send" in op else "src"),
                            self.taint)
         tag = _tag_class(_arg(call, _TAG_POS[op], "tag"), self.tag_env)
-        return Event(kind="p2p", comm=comm, op=op, root=peer, tag=tag,
+        return Event(kind="p2p", comm=dotted, op=op, root=peer, tag=tag,
                      line=call.lineno,
                      partitioned=dotted in self.partitioned,
                      blocking=op == "recv")
@@ -810,88 +792,29 @@ def _match_p2p(all_events: List[Tuple[str, Event]], emit) -> None:
                  f"consumed (payload leak / tag-space pollution)")
 
 
-# -- entry points ------------------------------------------------------------
+# -- entry point -------------------------------------------------------------
 
-def analyze_modules(modules: Dict[str, ast.Module],
-                    config: Optional[AnalysisConfig] = None,
-                    ) -> List[Finding]:
-    """Run REP101..REP104 over parsed *modules* (path -> AST)."""
-    cfg = config if config is not None else AnalysisConfig()
+def analyze_modules(modules: Dict[str, ast.Module]) -> List[Finding]:
+    """REP101..REP104 over parsed *modules* (path -> AST), unfiltered:
+    the linter (:mod:`repro.analysis.linter`) applies noqa and --select."""
     graph = build_callgraph(modules)
     summaries: Dict[str, Summary] = {}
-    raw: Dict[str, List[Finding]] = {p: [] for p in modules}
+    out: List[Finding] = []
     p2p_events: List[Tuple[str, Event]] = []
 
-    # Files whose REP1xx rules are all disabled (the Comm implementation
-    # itself) are opaque: their internals are rank-divergent by design
-    # and must be neither linted nor inlined into callers.
-    def impl_file(path: str) -> bool:
-        return _REP1XX <= set(cfg.ignored_rules(path))
+    def emit(path: str, rule: str, line: int, col: int, msg: str) -> None:
+        out.append(Finding(rule=rule, path=path, line=line, col=col,
+                           message=msg))
 
     for info in graph.topo_order():
-        if impl_file(info.path):
-            summaries[info.key] = Summary(key=info.key)
-            continue
-
-        def emit(rule: str, line: int, col: int, msg: str,
-                 _path: str = info.path) -> None:
-            raw[_path].append(Finding(rule=rule, path=_path, line=line,
-                                      col=col, message=msg))
-
-        pass_ = _FunctionPass(info, graph, summaries, emit)
-        summary = pass_.run()
-        summaries[info.key] = summary
+        pass_ = _FunctionPass(info, graph, summaries,
+                              partial(emit, info.path))
+        summaries[info.key] = pass_.run()
         seen_lines: Set[int] = set()
         for e in pass_.collect_p2p():
             if e.line not in seen_lines:
                 seen_lines.add(e.line)
                 p2p_events.append((info.path, e))
 
-    def emit_p2p(path: str, rule: str, line: int, col: int,
-                 msg: str) -> None:
-        raw[path].append(Finding(rule=rule, path=path, line=line,
-                                 col=col, message=msg))
-
-    _match_p2p(p2p_events, emit_p2p)
-
-    out: List[Finding] = []
-    for path in sorted(raw):
-        if not raw[path]:
-            continue
-        enabled = _REP1XX - set(cfg.ignored_rules(path))
-        findings = [f for f in raw[path] if f.rule in enabled]
-        source = _Path(path).read_text(encoding="utf-8") \
-            if _Path(path).is_file() else ""
-        out.extend(filter_findings(findings, source))
-    out.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    _match_p2p(p2p_events, emit)
     return out
-
-
-def analyze_paths(paths: Sequence[str],
-                  config: Optional[AnalysisConfig] = None,
-                  ) -> List[Finding]:
-    """Analyze every ``*.py`` under *paths* (files or directories)."""
-    cfg = config if config is not None else load_config()
-    files: List[_Path] = []
-    for p in paths:
-        root = _Path(p)
-        if root.is_dir():
-            files.extend(sorted(root.rglob("*.py")))
-        elif root.suffix == ".py":
-            files.append(root)
-    modules: Dict[str, ast.Module] = {}
-    findings: List[Finding] = []
-    for f in files:
-        name = str(f)
-        if cfg.is_excluded(name):
-            continue
-        try:
-            modules[name] = ast.parse(f.read_text(encoding="utf-8"),
-                                      filename=name)
-        except SyntaxError as exc:
-            findings.append(Finding(
-                rule="REP000", path=name, line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                message=f"syntax error: {exc.msg}"))
-    findings.extend(analyze_modules(modules, cfg))
-    return findings

@@ -393,7 +393,6 @@ class CheckReport:
     bound: int
     runs: int = 0
     minimize_runs: int = 0
-    schedules_queued: int = 0
     violation: Optional[Violation] = None
     violations: List[Violation] = field(default_factory=list)
     schedule: Optional[Schedule] = None           # minimized, when violating
@@ -451,7 +450,6 @@ def run_check(workload: str, *, budget: int = 200, bound: int = 2,
             if key not in visited:
                 visited.add(key)
                 queue.append(child)
-                report.schedules_queued += 1
     report.exhausted = not queue
     return report
 

@@ -1,6 +1,6 @@
-"""The determinism linter: an AST pass enforcing the repro contract.
+"""The linter: every REP rule from one walk over the sources.
 
-Rules (see :mod:`repro.analysis.rules` for rationale):
+Module-local rules (see :mod:`repro.analysis.rules` for rationale):
 
 ========  ===========================================================
 REP001    wall-clock reads (``time.time``, ``datetime.now``, ...)
@@ -12,6 +12,12 @@ REP006    float reductions (``sum``/``fsum``) over unordered iterables
 REP007    registry read separated from its dependent write by a yield
 ========  ===========================================================
 
+and the whole-tree collective-matching rules REP101..REP104
+(:mod:`repro.analysis.collectives`).  :func:`lint_paths` finds the files
+once and parses each once; the module-local passes run per file, the
+collective pass over all parsed modules, and the noqa filter once per
+file over every finding.  A file that does not parse yields one REP000.
+
 Suppression forms, narrowest first:
 
 * ``# repro: noqa[REP004]`` on the flagged line (several IDs comma-
@@ -19,9 +25,7 @@ Suppression forms, narrowest first:
 * ``# noqa: REP003,REP101`` — the flake8-style spelling, same
   semantics, so editors and other tools recognize the suppression;
 * ``# repro: noqa`` / ``# noqa`` on the flagged line silences every
-  rule there;
-* per-file and global switches in ``[tool.repro.analysis]``
-  (:mod:`repro.analysis.config`).
+  rule there.
 
 Every suppression is an auditable record (:class:`Suppression`): its
 line, the codes it silences, and the justification text after ``--``.
@@ -57,13 +61,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .config import AnalysisConfig, load_config
 from .rules import RULES
 
-__all__ = [
-    "Finding", "Suppression", "lint_source", "lint_file", "lint_paths",
-    "filter_findings", "iter_suppressions", "collect_suppressions",
-]
+__all__ = ["Finding", "Suppression", "lint_source", "lint_paths",
+           "iter_suppressions", "collect_suppressions"]
+
+_REP1XX = frozenset({"REP101", "REP102", "REP103", "REP104"})
 
 
 @dataclass(frozen=True)
@@ -169,8 +172,9 @@ def _is_unordered(node: ast.AST) -> bool:
 
 
 class _Visitor(ast.NodeVisitor):
-    def __init__(self, enabled: Set[str]):
+    def __init__(self, enabled: Set[str], path: str):
         self.enabled = enabled
+        self.path = path
         self.findings: List[Finding] = []
         # Names bound by `from random import X` at module level.
         self._from_random: Set[str] = set()
@@ -182,7 +186,7 @@ class _Visitor(ast.NodeVisitor):
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
         if rule in self.enabled:
             self.findings.append(Finding(
-                rule=rule, path="", line=getattr(node, "lineno", 1),
+                rule=rule, path=self.path, line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0), message=message))
 
     def _bless(self, node: ast.AST) -> None:
@@ -625,8 +629,8 @@ def _noqa_map(source: str) -> Dict[int, Optional[Set[str]]]:
     return out
 
 
-def filter_findings(findings: Iterable[Finding],
-                    source: str) -> List[Finding]:
+def _filter_findings(findings: Iterable[Finding],
+                     source: str) -> List[Finding]:
     """Drop findings suppressed by a ``noqa`` on their own line."""
     noqa = _noqa_map(source)
     out: List[Finding] = []
@@ -640,11 +644,8 @@ def filter_findings(findings: Iterable[Finding],
     return out
 
 
-def collect_suppressions(paths: Sequence[str],
-                         config: Optional[AnalysisConfig] = None,
-                         ) -> List[Suppression]:
-    """Audit: every noqa under *paths* (files or directories)."""
-    cfg = config if config is not None else load_config()
+def _discover(paths: Sequence[str]) -> List[Path]:
+    """Every ``*.py`` under *paths* (files or directories), once each."""
     files: List[Path] = []
     for p in paths:
         root = Path(p)
@@ -652,61 +653,64 @@ def collect_suppressions(paths: Sequence[str],
             files.extend(sorted(root.rglob("*.py")))
         elif root.suffix == ".py":
             files.append(root)
+    return list(dict.fromkeys(files))
+
+
+def collect_suppressions(paths: Sequence[str]) -> List[Suppression]:
+    """Audit: every noqa under *paths* (files or directories)."""
     out: List[Suppression] = []
-    for f in files:
-        name = str(f)
-        if cfg.is_excluded(name):
-            continue
+    for f in _discover(paths):
         out.extend(iter_suppressions(f.read_text(encoding="utf-8"),
-                                     path=name))
+                                     path=str(f)))
+    return out
+
+
+def _lint(files: Sequence[Tuple[str, str]],
+          enabled: Optional[Iterable[str]]) -> List[Finding]:
+    """Every enabled rule over *files* ((path, source) pairs), in file
+    order; noqa-filtered once per file."""
+    rules = set(enabled) if enabled is not None else set(RULES)
+    trees: Dict[str, ast.Module] = {}
+    raw: Dict[str, List[Finding]] = {}
+    for path, source in files:
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            raw[path] = [Finding(rule="REP000", path=path,
+                                 line=exc.lineno or 1,
+                                 col=(exc.offset or 1) - 1,
+                                 message=f"syntax error: {exc.msg}")]
+            continue
+        trees[path] = tree
+        visitor = _Visitor(rules, path)
+        visitor.visit(tree)
+        if "REP007" in rules:
+            _AtomicityPass(visitor._emit).run(tree)
+        raw[path] = visitor.findings
+    if rules & _REP1XX:
+        # Imported here: collectives builds on this module's helpers.
+        from .collectives import analyze_modules
+
+        for f in analyze_modules(trees):
+            if f.rule in rules:
+                raw[f.path].append(f)
+    out: List[Finding] = []
+    for path, source in files:
+        found = raw[path]
+        if path in trees:
+            found = _filter_findings(found, source)
+        out.extend(sorted(found, key=lambda f: (f.line, f.col, f.rule)))
     return out
 
 
 def lint_source(source: str, path: str = "<string>",
                 enabled: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Lint one source string; returns findings after noqa filtering."""
-    rules = set(enabled) if enabled is not None else set(RULES)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [Finding(rule="REP000", path=path,
-                        line=exc.lineno or 1, col=(exc.offset or 1) - 1,
-                        message=f"syntax error: {exc.msg}")]
-    visitor = _Visitor(rules)
-    visitor.visit(tree)
-    if "REP007" in rules:
-        _AtomicityPass(visitor._emit).run(tree)
-    placed = [Finding(rule=f.rule, path=path, line=f.line, col=f.col,
-                      message=f.message) for f in visitor.findings]
-    out = filter_findings(placed, source)
-    out.sort(key=lambda f: (f.line, f.col, f.rule))
-    return out
-
-
-def lint_file(path: Path, config: AnalysisConfig) -> List[Finding]:
-    """Lint one file under *config* (exclusions and per-file disables)."""
-    name = str(path)
-    if config.is_excluded(name):
-        return []
-    enabled = set(RULES) - set(config.ignored_rules(name))
-    if not enabled:
-        return []
-    source = path.read_text(encoding="utf-8")
-    return lint_source(source, path=name, enabled=enabled)
+    """Lint one source string under every rule (or *enabled* ones)."""
+    return _lint([(path, source)], enabled)
 
 
 def lint_paths(paths: Sequence[str],
-               config: Optional[AnalysisConfig] = None) -> List[Finding]:
-    """Lint every ``*.py`` file under *paths*; findings in path order."""
-    cfg = config if config is not None else load_config()
-    files: List[Path] = []
-    for p in paths:
-        root = Path(p)
-        if root.is_dir():
-            files.extend(sorted(root.rglob("*.py")))
-        elif root.suffix == ".py":
-            files.append(root)
-    findings: List[Finding] = []
-    for f in files:
-        findings.extend(lint_file(f, cfg))
-    return findings
+               enabled: Optional[Iterable[str]] = None) -> List[Finding]:
+    """Lint every ``*.py`` under *paths* as one tree; findings in path order."""
+    return _lint([(str(f), f.read_text(encoding="utf-8"))
+                  for f in _discover(paths)], enabled)

@@ -83,7 +83,7 @@ RULES: Dict[str, Rule] = {
             "A value read from a tracked() shared registry is stale after "
             "any yield: the event loop may run another process that "
             "mutates the registry at the same simulated instant (the "
-            "PR 2 last-closer bug was exactly a zero-refcount check "
+            "PLFS last-closer race was exactly a zero-refcount check "
             "cached across metadata ops).  Re-read after resuming, or "
             "restructure so the read and the dependent write straddle no "
             "yield; a # repro: noqa[REP007] with a reason documents a "

@@ -6,7 +6,6 @@ divergent ``bcast`` line statically, and an ``--instrument collectives`` run of
 the same shape must report the non-congruent per-rank traces at runtime.
 """
 
-import ast
 import subprocess
 import sys
 import textwrap
@@ -14,8 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.collectives import analyze_modules, analyze_paths
-from repro.analysis.config import AnalysisConfig, load_config
+from repro.analysis.linter import lint_paths, lint_source
 from repro.cluster import Cluster, ClusterSpec, NodeSpec
 from repro.errors import CollectiveMismatchError
 from repro.mpi import run_job
@@ -26,9 +24,11 @@ REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
 
 
+REP1XX = "REP101,REP102,REP103,REP104"
+
+
 def analyze(src, name="mod.py"):
-    tree = ast.parse(textwrap.dedent(src))
-    return analyze_modules({name: tree}, AnalysisConfig())
+    return lint_source(textwrap.dedent(src), path=name)
 
 
 def rules_of(findings):
@@ -167,6 +167,28 @@ class TestRep103:
                     return msg
         ''') == []
 
+    def test_ring_recv_before_send_is_a_cyclic_wait(self):
+        # Every rank waits on its left neighbour before sending right:
+        # nobody ever sends.
+        findings = analyze('''
+            def ring(comm):
+                msg = yield from comm.recv(comm.rank - 1, tag=("ring", 1))
+                yield from comm.send(comm.rank + 1, msg, nbytes=1,
+                                     tag=("ring", 1))
+        ''')
+        assert rules_of(findings) == ["REP103"]
+        assert findings[0].line == 3  # the blocking recv
+        assert "cyclic wait" in findings[0].message
+
+    def test_ring_send_before_recv_is_clean(self):
+        assert analyze('''
+            def ring(comm):
+                yield from comm.send(comm.rank + 1, "x", nbytes=1,
+                                     tag=("ring", 1))
+                msg = yield from comm.recv(comm.rank - 1, tag=("ring", 1))
+                return msg
+        ''') == []
+
     def test_pairing_matches_across_functions(self):
         # Tree-wide registry: sender and receiver in different functions.
         assert analyze('''
@@ -211,7 +233,7 @@ class TestSuppression:
                 vals = yield from comm.gather(comm.rank, root=0)
                 return vals
         '''))
-        assert analyze_paths([str(mod)], AnalysisConfig()) == []
+        assert lint_paths([str(mod)]) == []
 
     def test_noqa_for_other_rule_does_not_suppress(self, tmp_path):
         mod = tmp_path / "supp.py"
@@ -222,19 +244,18 @@ class TestSuppression:
                 vals = yield from comm.gather(comm.rank, root=0)
                 return vals
         '''))
-        assert rules_of(analyze_paths([str(mod)], AnalysisConfig())) \
-            == ["REP101"]
+        assert rules_of(lint_paths([str(mod)])) == ["REP101"]
 
 
 def test_shipped_tree_is_congruence_clean():
-    findings = analyze_paths([str(SRC)],
-                             load_config(REPO / "pyproject.toml"))
+    findings = lint_paths([str(SRC)], enabled=REP1XX.split(","))
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
 def test_cli_collectives_exits_zero_on_clean_tree():
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "collectives", str(SRC)],
+        [sys.executable, "-m", "repro.analysis", "lint", "--select", REP1XX,
+         str(SRC)],
         cwd=REPO, capture_output=True, text=True,
         env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -243,13 +264,15 @@ def test_cli_collectives_exits_zero_on_clean_tree():
 def test_cli_collectives_flags_seeded_fixture(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(textwrap.dedent(LEADER_ONLY_BCAST))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "collectives",
-         "--no-config", str(bad)],
-        cwd=REPO, capture_output=True, text=True,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
-    assert proc.returncode == 1
-    assert "REP101" in proc.stdout
+    # --select reaches the whole-tree rules: the family, or REP101 alone.
+    for select in (REP1XX, "REP101"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.analysis", "lint", "--select",
+             select, str(bad)],
+            cwd=REPO, capture_output=True, text=True,
+            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
+        assert proc.returncode == 1
+        assert "REP101" in proc.stdout
 
 
 # -- runtime cross-check: the trace validator confirms REP101 ----------------

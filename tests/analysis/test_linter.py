@@ -2,8 +2,7 @@
 
 import textwrap
 
-from repro.analysis import lint_source
-from repro.analysis.linter import Finding
+from repro.analysis.linter import Finding, lint_source
 from repro.analysis.rules import RULES
 
 

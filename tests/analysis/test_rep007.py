@@ -9,7 +9,7 @@ assignment, same-module factory functions, instance attributes).
 
 import textwrap
 
-from repro.analysis import lint_source
+from repro.analysis.linter import lint_source
 
 
 def _lint(code, enabled=("REP007",)):

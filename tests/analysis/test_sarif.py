@@ -1,20 +1,20 @@
-"""SARIF 2.1.0 emission: document shape, ruleIndex consistency, and the
-structural validator that gates the CI artifact; plus the noqa audit CLI."""
+"""SARIF 2.1.0 emission: document shape, ruleIndex consistency, and a
+golden document for the CI artifact; plus the noqa audit CLI."""
 
-import copy
 import json
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-from repro.analysis.linter import Finding
+from repro.analysis.linter import Finding, lint_paths
 from repro.analysis.rules import RULES
 from repro.analysis.sarif import (SARIF_SCHEMA, SARIF_VERSION, render_sarif,
-                                  to_sarif, validate_sarif)
+                                  to_sarif)
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
+GOLDEN = Path(__file__).with_name("golden.sarif")
 
 FINDINGS = [
     Finding(rule="REP101", path="pkg/mod.py", line=4, col=0,
@@ -56,33 +56,10 @@ def test_locations_are_one_based():
     assert regions[1]["startLine"] == 2 and regions[1]["startColumn"] == 5
 
 
-def test_emitted_documents_self_validate():
-    assert validate_sarif(to_sarif(FINDINGS)) == []
-    assert validate_sarif(to_sarif([])) == []
-    assert validate_sarif(json.loads(render_sarif(FINDINGS))) == []
-
-
-def test_validator_rejects_broken_documents():
-    good = to_sarif(FINDINGS)
-
-    bad = copy.deepcopy(good)
-    bad["version"] = "2.0.0"
-    assert any("version" in e for e in validate_sarif(bad))
-
-    bad = copy.deepcopy(good)
-    bad["runs"][0]["results"][0]["ruleIndex"] = 10_000
-    assert validate_sarif(bad)
-
-    bad = copy.deepcopy(good)
-    del bad["runs"][0]["results"][0]["message"]
-    assert validate_sarif(bad)
-
-    bad = copy.deepcopy(good)
-    bad["runs"][0]["results"][0]["locations"][0]["physicalLocation"][
-        "region"]["startLine"] = 0
-    assert validate_sarif(bad)
-
-    assert validate_sarif({}) != []
+def test_sarif_matches_golden_document():
+    # The reviewed 2.1.0 document for FINDINGS; an intended change to the
+    # emitter or the rule table regenerates it with render_sarif(FINDINGS).
+    assert render_sarif(FINDINGS) + "\n" == GOLDEN.read_text()
 
 
 def _cli(*argv, cwd=REPO):
@@ -92,35 +69,46 @@ def _cli(*argv, cwd=REPO):
         env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
 
 
+LEADER_BCAST = textwrap.dedent('''
+    def leader(comm):
+        if comm.rank == 0:
+            yield from comm.bcast("h", root=0)
+        vals = yield from comm.gather(comm.rank, root=0)
+        return vals
+''')
+
+
 def test_cli_sarif_output_validates(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text(textwrap.dedent('''
-        def leader(comm):
-            if comm.rank == 0:
-                yield from comm.bcast("h", root=0)
-            vals = yield from comm.gather(comm.rank, root=0)
-            return vals
-    '''))
+    bad.write_text(LEADER_BCAST)
     out = tmp_path / "out.sarif"
-    proc = _cli("collectives", "--no-config", "--format", "sarif",
-                "-o", str(out), str(bad))
+    proc = _cli("lint", "--select", "REP101,REP102,REP103,REP104",
+                "--format", "sarif", "-o", str(out), str(bad))
     assert proc.returncode == 1  # findings present
     doc = json.loads(out.read_text())
-    assert validate_sarif(doc) == []
+    assert doc == to_sarif(lint_paths([str(bad)]))
     assert [r["ruleId"] for r in doc["runs"][0]["results"]] == ["REP101"]
 
 
 def test_cli_sarif_shared_across_rule_families(tmp_path):
     # One artifact covers both the determinism rules (REP0xx) and the
-    # collective rules (REP1xx): same tool name, same rule catalogue.
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nt = time.time()\n")
-    proc = _cli("lint", "--no-config", "--format", "sarif", str(bad))
+    # collective rules (REP1xx): same tool name, same rule catalogue,
+    # and results from both families out of one lint run.
+    clock = tmp_path / "clock.py"
+    clock.write_text("import time\nt = time.time()\n")
+    proc = _cli("lint", "--format", "sarif", str(clock))
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
-    assert validate_sarif(doc) == []
     ids = [r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]]
     assert "REP001" in ids and "REP101" in ids
+
+    both = tmp_path / "both.py"
+    both.write_text("import time\nt = time.time()\n" + LEADER_BCAST)
+    proc = _cli("lint", "--format", "sarif", str(both))
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    results = [r["ruleId"] for r in doc["runs"][0]["results"]]
+    assert results == ["REP001", "REP101"]
 
 
 def test_cli_show_suppressed_audits_justifications(tmp_path):
@@ -130,7 +118,7 @@ def test_cli_show_suppressed_audits_justifications(tmp_path):
         a = time.time()  # noqa: REP001 -- fixture clock, not sim state
         b = time.time()  # noqa: REP001
     '''))
-    proc = _cli("lint", "--no-config", "--show-suppressed", str(mod))
+    proc = _cli("lint", "--show-suppressed", str(mod))
     assert proc.returncode == 0
     assert "fixture clock, not sim state" in proc.stdout
     assert "2 suppression(s), 1 without a justification" in proc.stdout
