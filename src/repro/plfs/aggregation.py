@@ -34,8 +34,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ..errors import PartialViewError, PLFSError, TransientIOError
+from ..errors import PartialViewError, TransientIOError
 from ..faults.policies import RetryPolicy, retrying
+from ..pfs.data import DataView
 from ..pfs.volume import Client, Volume
 from .config import PlfsConfig
 from .container import ContainerLayout
@@ -43,9 +44,10 @@ from .index import GlobalIndex, WriterIndex
 
 __all__ = [
     "list_index_logs",
+    "read_index_logs",
+    "merge_index_logs",
     "aggregate_original",
     "aggregate_parallel",
-    "aggregate_resilient",
     "read_flattened_index",
     "flatten_on_close",
     "MERGE_COST_PER_RECORD",
@@ -56,6 +58,7 @@ __all__ = [
 MERGE_COST_PER_RECORD = 60e-9
 
 IndexLogEntry = Tuple[Volume, str, int, int]  # (volume, path, writer_id, node_id)
+IndexLog = Tuple[int, int, DataView]  # (writer_id, node_id, on-media bytes)
 
 
 def _parse_index_log_name(name: str) -> Optional[Tuple[int, int]]:
@@ -69,21 +72,37 @@ def _parse_index_log_name(name: str) -> Optional[Tuple[int, int]]:
     return None
 
 
-def list_index_logs(layout: ContainerLayout, client: Client) -> Generator:
-    """Enumerate every index log in the container (charges the readdirs)."""
-    out: List[IndexLogEntry] = []
+def list_index_logs(layout: ContainerLayout, client: Client,
+                    retry: RetryPolicy = None) -> Generator:
+    """Enumerate every index log in the container (charges the readdirs).
+
+    Returns ``(entries, unreachable)``.  With *retry* set, each subdir's
+    readdir is retried, and a subdir that stays unreachable is skipped and
+    its number listed in *unreachable* (the writers there are unknowable
+    without the readdir) while the other subdirs still contribute.  Without
+    *retry* the error propagates and *unreachable* is empty.
+    """
+    entries: List[IndexLogEntry] = []
+    unreachable: List[int] = []
     for s in range(layout.cfg.n_subdirs):
         vol = layout.subdir_volume(s)
         path = layout.subdir_path(s)
         if not vol.ns.exists(path):
             continue
-        names = yield from vol.readdir(client, path)
+        try:
+            names = yield from retrying(
+                vol.env, retry, lambda v=vol, p=path: v.readdir(client, p))
+        except TransientIOError:
+            if retry is None:
+                raise
+            unreachable.append(s)
+            continue
         for name in names:
             parsed = _parse_index_log_name(name)
             if parsed is not None:
                 node_id, writer_id = parsed
-                out.append((vol, f"{path}/{name}", writer_id, node_id))
-    return out
+                entries.append((vol, f"{path}/{name}", writer_id, node_id))
+    return entries, unreachable
 
 
 def _fingerprint(entries: List[IndexLogEntry]) -> Tuple:
@@ -95,131 +114,88 @@ def _fingerprint(entries: List[IndexLogEntry]) -> Tuple:
     return tuple(sorted(sig))
 
 
-def _read_and_parse(client: Client, entries: List[IndexLogEntry]) -> Generator:
-    """Bulk-read the given index logs (grouped per volume) and merge them."""
+def read_index_logs(client: Client, entries: List[IndexLogEntry],
+                    retry: RetryPolicy = None) -> Generator:
+    """Bulk-read index logs, one batch per volume.
+
+    Returns ``(logs, unreachable)``: an :data:`IndexLog` per log read, and
+    the writers whose batch stayed unreachable under *retry* (skipped, as
+    in :func:`list_index_logs`; without *retry* the error propagates).
+    """
     # Grouped by volume *name* (stable identity — id() is a memory address
     # and differs across runs); iterated in first-seen entry order, which
     # is deterministic because the entry list is.
     by_volume: Dict[str, List[IndexLogEntry]] = {}
     for e in entries:
         by_volume.setdefault(e[0].name, []).append(e)
-    merged = GlobalIndex()
-    for group in by_volume.values():  # repro: noqa[REP004] -- grouped by a deterministic walk of rank-ordered entries
-        vol = group[0][0]
-        views = yield from vol.bulk_read_files(client, [path for _, path, _, _ in group])
-        for (_, _, writer_id, node_id), view in zip(group, views):
-            merged.merge(WriterIndex.parse(view, writer_id, node_id))
-    return merged
-
-
-def aggregate_original(layout: ContainerLayout, client: Client,
-                       cache: Optional[dict] = None) -> Generator:
-    """The original design: this reader reads every index log itself.
-
-    Every rank pays the full simulated cost of reading and merging all the
-    index logs — that is the point of this strategy — but ranks provably
-    construct identical Python objects, so the memoization is
-    *single-flight*: the first arrival parses, concurrent arrivals charge
-    their own time and then adopt the parsed object.  Without this, a
-    2,048-rank read job would material­ize 2,048 copies of a ~100 MB
-    global index in host memory.
-    """
-    env = layout.home_volume.env
-    entries = yield from list_index_logs(layout, client)
-    key = None
-    if cache is not None:
-        key = (layout.path, _fingerprint(entries))
-        hit = cache.get(key)
-        if hit is not None:
-            # Same simulated cost as a miss; skip only the Python-side parse.
-            yield from _charge_only(layout, client, entries)
-            if isinstance(hit, tuple):  # ('pending', event): parse in flight
-                yield hit[1]
-                merged = cache[key]
-            else:
-                merged = hit
-            yield env.timeout(len(merged.journal) * MERGE_COST_PER_RECORD)
-            return merged
-        cache[key] = ("pending", env.event())
-    merged = yield from _read_and_parse(client, entries)
-    yield env.timeout(len(merged.journal) * MERGE_COST_PER_RECORD)
-    if cache is not None:
-        pending = cache[key]
-        cache[key] = merged
-        if isinstance(pending, tuple):
-            pending[1].succeed()
-    return merged
-
-
-def _charge_only(layout: ContainerLayout, client: Client,
-                 entries: List[IndexLogEntry]) -> Generator:
-    """Charge exactly what :func:`_read_and_parse` charges, sans parsing."""
-    # Same stable grouping and first-seen order as _read_and_parse.
-    by_volume: Dict[str, List[IndexLogEntry]] = {}
-    for e in entries:
-        by_volume.setdefault(e[0].name, []).append(e)
-    for group in by_volume.values():  # repro: noqa[REP004] -- grouped by a deterministic walk of rank-ordered entries
-        vol = group[0][0]
-        yield from vol.bulk_read_files(client, [path for _, path, _, _ in group])
-
-
-def aggregate_resilient(layout: ContainerLayout, client: Client,
-                        retry: RetryPolicy) -> Generator:
-    """Original aggregation under a retry policy (independent opens only).
-
-    Each per-volume index-log batch is retried under *retry*; a batch that
-    stays unreachable past the policy's bounds is *skipped* and its writers
-    recorded, and the open fails with :class:`PartialViewError` naming
-    every missing writer — a diagnosable partial view instead of a hang or
-    a bare EIO mid-merge.  Collective aggregation cannot do this (one
-    rank's exception would strand the others at the next collective), which
-    is why :meth:`PlfsMount.open_read` routes only ``comm=None`` here.
-
-    No memoization: a degraded-mode read's outcome depends on fault timing,
-    not just container state, so caching would alias distinct outcomes.
-    """
-    env = layout.home_volume.env
-    # Enumerate per subdir so one unreachable volume cannot abort the whole
-    # open: its subdir is recorded (the writers there are unknowable without
-    # the readdir) and the remaining subdirs still contribute.
-    entries: List[IndexLogEntry] = []
-    missing_subdirs: List[int] = []
-    for s in range(layout.cfg.n_subdirs):
-        vol = layout.subdir_volume(s)
-        path = layout.subdir_path(s)
-        if not vol.ns.exists(path):
-            continue
-        try:
-            names = yield from retrying(
-                env, retry, lambda v=vol, p=path: v.readdir(client, p))
-        except TransientIOError:
-            missing_subdirs.append(s)
-            continue
-        for name in names:
-            parsed = _parse_index_log_name(name)
-            if parsed is not None:
-                node_id, writer_id = parsed
-                entries.append((vol, f"{path}/{name}", writer_id, node_id))
-    # Stable grouping key + first-seen order, as in _read_and_parse.
-    by_volume: Dict[str, List[IndexLogEntry]] = {}
-    for e in entries:
-        by_volume.setdefault(e[0].name, []).append(e)
-    merged = GlobalIndex()
-    missing: List[int] = []
+    logs: List[IndexLog] = []
+    unreachable: List[int] = []
     for group in by_volume.values():  # repro: noqa[REP004] -- grouped by a deterministic walk of rank-ordered entries
         vol = group[0][0]
         paths = [path for _, path, _, _ in group]
         try:
             views = yield from retrying(
-                env, retry, lambda v=vol, p=paths: v.bulk_read_files(client, p))
+                vol.env, retry, lambda v=vol, p=paths: v.bulk_read_files(client, p))
         except TransientIOError:
-            missing.extend(writer_id for _, _, writer_id, _ in group)
+            if retry is None:
+                raise
+            unreachable.extend(writer_id for _, _, writer_id, _ in group)
             continue
-        for (_, _, writer_id, node_id), view in zip(group, views):
-            merged.merge(WriterIndex.parse(view, writer_id, node_id))
+        logs.extend((writer_id, node_id, view)
+                    for (_, _, writer_id, node_id), view in zip(group, views))
+    return logs, unreachable
+
+
+def merge_index_logs(logs: List[IndexLog]) -> GlobalIndex:
+    """Parse index logs and merge them into one global index (no time charged)."""
+    merged = GlobalIndex()
+    for writer_id, node_id, view in logs:
+        merged.merge(WriterIndex.parse(view, writer_id, node_id))
+    return merged
+
+
+def aggregate_original(layout: ContainerLayout, client: Client,
+                       cache: Optional[dict] = None,
+                       retry: RetryPolicy = None) -> Generator:
+    """The original design: this reader reads every index log itself.
+
+    Every rank pays the full simulated cost of reading and merging all the
+    index logs — that is the point of this strategy — but ranks provably
+    construct identical Python objects, so the memoization is
+    *single-flight*: the first arrival parses; later arrivals read the same
+    batches (same simulated cost), skip only the parse and adopt its
+    object.  Without this, a 2,048-rank read job would material­ize 2,048
+    copies of a ~100 MB global index in host memory.
+
+    With *retry* set (independent opens only: one rank's exception would
+    strand the others at the next collective), reads are retried and
+    whatever stays unreachable is skipped; the open then fails with
+    :class:`PartialViewError` naming every missing writer and subdir — a
+    diagnosable partial view instead of a hang.  *cache* is ignored then:
+    a degraded read's outcome depends on fault timing, not just container
+    state, so caching would alias distinct outcomes.
+    """
+    env = layout.home_volume.env
+    entries, lost_subdirs = yield from list_index_logs(layout, client, retry)
+    hit = done = None
+    if cache is not None and retry is None:
+        key = (layout.path, _fingerprint(entries))
+        hit = cache.get(key)
+        if hit is None:
+            done = env.event()
+            cache[key] = ("pending", done)
+    logs, lost_writers = yield from read_index_logs(client, entries, retry)
+    merged = merge_index_logs(logs) if hit is None else hit
+    del logs  # host memory: a waiting hit must not pin its views
+    if isinstance(merged, tuple):  # ('pending', event): parse in flight
+        yield merged[1]
+        merged = cache[key]
     yield env.timeout(len(merged.journal) * MERGE_COST_PER_RECORD)
-    if missing or missing_subdirs:
-        raise PartialViewError(layout.path, missing, missing_subdirs)
+    if lost_writers or lost_subdirs:
+        raise PartialViewError(layout.path, lost_writers, lost_subdirs)
+    if done is not None:
+        cache[key] = merged
+        done.succeed()
     return merged
 
 
@@ -230,18 +206,17 @@ def aggregate_parallel(layout: ContainerLayout, client: Client, comm,
         return (yield from aggregate_original(layout, client))
     size, rank = comm.size, comm.rank
     # Rank 0 enumerates the container and hands out work (§IV-B: "one
-    # process assigns work to groups of processes").
+    # process assigns work to groups of processes").  The list is shared
+    # by reference and charged 64 bytes per entry.
+    entries = None
     if rank == 0:
-        entries = yield from list_index_logs(layout, client)
-        manifest = [(layout.subdir_for_writer(n), p, w, n) for _, p, w, n in entries]
-    else:
-        manifest = None
-    manifest = yield from comm.bcast(manifest, nbytes=64 * (len(manifest) if manifest else 1),
-                                     root=0)
-    entries = [(layout.subdir_volume(s), p, w, n) for s, p, w, n in manifest]
+        entries, _ = yield from list_index_logs(layout, client)
+    entries = yield from comm.bcast(entries, nbytes=64 * (len(entries) if entries else 1),
+                                    root=0)
     # My shard: files i with i % size == rank.
-    mine = entries[rank::size]
-    partial = yield from _read_and_parse(client, mine)
+    logs, _ = yield from read_index_logs(client, entries[rank::size])
+    partial = merge_index_logs(logs)
+    del logs  # host memory: the views are dead weight through the collectives
     yield comm.env.timeout(len(partial.journal) * MERGE_COST_PER_RECORD)
     # Two-level merge: groups of ~sqrt(N) (or the configured width).
     gsize = cfg.parallel_group_size or max(1, round(math.sqrt(size)))

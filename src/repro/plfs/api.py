@@ -18,7 +18,7 @@ open reader or ``mode="rw"`` raises :class:`UnsupportedOperation`.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence
 
 from ..errors import FileExists, FileNotFound, PLFSError, UnsupportedOperation
 from ..faults.policies import RetryPolicy, retrying
@@ -27,7 +27,6 @@ from ..sim import Engine
 from .aggregation import (
     aggregate_original,
     aggregate_parallel,
-    aggregate_resilient,
     flatten_on_close,
     read_flattened_index,
 )
@@ -51,9 +50,10 @@ class PlfsMount:
         self.volumes: List[Volume] = list(volumes)
         self.cfg = cfg or PlfsConfig()
         self.name = name
-        # Simulator-side memoization of parsed global indexes (see
-        # aggregation module docstring); never affects charged time.
-        self._index_cache: dict = {}
+        # Simulator-side memoization of parsed global indexes, one memo per
+        # container path (see aggregation module docstring); never affects
+        # charged time.
+        self._index_cache: Dict[str, dict] = {}
 
     def layout(self, path: str) -> ContainerLayout:
         return ContainerLayout(path, self.volumes, self.cfg)
@@ -92,8 +92,7 @@ class PlfsMount:
                 yield from layout.truncate(client)
         handle = yield from open_write_handle(layout, client, retry=retry)
         if truncate:
-            self._index_cache = {k: v for k, v in self._index_cache.items()  # repro: noqa[REP004] - order-preserving filter of a deterministic cache
-                                 if k[0] != layout.path}
+            self._index_cache.pop(layout.path, None)
         return handle
 
     def close_write(self, handle: PlfsWriteHandle, comm=None) -> Generator:
@@ -127,7 +126,7 @@ class PlfsMount:
         strategy = self.cfg.aggregation
         gi: Optional[GlobalIndex] = None
         if retry is not None and comm is None:
-            gi = yield from aggregate_resilient(layout, client, retry)
+            gi = yield from aggregate_original(layout, client, retry=retry)
             return PlfsReadHandle(layout, client, gi, retry=retry)
         if strategy == "flatten":
             gi = yield from read_flattened_index(layout, client, comm)
@@ -135,7 +134,8 @@ class PlfsMount:
             if strategy == "parallel" or (strategy == "flatten" and comm is not None):
                 gi = yield from aggregate_parallel(layout, client, comm, self.cfg)
             else:
-                gi = yield from aggregate_original(layout, client, self._index_cache)
+                gi = yield from aggregate_original(
+                    layout, client, self._index_cache.setdefault(layout.path, {}))
         return PlfsReadHandle(layout, client, gi, retry=retry)
 
     # -- namespace / metadata --------------------------------------------------
@@ -172,8 +172,7 @@ class PlfsMount:
     def unlink(self, client: Client, path: str) -> Generator:
         layout = self.layout(path)
         yield from layout.destroy(client)
-        self._index_cache = {k: v for k, v in self._index_cache.items()  # repro: noqa[REP004] - order-preserving filter of a deterministic cache
-                             if k[0] != layout.path}
+        self._index_cache.pop(layout.path, None)
 
     def mkdir(self, client: Client, path: str) -> Generator:
         """Logical mkdir: plain directories exist on every volume so that

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Sequence
 
 from ..errors import PLFSError
+from ..faults.policies import RetryPolicy
 from ..pfs.volume import Client, Volume
 from ..sim import Engine, FairShareServer, Process
 from ..units import MiB
@@ -56,9 +57,11 @@ class PlfsBurstMount(PlfsMount):
 
     # -- write side -----------------------------------------------------------
     def open_write(self, client: Client, path: str, comm=None, *,
-                   mode: str = "w") -> Generator:
+                   mode: str = "w", truncate: bool = False,
+                   retry: RetryPolicy = None) -> Generator:
         """Like PlfsMount.open_write, but returning a staging handle."""
-        handle = yield from super().open_write(client, path, comm, mode=mode)
+        handle = yield from super().open_write(client, path, comm, mode=mode,
+                                               truncate=truncate, retry=retry)
         return BurstWriteHandle.adopt(handle, self)
 
     # -- drain management -------------------------------------------------------
@@ -80,13 +83,14 @@ class PlfsBurstMount(PlfsMount):
         if procs:
             yield self.env.all_of(procs)
 
-    def open_read(self, client: Client, path: str, comm=None) -> Generator:
+    def open_read(self, client: Client, path: str, comm=None, *,
+                  retry: RetryPolicy = None) -> Generator:
         """Open for read; refuses while the container is still draining."""
         if self.pending_drains(self.layout(path).path):
             raise PLFSError(
                 f"{path}: container still draining from burst buffers; "
                 "yield from mount.wait_drains(path) first")
-        handle = yield from super().open_read(client, path, comm)
+        handle = yield from super().open_read(client, path, comm, retry=retry)
         return handle
 
 

@@ -23,7 +23,7 @@ from typing import Generator, List, Tuple
 from ..errors import FileNotFound
 from ..pfs.extents import HOLE
 from ..pfs.volume import Client
-from .aggregation import list_index_logs, _read_and_parse
+from .aggregation import list_index_logs, merge_index_logs, read_index_logs
 from .container import ContainerLayout, meta_dropping_name, parse_meta_dropping
 
 __all__ = ["MapEntry", "CheckReport", "plfs_map", "plfs_check", "plfs_recover"]
@@ -52,9 +52,9 @@ class CheckReport:
 
 
 def _build_index(layout: ContainerLayout, client: Client) -> Generator:
-    entries = yield from list_index_logs(layout, client)
-    gi = yield from _read_and_parse(client, entries)
-    return gi
+    entries, _ = yield from list_index_logs(layout, client)
+    logs, _ = yield from read_index_logs(client, entries)
+    return merge_index_logs(logs)
 
 
 def plfs_map(layout: ContainerLayout, client: Client) -> Generator:

@@ -8,7 +8,7 @@ hang, and a no-fault plan leaves fault-free results bit-identical.
 
 import pytest
 
-from repro.errors import PartialViewError
+from repro.errors import PartialViewError, StorageUnavailable
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.policies import RetryPolicy
@@ -150,6 +150,16 @@ class TestPartialView:
         subdirs = {layout.subdir_for_writer(n) for n in range(4)
                    if layout.subdir_volume(layout.subdir_for_writer(n)) is victim}
         assert set(exc.value.missing_subdirs) == subdirs
+
+    def test_without_retry_the_storage_error_propagates(self):
+        """Skip-and-report is the retry policy's: an independent open with
+        no policy fails on the first unreachable batch, as plain I/O does."""
+        world = make_world()
+        self._write(world, nprocs=4)
+        for osd in world.volume.pool.osds:
+            osd.fail()
+        with pytest.raises(StorageUnavailable):
+            _read_degraded(world, None)
 
 
 def _campaign(world, plan=None, injector=None, seed=0):

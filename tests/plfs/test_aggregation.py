@@ -35,11 +35,12 @@ class TestListing:
         write_n1(world, nprocs=8)
 
         def fn(ctx):
-            entries = yield from list_index_logs(world.mount.layout("/f"), ctx.client)
-            return entries
+            listing = yield from list_index_logs(world.mount.layout("/f"), ctx.client)
+            return listing
 
-        entries = run_job(world.env, world.cluster, 1, fn,
-                          client_id_base=100).results[0]
+        entries, unreachable = run_job(world.env, world.cluster, 1, fn,
+                                       client_id_base=100).results[0]
+        assert unreachable == []
         assert len(entries) == 8
         writers = sorted(w for _, _, w, _ in entries)
         assert writers == list(range(8))
@@ -74,6 +75,36 @@ class TestOriginal:
                                  client_id_base=100).results[0]
         assert g2 is g1            # memoized object
         assert d2 > 0              # but simulated time still charged
+
+    @pytest.mark.parametrize("concurrent", [
+        False,
+        pytest.param(True, marks=pytest.mark.xfail(strict=True, reason=(
+            "a hit on an in-flight parse waits out the first reader's merge "
+            "charge and then pays its own, 60 ns per record too many"))),
+    ])
+    def test_memo_hit_charges_exactly_what_a_miss_charges(self, concurrent):
+        """Reader 2's simulated open time is the same whether it adopts
+        reader 1's parsed index or parses its own.  Sequential readers hit
+        a finished entry; concurrent ones hit the in-flight parse."""
+
+        def reader_durations(cache):
+            w = make_world()
+            write_n1(w, nprocs=8)
+
+            def agg(ctx):
+                t0 = ctx.env.now
+                yield from aggregate_original(w.mount.layout("/f"), ctx.client, cache)
+                return ctx.env.now - t0
+
+            if concurrent:
+                return run_job(w.env, w.cluster, 2, agg, client_id_base=100).results
+            return [run_job(w.env, w.cluster, 1, agg, client_id_base=100 + i).results[0]
+                    for i in range(2)]
+
+        shared = {}
+        memo = reader_durations(shared)
+        assert len(shared) == 1  # reader 2 found reader 1's entry
+        assert memo[1] == reader_durations(None)[1]
 
     def test_memoization_invalidated_by_new_writes(self, world):
         write_n1(world, nprocs=4)

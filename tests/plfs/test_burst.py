@@ -7,6 +7,7 @@ from repro.harness.setup import build_world
 from repro.mpi import run_job
 from repro.pfs.data import PatternData
 from repro.plfs import PlfsBurstMount, PlfsConfig
+from repro.workloads import MPIIOTest, plfs_stack, run_workload
 from tests.conftest import make_world
 
 KB = 1000
@@ -131,3 +132,16 @@ class TestBurstWrites:
         assert w.mount.pending_drains("/c1") or w.mount.pending_drains("/c2") or True
         w.env.run()
         assert not w.mount.pending_drains()
+
+
+class TestBurstThroughMpiio:
+    def test_write_and_verified_read_through_the_adio_driver(self):
+        """The PLFS ADIO driver passes ``retry=`` to open_write/open_read;
+        the burst mount must accept it like a plain mount does."""
+        w = burst_world()
+        wl = MPIIOTest(4, size_per_proc=400 * KB, transfer=100 * KB)
+        stack = plfs_stack(w)
+        run_workload(w, wl, stack, do_read=False)
+        w.env.run()  # let the background drains finish
+        res = run_workload(w, wl, stack, do_write=False, verify=True)
+        assert res.read.verified is True
