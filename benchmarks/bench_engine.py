@@ -3,7 +3,10 @@
 import time
 
 from repro.analysis.sanitize import Sanitizer, tracked
-from repro.sim import Engine, FairShareServer
+from repro.cluster import Cluster, ClusterSpec, NodeSpec
+from repro.pfs.osd import OsdPool
+from repro.pfs.presets import panfs_cielo
+from repro.sim import Engine, FairShareServer, Join
 from repro.sim.engine import Process
 
 
@@ -110,8 +113,7 @@ def test_serve_many_bulk_arrival(benchmark):
 
         def driver(env):
             for round_no in range(200):
-                events = srv.serve_many([1e6 + i for i in range(100)])
-                yield env.all_of(events)
+                yield srv.serve_many([1e6 + i for i in range(100)], Join(env))
 
         env.process(driver(env))
         env.run()
@@ -119,6 +121,50 @@ def test_serve_many_bulk_arrival(benchmark):
 
     expected = 200 * (100 * 1e6 + sum(range(100)))
     assert benchmark(run) == expected
+
+
+def test_striped_fanout(benchmark):
+    """Striped requests fan in through one join each, not one event per job.
+
+    K clients each make one 16-lane request: a job on each OSD lane plus
+    the storage NIC and the pipe, 18 fair-share jobs counted toward one
+    join.  Besides the completion timers, a request may cost at most four
+    events (process start, relay, join, process end); one event per job
+    plus an ``all_of`` would cost 21.
+    """
+    k_requests = 1000
+
+    def run():
+        env = Engine()
+        cluster = Cluster(env, ClusterSpec(name="fanout", n_nodes=64,
+                                           node=NodeSpec(cores=16)))
+        cfg = panfs_cielo()
+        pool = OsdPool(env, cfg)
+        net = cluster.storage_net
+        nbytes = cfg.stripe_width * cfg.stripe_unit
+        timers = [0]
+        schedule_at = env.schedule_at
+
+        def counted(t):
+            timers[0] += 1
+            return schedule_at(t)
+
+        env.schedule_at = counted
+
+        def client(env, i):
+            join = Join(env)
+            pool.io_events(i, 0, nbytes, join, client_id=i, is_read=True)
+            net.path_events(cluster.nodes[i % 64], nbytes, join)
+            assert join.pending == cfg.stripe_width + 2
+            yield join
+
+        for i in range(k_requests):
+            env.process(client(env, i))
+        env.run()
+        return env._eid, timers[0]
+
+    events, timers = benchmark(run)
+    assert events <= timers + 4 * k_requests, (events, timers)
 
 
 def test_sanitizer_off_is_structurally_free():

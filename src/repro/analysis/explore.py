@@ -23,8 +23,8 @@ Exploration is bounded and pruned:
   closed* within an instant: a segment inherits the footprints of every
   event it triggers that fires at the same simulated time, because
   reordering the segment reorders that whole same-instant cascade.
-  (An ``AllOf`` completion is the canonical case — the serve event that
-  satisfies it has an empty footprint itself, but firing it is what
+  (A fair-share ``Join`` completion is the canonical case — the relay
+  that fires it has an empty footprint itself, but firing it is what
   releases the process segment that mutates the registries.)
 
 At every quiescent point (an instant fully drained) the controller

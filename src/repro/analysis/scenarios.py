@@ -81,9 +81,9 @@ def _drive_smallio(world: Any) -> List[Any]:
     """Writer A closes its handle while writer B re-opens on the same host.
 
     The timing is engineered so that B's registry *increment* (the final
-    segment of its open, riding the index-log create's AllOf) and the
+    segment of its open, riding the index-log create's join) and the
     *retirement* of A's registry entry (the final segment of A's close,
-    riding the openhost-unlink AllOf) become ready at the same instant,
+    riding the openhost-unlink join) become ready at the same instant,
     with A's carrier first in eid order.  On the aligned op grid
     (:func:`_aligned_pfs_cfg`, one op = two latency quanta ``L``), A's
     close runs ops at arrival instants L, 3L, 5L, 7L, 9L; B waits 6L so

@@ -19,7 +19,7 @@ from typing import Generator, Iterable, List
 
 from ..analysis.sanitize import raw_snapshot, tracked
 from ..errors import ConfigError, NetworkPartitioned
-from ..sim import AllOf, Engine, FairShareServer
+from ..sim import Engine, FairShareServer, Join
 from .node import Node
 
 __all__ = ["Interconnect", "StorageNetwork"]
@@ -62,11 +62,11 @@ class Interconnect:
         yield self.env.timeout(self.latency)
         if nbytes == 0:
             return
-        yield AllOf(self.env, [
-            src.nic_out.serve(nbytes),
-            self.fabric.serve(nbytes),
-            dst.nic_in.serve(nbytes),
-        ])
+        join = Join(self.env)
+        src.nic_out.serve(nbytes, join)
+        self.fabric.serve(nbytes, join)
+        dst.nic_in.serve(nbytes, join)
+        yield join
 
 
 class StorageNetwork:
@@ -174,23 +174,25 @@ class StorageNetwork:
                 f"storage-net[node {node.id}]",
                 f"node {node.id} partitioned from storage")
 
-    def path_events(self, node: Node, nbytes: int) -> list:
-        """Fair-share events for *nbytes* crossing this network from/to *node*.
+    def path_events(self, node: Node, nbytes: int, join: Join) -> None:
+        """Fair-share service for *nbytes* crossing this network from/to
+        *node*, counted toward *join*.
 
-        Returned un-joined so callers can AllOf them together with the
-        storage-device service (the bytes stream through NIC, pipe, and
-        device concurrently).
+        The caller's *join* usually also counts the storage-device service
+        (the bytes stream through NIC, pipe, and device concurrently).
         """
         self._check_node(node)
         self.bytes_moved += nbytes
         if nbytes == 0:
-            return []
-        return [self._client_nics[node.id].serve(nbytes), self.pipe.serve(nbytes)]
+            return
+        self._client_nics[node.id].serve(nbytes, join)
+        self.pipe.serve(nbytes, join)
 
     def transfer(self, node: Node, nbytes: int) -> Generator:
         """Latency plus a full traversal of the network (no device component)."""
         self._check_node(node)
         yield self.env.timeout(self.latency + self.extra_latency)
-        events = self.path_events(node, nbytes)
-        if events:
-            yield AllOf(self.env, events)
+        join = Join(self.env)
+        self.path_events(node, nbytes, join)
+        if join.pending:
+            yield join

@@ -38,8 +38,12 @@ class Communicator:
         self.nodes = nodes_by_rank
         self.size = len(nodes_by_rank)
         self.name = name
+        # Boxes exist only while they hold messages or receivers: recv
+        # drops a box it leaves idle, and the next send makes a fresh one.
         self._mail: Dict[Tuple[int, int, Any], Store] = {}
-        self._splits: Dict[Tuple[int, int], "Communicator"] = {}
+        # Collective seq of a split -> its communicator per color and each
+        # parent rank's index in its color's communicator.
+        self._splits: Dict[int, Tuple[Dict[int, "Communicator"], Dict[int, int]]] = {}
         self.messages = 0
         self.bytes = 0
 
@@ -90,7 +94,13 @@ class Comm:
         shared = self._shared
         if not (0 <= src < shared.size):
             raise MPIError(f"recv from bad rank {src}")
-        payload = yield shared._box(self.rank, src, tag).get()
+        key = (self.rank, src, tag)
+        box = shared._box(*key)
+        payload = yield box.get()
+        # Every collective uses a fresh tag, so an idle box would otherwise
+        # live as long as the job.
+        if box.idle and shared._mail.get(key) is box:
+            del shared._mail[key]
         return payload
 
     # -- non-blocking flavours -------------------------------------------------
@@ -298,23 +308,37 @@ class Comm:
     def _split(self, color: int, key: Optional[int] = None) -> Generator:
         key = self.rank if key is None else key
         triples = yield from self.allgather((color, key, self.rank), nbytes=24)
-        members = sorted((k, r) for c, k, r in triples if c == color)
-        ranks = [r for _, r in members]
-        # Every member derives an identical group from identical triples, so
-        # the first member to get here materializes the shared communicator
-        # and the rest adopt it (keyed by the SPMD-consistent collective seq).
+        # Every member derives the same partition from the same triples, so
+        # the first member to get here builds every color's communicator
+        # and the rest look theirs up (keyed by the SPMD-consistent
+        # collective seq).
         registry = self._shared._splits
-        cache_key = (self._coll_seq, color)
-        shared = registry.get(cache_key)
-        if shared is None:
+        split = registry.get(self._coll_seq)
+        if split is None:
+            split = registry[self._coll_seq] = self._partition(triples)
+        comms, index = split
+        return comms[color].view(index[self.rank])
+
+    def _partition(self, triples: List[Tuple[int, int, int]]
+                   ) -> Tuple[Dict[int, "Communicator"], Dict[int, int]]:
+        """Each color's communicator, members ordered by (key, rank), and
+        every rank's index within its color."""
+        groups: Dict[int, List[Tuple[int, int]]] = {}
+        for color, key, rank in triples:
+            groups.setdefault(color, []).append((key, rank))
+        comms: Dict[int, Communicator] = {}
+        index: Dict[int, int] = {}
+        parent = self._shared
+        for color in sorted(groups):
+            ranks = [r for _, r in sorted(groups[color])]
+            for i, r in enumerate(ranks):
+                index[r] = i
             # The collective-seq suffix keeps names unique when one job
             # splits the same parent twice (the two-level parallel read
             # makes a "group" and a "leaders" comm that could otherwise
             # both be ".../split0"), which trace reports rely on.
-            shared = Communicator(
-                self.env, self._shared.interconnect,
-                [self._shared.nodes[r] for r in ranks],
-                name=f"{self._shared.name}/split{color}@{self._coll_seq}",
+            comms[color] = Communicator(
+                self.env, parent.interconnect, [parent.nodes[r] for r in ranks],
+                name=f"{parent.name}/split{color}@{self._coll_seq}",
             )
-            registry[cache_key] = shared
-        return shared.view(ranks.index(self.rank))
+        return comms, index

@@ -135,8 +135,10 @@ def validate_comm(tracer: CollectiveTracer, shared: Any) -> List[str]:
         errors.append(msg)
     splits = getattr(shared, "_splits", None)
     if splits:
-        for key in sorted(splits, key=repr):
-            errors.extend(validate_comm(tracer, splits[key]))
+        for seq in sorted(splits):
+            comms, _ = splits[seq]
+            for color in sorted(comms):
+                errors.extend(validate_comm(tracer, comms[color]))
     return errors
 
 

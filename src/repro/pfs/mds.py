@@ -23,7 +23,7 @@ from typing import Dict, Generator, Optional
 
 from ..analysis.sanitize import raw_snapshot, tracked
 from ..errors import ConfigError, MDSUnavailable
-from ..sim import Engine, FairShareServer
+from ..sim import Engine, FairShareServer, Join
 from .config import PfsConfig
 
 __all__ = ["MetadataServer"]
@@ -144,9 +144,10 @@ class MetadataServer:
                     demand *= 1.0 + effective / self.cfg.dir_degradation_entries
             self._dir_inflight[dir_uid] = self._dir_inflight.get(dir_uid, 0) + 1
             try:
-                events = [self.server.serve(demand),
-                          self._dir_server(dir_uid).serve(demand)]
-                yield self.env.all_of(events)
+                join = Join(self.env)
+                self.server.serve(demand, join)
+                self._dir_server(dir_uid).serve(demand, join)
+                yield join
             finally:
                 self._dir_inflight[dir_uid] -= 1
         else:

@@ -15,11 +15,11 @@ like a seek.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.sanitize import raw_snapshot, tracked
 from ..errors import ConfigError, StorageUnavailable
-from ..sim import Engine, Event, FairShareServer
+from ..sim import Engine, Event, FairShareServer, Join
 from .config import PfsConfig
 
 __all__ = ["Osd", "OsdPool", "stripe_lanes"]
@@ -116,29 +116,32 @@ class Osd:
         self.bytes_moved += nbytes
         return demand
 
-    def io(self, obj_uid: int, offset: int, nbytes: int, *, ops: int = 1,
+    def io(self, obj_uid: int, offset: int, nbytes: int,
+           join: Optional[Join] = None, *, ops: int = 1,
            inflate: float = 1.0, seek_mult: float = 1.0,
            client_id: int = None, is_read: bool = False) -> Event:
         """Submit one request; returns the device completion event.
 
-        *inflate* multiplies the payload demand (read-modify-write: the old
-        data and parity move too); *seek_mult* multiplies the positioning
-        charge (an RMW's component I/Os each seek); *ops* counts how many
-        client requests this merged submission stands for (batched paths),
-        each paying the per-request overhead.  *client_id*/*is_read* feed
-        the readahead-pollution model.
+        Given a *join*, the request counts toward it and the join is
+        returned instead.  *inflate* multiplies the payload demand
+        (read-modify-write: the old data and parity move too); *seek_mult*
+        multiplies the positioning charge (an RMW's component I/Os each
+        seek); *ops* counts how many client requests this merged
+        submission stands for (batched paths), each paying the per-request
+        overhead.  *client_id*/*is_read* feed the readahead-pollution
+        model.
         """
         if nbytes < 0 or ops < 1 or inflate < 1.0 or seek_mult < 1.0:
             raise ConfigError(f"bad OSD request ({nbytes}, {ops}, {inflate}, {seek_mult})")
         self._check_up()
         base = self._demand(obj_uid, offset, nbytes, ops, seek_mult, client_id, is_read)
         extra = (inflate - 1.0) * nbytes
-        return self.server.serve(base + extra)
+        return self.server.serve(base + extra, join)
 
-    def io_many(self, requests: List[Tuple[int, int, int]], *, ops: int = 1,
-                inflate: float = 1.0, seek_mult: float = 1.0,
-                client_id: int = None, is_read: bool = False) -> List[Event]:
-        """Submit several same-instant requests; one event per request.
+    def io_many(self, requests: List[Tuple[int, int, int]], join: Join, *,
+                ops: int = 1, inflate: float = 1.0, seek_mult: float = 1.0,
+                client_id: int = None, is_read: bool = False) -> None:
+        """Submit several same-instant requests, each counted toward *join*.
 
         *requests* is ``[(obj_uid, offset, nbytes), ...]``, charged in order
         (sequentiality tracking sees exactly the sequence a loop of
@@ -157,7 +160,7 @@ class Osd:
             base = self._demand(obj_uid, offset, nbytes, ops, seek_mult,
                                 client_id, is_read)
             demands.append(base + (inflate - 1.0) * nbytes)
-        return self.server.serve_many(demands)
+        self.server.serve_many(demands, join)
 
     def forget(self, obj_uid: int) -> None:
         """Drop sequentiality-tracking state for a deleted object."""
@@ -212,11 +215,12 @@ class OsdPool:
         """Round-robin placement: a file's lane *l* lives on one fixed OSD."""
         return self.osds[(file_uid + lane) % self.cfg.n_osds]
 
-    def io_events(self, file_uid: int, offset: int, length: int, *,
-                  ops_per_lane: int = 1, inflate: float = 1.0,
+    def io_events(self, file_uid: int, offset: int, length: int, join: Join,
+                  *, ops_per_lane: int = 1, inflate: float = 1.0,
                   seek_mult: float = 1.0, client_id: int = None,
-                  is_read: bool = False) -> List[Event]:
-        """Device events for a file byte-range I/O, one per lane touched.
+                  is_read: bool = False) -> None:
+        """Device service for a file byte-range I/O, one job per lane
+        touched, each counted toward *join*.
 
         The object uid for sequentiality tracking combines file and lane, so
         distinct files never alias each other's streams.  When the stripe is
@@ -231,29 +235,21 @@ class OsdPool:
                       client_id=client_id, is_read=is_read)
         if cfg.stripe_width <= cfg.n_osds:
             # Common case: every lane of one I/O lives on its own OSD.
-            return [
+            for lane, obj_off, nbytes in lanes:
                 self.lane_osd(file_uid, lane).io(file_uid * mult + lane,
-                                                 obj_off, nbytes, **kwargs)
-                for lane, obj_off, nbytes in lanes
-            ]
+                                                 obj_off, nbytes, join, **kwargs)
+            return
         # Wide stripe: group each OSD's lanes (submission-order preserving,
         # so per-object seek accounting is unchanged) and batch per device.
-        by_osd: Dict[int, List[int]] = {}
-        for i, (lane, _, _) in enumerate(lanes):
-            by_osd.setdefault((file_uid + lane) % cfg.n_osds, []).append(i)
-        events: List[Event] = [None] * len(lanes)  # type: ignore[list-item]
-        for osd_index, idxs in by_osd.items():  # repro: noqa[REP004] - insertion order follows the lane walk above, deterministically
-            osd = self.osds[osd_index]
-            if len(idxs) == 1:
-                lane, obj_off, nbytes = lanes[idxs[0]]
-                events[idxs[0]] = osd.io(file_uid * mult + lane, obj_off,
-                                         nbytes, **kwargs)
+        by_osd: Dict[int, List[Tuple[int, int, int]]] = {}
+        for lane, obj_off, nbytes in lanes:
+            by_osd.setdefault((file_uid + lane) % cfg.n_osds, []).append(
+                (file_uid * mult + lane, obj_off, nbytes))
+        for osd_index, reqs in by_osd.items():  # repro: noqa[REP004] - insertion order follows the lane walk above, deterministically
+            if len(reqs) == 1:
+                self.osds[osd_index].io(*reqs[0], join, **kwargs)
             else:
-                reqs = [(file_uid * mult + lanes[i][0], lanes[i][1], lanes[i][2])
-                        for i in idxs]
-                for i, ev in zip(idxs, osd.io_many(reqs, **kwargs)):
-                    events[i] = ev
-        return events
+                self.osds[osd_index].io_many(reqs, join, **kwargs)
 
     @property
     def total_bytes_moved(self) -> int:

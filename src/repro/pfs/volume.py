@@ -19,7 +19,7 @@ from typing import Generator, List, Optional, Sequence
 from ..cluster import Cluster, Node
 from ..errors import (BadFileHandle, FileNotFound, InvalidArgument,
                       PermissionDenied, StorageUnavailable)
-from ..sim import Engine
+from ..sim import Engine, Join
 from .config import PfsConfig
 from .data import DataSpec, DataView
 from .locks import RangeLockManager
@@ -126,11 +126,12 @@ class FileHandle:
                     seek_mult = 2.0  # the RMW's reads and writes each position
             vol.storage_net._check_up()
             yield vol.env.timeout(vol.storage_latency + vol.storage_net.extra_latency)
-            events = vol.pool.io_events(uid, offset, length, inflate=inflate,
-                                        seek_mult=seek_mult)
-            events += vol.storage_net.path_events(self.client.node, length)
-            if events:
-                yield vol.env.all_of(events)
+            join = Join(vol.env)
+            vol.pool.io_events(uid, offset, length, join, inflate=inflate,
+                               seek_mult=seek_mult)
+            vol.storage_net.path_events(self.client.node, length, join)
+            if join.pending:
+                yield join
         finally:
             vol.locks.release(held)
 
@@ -166,12 +167,12 @@ class FileHandle:
         if miss > 0:
             vol.storage_net._check_up()
             yield vol.env.timeout(vol.storage_latency + vol.storage_net.extra_latency)
-            events = vol.pool.io_events(uid, offset + hit, miss,
-                                        client_id=self.client.client_id,
-                                        is_read=True)
-            events += vol.storage_net.path_events(self.client.node, miss)
-            if events:
-                yield vol.env.all_of(events)
+            join = Join(vol.env)
+            vol.pool.io_events(uid, offset + hit, miss, join,
+                               client_id=self.client.client_id, is_read=True)
+            vol.storage_net.path_events(self.client.node, miss, join)
+            if join.pending:
+                yield join
             if cache is not None and cfg.cache_fill_on_read:
                 cache.insert(uid, offset, length, full_blocks_only=True)
         self.bytes_read += length
@@ -336,7 +337,7 @@ class Volume:
         # before any time is charged so concurrent callers see each other.
         cache = client.node.page_cache if cfg.client_cache else None
         misses = []
-        joins = []
+        coalesced = []
         hit_bytes = 0
         for n in inodes:
             size = n.data.size
@@ -347,7 +348,7 @@ class Volume:
                 continue
             inflight = self._inflight.get((client.node.id, n.uid))
             if cache is not None and inflight is not None:
-                joins.append(inflight)
+                coalesced.append(inflight)
             else:
                 misses.append(n)
         done = None
@@ -367,6 +368,7 @@ class Volume:
                                    + self.storage_net.extra_latency)
             n_osds = cfg.n_osds
             overhead = (cfg.osd_seek_time + cfg.osd_op_overhead) * cfg.osd_bw
+            join = Join(self.env)
             if len(misses) >= 2 * n_osds:
                 # Many files: uniformly placed, charge the pool evenly.  Each
                 # file costs one device request per lane it actually spans.
@@ -376,10 +378,8 @@ class Volume:
                 )
                 per_osd_bytes = total / n_osds
                 per_osd_ops = max(1.0, ops_total / n_osds)
-                events = [
-                    osd.server.serve(per_osd_bytes + per_osd_ops * overhead)
-                    for osd in self.pool.osds
-                ]
+                for osd in self.pool.osds:
+                    osd.server.serve(per_osd_bytes + per_osd_ops * overhead, join)
             else:
                 # Few files: charge exactly the OSDs their lanes live on.
                 demand: dict = {}
@@ -391,10 +391,10 @@ class Volume:
                         osd = self.pool.lane_osd(n.uid, lane)
                         demand[osd.index] = (demand.get(osd.index, 0.0)
                                              + size / lanes + overhead)
-                events = [self.pool.osds[i].server.serve(d)
-                          for i, d in demand.items()]  # repro: noqa[REP004] - keyed by osd index from the deterministic lane walk
-            events += self.storage_net.path_events(client.node, total)
-            yield self.env.all_of(events)
+                for i, d in demand.items():  # repro: noqa[REP004] - keyed by osd index from the deterministic lane walk
+                    self.pool.osds[i].server.serve(d, join)
+            self.storage_net.path_events(client.node, total, join)
+            yield join
             if cache is not None and cfg.cache_fill_on_read:
                 for n in misses:
                     # Whole-file slurps really did move every byte, so the
@@ -404,8 +404,8 @@ class Volume:
             for n in misses:
                 self._inflight.pop((client.node.id, n.uid), None)
             done.succeed()
-        if joins:
-            yield self.env.all_of(joins)
+        if coalesced:
+            yield self.env.all_of(coalesced)
         yield from self.mds.op("close", count=k)
         return [n.data.read(0, n.data.size) for n in inodes]
 

@@ -3,7 +3,7 @@
 from .engine import (AllOf, AnyOf, Engine, Event, Process, Timeout,
                      blocked_report, describe_event)
 from .probes import BandwidthProbe, summarize_probe
-from .resources import FairShareServer, Mutex, Resource, Store
+from .resources import FairShareServer, Join, Mutex, Resource, Store
 from .stats import JobMetrics, PhaseClock, Summary, summarize
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "BandwidthProbe",
     "summarize_probe",
     "FairShareServer",
+    "Join",
     "Mutex",
     "Resource",
     "Store",

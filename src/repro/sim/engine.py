@@ -364,17 +364,22 @@ def describe_event(ev: Optional[Event], depth: int = 1) -> str:
     """One-line human description of what waiting on *ev* means.
 
     Used by deadlock reports.  Recurses *depth* levels into composite
-    events (``AllOf``/``AnyOf``) so "blocked on all_of" becomes "blocked on
-    the 3 unfinished children of an all_of", which is what actually
-    identifies a stuck fault-injection run.
+    events (``AllOf``/``AnyOf``, a fair-share ``Join``) so "blocked on
+    all_of" becomes "blocked on the 3 unfinished children of an all_of",
+    which is what actually identifies a stuck fault-injection run.
     """
     if ev is None:
         return "nothing (runnable or never started)"
     server = getattr(ev, "server", None)
     if server is not None:  # a FairShareServer completion (see resources.py)
-        state = "PAUSED" if getattr(server, "_paused", False) else f"{server.active} active"
-        return (f"service by FairShareServer {server.name or '<unnamed>'!r} "
-                f"({state}, capacity {server.capacity:g})")
+        return _describe_server(server)
+    if hasattr(ev, "pending_servers"):  # a Join (see resources.py)
+        servers = ev.pending_servers()
+        inner = ""
+        if depth > 0 and servers:
+            inner = ", first: " + _describe_server(servers[0])
+        return (f"join with {ev.pending} jobs pending on "
+                f"{len(servers)} servers{inner}")
     if isinstance(ev, Process):
         inner = ""
         if depth > 0 and ev._waiting is not None:
@@ -391,6 +396,12 @@ def describe_event(ev: Optional[Event], depth: int = 1) -> str:
     if isinstance(ev, Timeout):
         return "a timeout that never fired (scheduled past the run horizon?)"
     return f"{type(ev).__name__} at {id(ev):#x}"
+
+
+def _describe_server(server: Any) -> str:
+    state = "PAUSED" if server.paused else f"{server.active} active"
+    return (f"service by FairShareServer {server.name or '<unnamed>'!r} "
+            f"({state}, capacity {server.capacity:g})")
 
 
 def blocked_report(procs: Iterable[Process]) -> str:

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, List, Sequence, Tuple
+from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SimulationError
 from .engine import Engine, Event
 
-__all__ = ["Resource", "Mutex", "FairShareServer", "Store"]
+__all__ = ["Resource", "Mutex", "FairShareServer", "Join", "Store"]
 
 
 class Resource:
@@ -107,12 +107,91 @@ class _ServeEvent(Event):
 
     __slots__ = ("server",)
 
+    # The server's completion hooks (shared with Join).
+    _job_done = Event.succeed
+    _job_failed = Event.fail
+
+
+class Join(Event):
+    """One completion event for a request served on several servers.
+
+    ``server.serve(demand, join)`` counts a job toward the join instead of
+    allocating an event for it; the join fires once every counted job has
+    completed, with value ``None``.  A job failed by
+    :meth:`FairShareServer.fail_all` fails the join once, with that job's
+    exception; the join's later completions and failures do nothing.
+
+    The join fires exactly two hops after its last job completes: a relay
+    event, then the join.  That is when an ``all_of`` over one event per
+    job fired (the last job's event, then the ``AllOf``), so same-instant
+    order is unchanged, including when every job has zero demand or one
+    fails.  A zero-demand job completes through its own relay, as a
+    zero-demand ``serve`` completes through its own event.
+
+    :attr:`servers` records each server a job went to, so deadlock reports
+    can name the one a stuck request is still queued on.
+    """
+
+    __slots__ = ("_remaining", "_failed", "servers")
+
+    def __init__(self, env: Engine):
+        super().__init__(env)
+        self._remaining = 0
+        self._failed = False
+        self.servers: List["FairShareServer"] = []
+
+    @property
+    def pending(self) -> int:
+        """Counted jobs that have not completed yet."""
+        return self._remaining
+
+    def pending_servers(self) -> List["FairShareServer"]:
+        """Servers still holding one of this join's jobs, first-use order."""
+        return [srv for srv in dict.fromkeys(self.servers)
+                if any(job[2] is self for job in srv._jobs)]
+
+    def _relay(self, callback: Callable[[Event], None],
+               exc: Optional[BaseException] = None) -> None:
+        relay = Event(self.env)
+        relay.callbacks = callback
+        if exc is None:
+            relay.succeed()
+        else:
+            relay.fail(exc)
+
+    def _fire(self, relay: Event) -> None:
+        if relay._exc is not None:
+            self.fail(relay._exc)
+        else:
+            self.succeed()
+
+    def _zero_done(self, _relay: Event) -> None:
+        if self._failed:
+            return
+        self._remaining -= 1
+        if self._remaining == 0:
+            self.succeed()
+
+    def _job_done(self) -> None:
+        if self._failed:
+            return
+        self._remaining -= 1
+        if self._remaining == 0:
+            self._relay(self._fire)
+
+    def _job_failed(self, exc: BaseException) -> None:
+        if self._failed:
+            return
+        self._failed = True
+        self._relay(self._fire, exc)
+
 
 class FairShareServer:
     """Generalized processor sharing over a fixed capacity.
 
     ``serve(demand)`` returns an event firing when *demand* units of work
-    complete, with instantaneous per-job rate ``capacity / active_jobs``.
+    complete, with instantaneous per-job rate ``capacity / active_jobs``;
+    ``serve(demand, join)`` counts the job toward a :class:`Join` instead.
 
     The virtual-time algorithm: let ``V(t)`` be the cumulative service each
     active job has received.  While the active set is constant, ``V`` grows
@@ -137,7 +216,8 @@ class FairShareServer:
         self.name = name
         self._vtime = 0.0  # cumulative per-job virtual service
         self._t_last = 0.0  # wall time of last vtime update
-        self._jobs: List[Tuple[float, int, Event]] = []  # (finish_vtime, seq, event)
+        # (finish_vtime, seq, what completes: its event or its join)
+        self._jobs: List[Tuple[float, int, Union[_ServeEvent, Join]]] = []
         self._seq = 0
         self._timer_seq = 0  # invalidates stale completion timers
         self._deadline = float("inf")  # wall time the earliest finish completes
@@ -225,58 +305,68 @@ class FairShareServer:
         self._deadline = float("inf")
         self._invalidate_timer()
         for _, _, ev in jobs:
-            ev.fail(make_exc())
+            ev._job_failed(make_exc())
         return len(jobs)
 
-    def serve(self, demand: float) -> Event:
-        """Submit *demand* units of work; returns the completion event."""
+    def serve(self, demand: float, join: Optional[Join] = None) -> Event:
+        """Submit *demand* units of work.
+
+        Returns the job's completion event, or, given a *join*, counts the
+        job toward it and returns the join.
+        """
         if demand < 0:
             raise SimulationError(f"negative demand {demand!r}")
-        ev = _ServeEvent(self.env)
-        ev.server = self
-        if demand == 0:
-            ev.succeed()
-            return ev
+        target: Union[_ServeEvent, Join]
+        if join is None:
+            target = _ServeEvent(self.env)
+            target.server = self
+            if demand == 0:
+                target.succeed()
+                return target
+        else:
+            target = join
+            join._remaining += 1
+            join.servers.append(self)
+            if demand == 0:
+                join._relay(join._zero_done)
+                return join
         self._advance()
         self._seq += 1
         jobs = self._jobs
-        heapq.heappush(jobs, (self._vtime + demand, self._seq, ev))
+        heapq.heappush(jobs, (self._vtime + demand, self._seq, target))
         self.total_served += demand
         if len(jobs) > self.peak_active:
             self.peak_active = len(jobs)
         self._reschedule()
-        return ev
+        return target
 
-    def serve_many(self, demands: Sequence[float]) -> List[Event]:
-        """Submit a batch of jobs arriving at the same instant.
+    def serve_many(self, demands: Sequence[float], join: Join) -> Join:
+        """Submit a batch of jobs arriving at the same instant, toward *join*.
 
-        Equivalent to ``[serve(d) for d in demands]`` — same virtual finish
-        times, same completion timestamps — but pays one virtual-time
-        advance, one heap restore, and at most one timer re-arm for the
-        whole batch.  This is the entry point for the bulk-synchronous
-        pattern where one caller submits N jobs at once (e.g. a striped
-        I/O touching one device on several lanes).
+        Equivalent to ``for d in demands: serve(d, join)`` — same virtual
+        finish times, same completion timestamps — but pays one
+        virtual-time advance, one heap restore, and at most one timer
+        re-arm for the whole batch.  This is the entry point for the
+        bulk-synchronous pattern where one caller submits N jobs at once
+        (e.g. a striped I/O touching one device on several lanes).
         """
-        events: List[Event] = []
-        env = self.env
         self._advance()
         jobs = self._jobs
         vt = self._vtime
+        join.servers.append(self)
         pushed = 0
         for demand in demands:
             if demand < 0:
                 raise SimulationError(f"negative demand {demand!r}")
-            ev = _ServeEvent(env)
-            ev.server = self
-            events.append(ev)
+            join._remaining += 1
             if demand == 0:
-                ev.succeed()
+                join._relay(join._zero_done)
                 continue
             self._seq += 1
             if pushed:
-                jobs.append((vt + demand, self._seq, ev))
+                jobs.append((vt + demand, self._seq, join))
             else:
-                heapq.heappush(jobs, (vt + demand, self._seq, ev))
+                heapq.heappush(jobs, (vt + demand, self._seq, join))
             pushed += 1
             self.total_served += demand
         if pushed:
@@ -285,7 +375,7 @@ class FairShareServer:
             if len(jobs) > self.peak_active:
                 self.peak_active = len(jobs)
             self._reschedule()
-        return events
+        return join
 
     def _reschedule(self) -> None:
         """Update the completion deadline; arm a timer only if it moved earlier.
@@ -349,7 +439,7 @@ class FairShareServer:
             self._vtime = fv
             completed.append(ev)
         for ev in completed:
-            ev.succeed()
+            ev._job_done()
         self._reschedule()
 
     def work_remaining(self) -> float:
@@ -395,6 +485,11 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
+
+    @property
+    def idle(self) -> bool:
+        """True when no item is queued and no getter waits."""
+        return not self._items and not self._getters
 
     def put(self, item: Any) -> None:
         """Deposit an item (never blocks)."""

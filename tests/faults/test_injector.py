@@ -6,6 +6,7 @@ from repro.errors import (ConfigError, MDSUnavailable, NetworkPartitioned,
                           StorageUnavailable)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
+from repro.sim import Join
 from tests.conftest import make_world
 
 
@@ -94,7 +95,7 @@ class TestCompile:
             if not net.down:
                 return "up"
             try:
-                net.path_events(node, 10)
+                net.path_events(node, 10, Join(w.env))
             except NetworkPartitioned:
                 return "severed"
             return "broken-model"

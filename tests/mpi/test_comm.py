@@ -221,6 +221,81 @@ class TestAlltoallAndSplit:
         assert res.results == [0 + 1 + 2 + 3] * 4 + [4 + 5 + 6 + 7] * 4
 
 
+class TestMailboxes:
+    def test_mailboxes_are_dropped_once_drained(self):
+        """recv drops a box it leaves idle: after collectives, a split, an
+        irecv posted before its send and two queued same-tag sends, no
+        communicator keeps a mailbox, and every payload arrived in order."""
+        comms = {}
+
+        def fn(ctx):
+            comm, rank = ctx.comm, ctx.rank
+            comms[id(comm._shared)] = comm._shared
+            got = [(yield from comm.bcast("b" if rank == 0 else None, root=0)),
+                   (yield from comm.gather(rank, root=0)),
+                   (yield from comm.allgather(rank))]
+            sub = yield from comm.split(rank % 2, key=-rank)
+            comms[id(sub._shared)] = sub._shared
+            got.append((yield from sub.allgather(rank)))
+            if rank == 0:
+                early = comm.irecv(1, tag="early")  # posted before the send
+                yield ctx.env.timeout(1e-2)  # both "q" sends are queued by now
+                got.append((yield from comm.recv(1, tag="q")))
+                got.append((yield from comm.recv(1, tag="q")))
+                got.append((yield early))
+            elif rank == 1:
+                yield ctx.env.timeout(1e-3)
+                yield from comm.send(0, "e", tag="early")
+                yield from comm.send(0, "q1", tag="q")
+                yield from comm.send(0, "q2", tag="q")
+            return got
+
+        _, res = run_ranks(6, fn)
+        evens, odds = [4, 2, 0], [5, 3, 1]
+        assert res.results[0] == ["b", list(range(6)), list(range(6)), evens,
+                                  "q1", "q2", "e"]
+        assert res.results[3] == ["b", None, list(range(6)), odds]
+        assert len(comms) == 3
+        assert all(c._mail == {} for c in comms.values())
+
+    def test_late_send_recreates_a_dropped_box(self):
+        def fn(ctx):
+            if ctx.rank == 0:
+                for i in range(3):
+                    yield from ctx.comm.send(1, i)
+                    yield ctx.env.timeout(1e-3)
+            else:
+                got = []
+                for _ in range(3):
+                    got.append((yield from ctx.comm.recv(0)))
+                return got
+
+        _, res = run_ranks(2, fn)
+        assert res.results[1] == [0, 1, 2]
+
+
+class TestSplitPartition:
+    def test_partition_matches_per_rank_definition_at_1024_ranks(self):
+        """The once-per-split partition gives every rank the (rank, size,
+        nodes) that filtering and sorting all triples itself would."""
+        nprocs, ncolors = 1024, 7
+        parent_nodes = []
+
+        def fn(ctx):
+            if ctx.rank == 0:
+                parent_nodes.extend(ctx.comm._shared.nodes)
+            sub = yield from ctx.comm.split(ctx.rank % ncolors, key=-ctx.rank)
+            return sub.rank, sub.size, sub._shared.nodes
+
+        _, res = run_ranks(nprocs, fn, n_nodes=64, cores=16)
+        triples = [(r % ncolors, -r, r) for r in range(nprocs)]
+        for rank, (color, _, _) in enumerate(triples):
+            members = sorted((k, r) for c, k, r in triples if c == color)
+            ranks = [r for _, r in members]
+            assert res.results[rank] == (ranks.index(rank), len(ranks),
+                                         [parent_nodes[r] for r in ranks])
+
+
 class TestScaling:
     def test_large_bcast_completes(self):
         """512-rank broadcast finishes in O(log N) message latencies."""

@@ -102,6 +102,29 @@ class TestRunJob:
         assert "r1" in msg and "r2" in msg
         assert "waiting on" in msg
 
+    def test_deadlock_report_names_a_paused_osd(self):
+        """A striped write stuck behind a paused OSD must name that OSD and
+        say it is PAUSED: the report looks through the request's fan-in
+        to the one device that never finished."""
+        from repro.pfs import PatternData, Volume, panfs
+        env, cluster = make()
+        vol = Volume(env, cluster, panfs())
+        stuck = []
+
+        def fn(ctx):
+            fh = yield from vol.open(ctx.client, f"/f{ctx.rank}", "w", create=True)
+            if ctx.rank == 0:
+                osd = vol.pool.lane_osd(fh.inode.uid, 3)
+                osd.server.pause()  # never resumed
+                stuck.append(osd.server.name)
+            yield from fh.write(0, PatternData(ctx.rank, 0, 16 * 64 * 1024))
+            yield from fh.close()
+
+        with pytest.raises(DeadlockError) as exc:
+            run_job(env, cluster, 1, fn, name="paused-osd")
+        msg = str(exc.value)
+        assert f"FairShareServer {stuck[0]!r} (PAUSED" in msg
+
     def test_sequential_jobs_share_the_engine_clock(self):
         env, cluster = make()
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.pfs.config import PfsConfig
 from repro.pfs.osd import Osd, OsdPool, stripe_lanes
-from repro.sim import Engine
+from repro.sim import Engine, Join
 from repro.units import KiB
 
 
@@ -131,9 +131,10 @@ class TestOsd:
         pool = OsdPool(env, self.cfg())
 
         def proc(env):
-            events = pool.io_events(5, 0, 10 * 64 * KiB)
-            assert len(events) == 2  # stripe_width lanes
-            yield env.all_of(events)
+            join = Join(env)
+            pool.io_events(5, 0, 10 * 64 * KiB, join)
+            assert join.pending == 2  # stripe_width lanes
+            yield join
 
         env.run_process(proc(env))
         assert pool.total_bytes_moved == 10 * 64 * KiB
@@ -146,36 +147,39 @@ class TestOsd:
         def completions(batch):
             env = Engine()
             osd = Osd(env, self.cfg(), 0)
-            times = {}
+            finishes = []
 
             def proc(env):
                 yield env.timeout(0.25)
+                join = Join(env)
                 if batch:
-                    events = osd.io_many(list(reqs))
+                    osd.io_many(list(reqs), join)
                 else:
-                    events = [osd.io(*r) for r in reqs]
-                for i, ev in enumerate(events):
-                    ev._add_callback(lambda _e, i=i: times.setdefault(i, env.now))
-                yield env.all_of(events)
+                    for r in reqs:
+                        osd.io(*r, join)
+                # Per-request virtual finish times, as the server holds them.
+                finishes.extend(sorted(fv for fv, _, _ in osd.server._jobs))
+                yield join
+                return env.now
 
-            env.run_process(proc(env))
-            return times, osd.seeks, osd.requests, osd.bytes_moved
+            done = env.run_process(proc(env))
+            return finishes, done, osd.seeks, osd.requests, osd.bytes_moved
 
         assert completions(batch=True) == completions(batch=False)
 
     def test_wide_stripe_batches_same_osd_lanes(self):
         """stripe_width > n_osds wraps lanes around the pool; io_events
-        must still emit one event per lane, covering every byte."""
+        must still count one job per lane, covering every byte."""
         cfg = PfsConfig(n_osds=2, stripe_unit=64 * KiB, stripe_width=4,
                         osd_bw=100e6)
         env = Engine()
         pool = OsdPool(env, cfg)
 
         def proc(env):
-            events = pool.io_events(3, 0, 8 * 64 * KiB)
-            assert len(events) == 4  # one per lane, two lanes per OSD
-            assert all(ev is not None for ev in events)
-            yield env.all_of(events)
+            join = Join(env)
+            pool.io_events(3, 0, 8 * 64 * KiB, join)
+            assert join.pending == 4  # one per lane, two lanes per OSD
+            yield join
 
         env.run_process(proc(env))
         assert pool.total_bytes_moved == 8 * 64 * KiB

@@ -11,7 +11,7 @@ equivalence to a loop of serve() calls.
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, FairShareServer
+from repro.sim import Engine, FairShareServer, Join
 
 
 class TestSameTimestampOrdering:
@@ -128,49 +128,58 @@ class TestFairShareUnderflow:
 
 class TestServeMany:
     def test_matches_loop_of_serve_exactly(self):
-        """serve_many must reproduce a serve() loop's completion times
-        bit-for-bit (same virtual finish order, same wall timestamps)."""
+        """serve_many must reproduce a serve() loop bit-for-bit: the same
+        virtual finish per job and the same join completion time."""
         demands = [3e6, 1e6, 2e6, 1e6, 5e5]
 
         def completions(batch: bool):
             env = Engine()
             srv = FairShareServer(env, capacity=1e9)
-            times = {}
+            finishes = []
 
             def submit(env):
                 yield env.timeout(0.5)  # arrive mid-run, not at t=0
+                join = Join(env)
                 if batch:
-                    events = srv.serve_many(demands)
+                    srv.serve_many(demands, join)
                 else:
-                    events = [srv.serve(d) for d in demands]
-                for i, ev in enumerate(events):
-                    ev._add_callback(lambda _e, i=i: times.setdefault(i, env.now))
+                    for d in demands:
+                        srv.serve(d, join)
+                finishes.extend(sorted(fv for fv, _, _ in srv._jobs))
+                yield join
+                return env.now
 
-            env.process(submit(env))
-            env.run()
-            return times
+            done = env.run_process(submit(env))
+            return finishes, done
 
         assert completions(batch=True) == completions(batch=False)
 
     def test_zero_demand_succeeds_immediately(self):
         env = Engine()
         srv = FairShareServer(env, capacity=1e9)
-        events = srv.serve_many([0.0, 1e6, 0.0])
-        assert events[0].triggered and events[2].triggered
-        assert not events[1].triggered
+        join = srv.serve_many([0.0, 1e6, 0.0], Join(env))
+        assert join.pending == 3 and srv.active == 1
         env.run()
-        assert events[1].triggered
+        assert join.triggered and join.pending == 0
+        assert env.now == pytest.approx(1e-3)
+
+    def test_all_zero_batch_fires_at_once(self):
+        env = Engine()
+        srv = FairShareServer(env, capacity=1e9)
+        join = srv.serve_many([0.0, 0.0], Join(env))
+        env.run()
+        assert join.triggered and env.now == 0.0
 
     def test_negative_demand_rejected(self):
         env = Engine()
         srv = FairShareServer(env, capacity=1e9)
         with pytest.raises(SimulationError, match="negative demand"):
-            srv.serve_many([1e6, -1.0])
+            srv.serve_many([1e6, -1.0], Join(env))
 
     def test_empty_batch_is_a_no_op(self):
         env = Engine()
         srv = FairShareServer(env, capacity=1e9)
-        assert srv.serve_many([]) == []
+        assert srv.serve_many([], Join(env)).pending == 0
         assert srv.active == 0
 
 
@@ -183,8 +192,8 @@ class TestSkipRearmTimerEconomy:
 
         def submit(env):
             first = srv.serve(1e6)  # becomes and stays the earliest finish
-            laggards = srv.serve_many([2e6] * 50)
-            for ev in [first] + laggards:
+            laggards = srv.serve_many([2e6] * 50, Join(env))
+            for ev in (first, laggards):
                 ev._add_callback(lambda _e: done.append(env.now))
             yield first
 
@@ -194,7 +203,7 @@ class TestSkipRearmTimerEconomy:
         # One arm for `first`, plus the early-fire chain and completion
         # re-arms — far fewer than the 51 per-arrival timers of old.
         assert srv._timer_seq - seq_before <= 4
-        assert len(done) == 51
+        assert len(done) == 2 and srv.active == 0
 
     def test_earlier_arrival_still_preempts_armed_timer(self):
         """An arrival that becomes the new earliest finish must re-arm."""
