@@ -1,55 +1,14 @@
-"""Benches for the post-paper extensions: burst buffers and the campaign loop.
+"""Bench for the post-paper campaign loop.
 
-Not paper figures — these quantify the §VIII direction (node-local staging)
-and the §I motivation (failure-driven checkpointing efficiency) on the same
-simulated platform as the figure benches.
+Not a paper figure — it quantifies the §I motivation (failure-driven
+checkpointing efficiency) on the same simulated platform as the figure
+benches.
 """
 
 from repro.harness.setup import build_world
-from repro.mpi import run_job
-from repro.pfs.data import PatternData
-from repro.plfs import PlfsBurstMount, PlfsConfig
 from repro.units import KB, MB
 from repro.workloads import direct_stack, plfs_stack
 from repro.workloads.campaign import Campaign, daly_interval
-
-NPROCS, PER_PROC, RECORD = 32, 8 * MB, 100 * KB
-
-
-def checkpoint_duration(world, mount):
-    def fn(ctx):
-        fh = yield from mount.open_write(ctx.client, "/ckpt", ctx.comm)
-        written = 0
-        while written < PER_PROC:
-            n = min(RECORD, PER_PROC - written)
-            off = ctx.rank * RECORD + (written // RECORD) * NPROCS * RECORD
-            yield from fh.write(off, PatternData(ctx.rank, written, n))
-            written += n
-        yield from mount.close_write(fh, ctx.comm)
-
-    return run_job(world.env, world.cluster, NPROCS, fn).duration
-
-
-def test_burst_buffer_stall_reduction(benchmark):
-    """Staging must shrink the checkpoint stall several-fold and the data
-    must still land, verifiably, on the parallel file system."""
-
-    def run():
-        plain = build_world(n_nodes=8, cores=4, aggregation="parallel")
-        t_plain = checkpoint_duration(plain, plain.mount)
-        burst = build_world(n_nodes=8, cores=4)
-        burst.mount = PlfsBurstMount(burst.env, burst.volumes,
-                                     PlfsConfig(aggregation="parallel"))
-        t_burst = checkpoint_duration(burst, burst.mount)
-        burst.env.run()  # finish drains
-        assert not burst.mount.pending_drains()
-        return t_plain, t_burst
-
-    t_plain, t_burst = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\ncheckpoint stall: plain PLFS {t_plain:.3f}s -> burst {t_burst:.3f}s "
-          f"({t_plain / t_burst:.1f}x)")
-    benchmark.extra_info["stall_reduction"] = t_plain / t_burst
-    assert t_burst < t_plain / 2
 
 
 def test_campaign_efficiency_ranking(benchmark):

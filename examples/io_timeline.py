@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""I/O timelines: watch the storage pipe breathe during a campaign.
+"""I/O timelines: watch the storage pipe breathe during a checkpoint.
 
-Attaches a bandwidth probe to the storage network, runs checkpoint +
-restart through PLFS (and the same checkpoint through burst buffers), and
-charts the delivered-throughput timeline — the burst/drain/idle rhythm
-that storage papers draw, rendered in your terminal.
+Attaches a bandwidth probe to the storage network, runs a checkpoint
+through PLFS after a compute phase, and charts the delivered-throughput
+timeline — the idle/burst rhythm that storage papers draw, rendered in
+your terminal.
 
 Run:  python examples/io_timeline.py
 """
@@ -13,7 +13,6 @@ from repro.harness.plots import ascii_chart
 from repro.harness.setup import build_world
 from repro.mpi import run_job
 from repro.pfs.data import PatternData
-from repro.plfs import PlfsBurstMount, PlfsConfig
 from repro.sim.probes import BandwidthProbe
 from repro.units import KB, MB
 
@@ -53,16 +52,6 @@ def main():
     checkpoint(world, world.mount, compute_first=0.3)
     world.env.run()
     chart(probe, "PLFS checkpoint: storage-pipe throughput over time")
-
-    # Burst buffers: the app's dump barely touches the pipe; the drain does.
-    world = build_world(n_nodes=8, cores=4)
-    world.mount = PlfsBurstMount(world.env, world.volumes,
-                                 PlfsConfig(aggregation="parallel"))
-    probe = BandwidthProbe(world.env, world.cluster.storage_net.pipe, period=0.05)
-    job = checkpoint(world, world.mount, compute_first=0.3)
-    world.env.run()  # let the drain finish
-    chart(probe, f"Burst-buffer checkpoint (app stalled only "
-                 f"{job.duration - 0.3:.2f}s; drain continues behind)")
 
 
 if __name__ == "__main__":

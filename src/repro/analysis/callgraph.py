@@ -28,6 +28,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .cfg import local_nodes
+
 __all__ = ["CallGraph", "FuncInfo", "build_callgraph"]
 
 
@@ -147,8 +149,11 @@ def build_callgraph(modules: Dict[str, ast.Module]) -> CallGraph:
     for info in functions.values():  # repro: noqa[REP004] -- edges are
         # per-function state; population order cannot change them.
         seen: set = set()
-        for call in _iter_calls(info.node):
-            callee = graph.resolve(call, info)
+        # Nested defs are graph nodes of their own.
+        for node in local_nodes(info.node):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = graph.resolve(node, info)
             if callee is not None and callee.key not in seen:
                 seen.add(callee.key)
                 info.callees.append(callee.key)
@@ -175,17 +180,3 @@ def _nested(fn: ast.AST, cls: Optional[str]):
             continue
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield cls, node
-
-
-def _iter_calls(fn: ast.AST):
-    """Every call in *fn*'s body, excluding nested function definitions
-    (they are separate graph nodes) but including lambda bodies (they
-    run within the caller's dynamic extent for our purposes)."""
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))

@@ -1,13 +1,21 @@
-"""Control-flow graphs for the collective-matching analyzer.
+"""Control flow and scopes for every flow-sensitive lint rule.
 
 :func:`build_cfg` lowers one function body to a graph of basic blocks;
-:func:`iter_paths` enumerates bounded acyclic paths through it.  The
-collective analyzer (:mod:`repro.analysis.collectives`) abstracts each
-path to its sequence of collective operations and compares the
-sequences — rank congruence is a *path* property, so the CFG is the
-natural substrate: branches become decision points whose taintedness
-(rank-dependent or not) decides whether two diverging paths may be taken
-by *different ranks* of the same job.
+:func:`iter_paths` enumerates bounded acyclic paths through it.  Two
+analyses read the graph:
+
+* the collective analyzer (:mod:`repro.analysis.collectives`) abstracts
+  each path to its sequence of collective operations and compares the
+  sequences — rank congruence is a *path* property, so branches become
+  decision points whose taintedness (rank-dependent or not) decides
+  whether two diverging paths may be taken by *different ranks* of the
+  same job;
+* REP007 (:mod:`repro.analysis.linter`) runs a forward dataflow over
+  the blocks to a fixpoint, so back edges carry one iteration's yields
+  into the next.
+
+:func:`local_nodes` is the one scope walker both use: the nodes of one
+frame, without the bodies of nested ``def``/``class`` statements.
 
 The lowering is structured (one pass over the AST, no goto recovery):
 
@@ -19,10 +27,12 @@ The lowering is structured (one pass over the AST, no goto recovery):
   marked so path enumeration bounds the unrolling (a body runs 0 or 1
   times per path) and so statements carry their enclosing-loop stack,
   which is what REP104's rank-dependent-trip-count check reads;
-* ``try`` — the protected body runs, then either falls through or
-  transfers to one handler (an *untainted* decision: the analyzer treats
-  exception edges as rank-uniform to avoid drowning real divergence in
-  hypothetical ones); ``finally`` joins every outcome;
+* ``try`` — every block of the protected body has an exception edge to
+  each handler (the exception may strike anywhere in the body); the
+  edges are *untainted* decisions, since the collective analyzer treats
+  exceptions as rank-uniform to avoid drowning real divergence in
+  hypothetical ones; ``else`` runs after a body that did not raise and
+  ``finally`` joins every outcome;
 * ``return``/``raise``/``break``/``continue`` — edge to the function
   exit or the loop's after/header block; the fallthrough path dies.
 
@@ -35,9 +45,42 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["Block", "CFG", "LoopContext", "Path", "build_cfg", "iter_paths"]
+__all__ = ["Block", "CFG", "LoopContext", "Path", "build_cfg", "dotted_name",
+           "iter_paths", "local_nodes"]
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def local_nodes(node: ast.AST) -> Iterator[ast.AST]:
+    """*node* and its descendants in one frame, in source order.
+
+    Nested ``def`` and ``class`` statements below *node* are skipped
+    whole: their bodies run in frames of their own and are analyzed as
+    their own functions.  Lambdas are kept — they run within the
+    enclosing function's dynamic extent for every rule's purposes.
+    """
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        children = [c for c in ast.iter_child_nodes(n)
+                    if not isinstance(c, _SCOPES)]
+        stack.extend(reversed(children))
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """'a.b.c' for a Name/Attribute chain, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
 
 # One enclosing loop: (header expression, header line).  For a `for`
 # loop the expression is the iterable; for `while`, the test.
@@ -169,19 +212,19 @@ class _Builder:
                 self.edge(cur, body_b)
                 end_body = self.stmts(stmt.body, body_b, loops,
                                       exit_bid, brk, cont)
+                protected = range(body_b, len(self.blocks))
                 if stmt.orelse:
                     end_body = self.stmts(stmt.orelse,
                                           self._chain(end_body, loops),
                                           loops, exit_bid, brk, cont)
                 join = self.new(loops)
                 self.edge(end_body, join)
-                # Exception edges: from the entry of the protected body
-                # to each handler (the exception may strike anywhere in
-                # the body; entry-level edges over-approximate that
-                # cheaply).  The decision carries no test: untainted.
+                # Exception edges: from every block of the protected
+                # body to each handler.
                 for i, handler in enumerate(stmt.handlers):
                     h_b = self.new(loops)
-                    self.edge(body_b, h_b, f"e{i}")
+                    for src in protected:
+                        self.edge(src, h_b, f"e{i}")
                     end_h = self.stmts(handler.body, h_b, loops,
                                        exit_bid, brk, cont)
                     self.edge(end_h, join)

@@ -49,8 +49,8 @@ from functools import partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import CallGraph, FuncInfo, build_callgraph
-from .cfg import build_cfg, iter_paths
-from .linter import Finding, _dotted
+from .cfg import build_cfg, dotted_name, iter_paths, local_nodes
+from .linter import Finding
 
 __all__ = ["COLLECTIVE_OPS", "analyze_modules"]
 
@@ -66,8 +66,6 @@ _UNIFORM_RESULTS = frozenset({"bcast", "allgather", "allreduce", "alltoall"})
 
 _MAX_PATHS = 64          # CFG paths per function
 _MAX_VARIANTS = 24       # exported sequence variants per summary
-
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 # -- events ------------------------------------------------------------------
@@ -119,19 +117,10 @@ class Summary:
 
 # -- small AST helpers -------------------------------------------------------
 
-def _calls_in_order(node: ast.AST) -> List[ast.Call]:
-    """Call nodes in source order, skipping nested function definitions."""
-    out: List[ast.Call] = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, _FUNC_NODES):
-            continue
-        if isinstance(n, ast.Call):
-            out.append(n)
-        stack.extend(ast.iter_child_nodes(n))
-    out.sort(key=lambda c: (c.lineno, c.col_offset))
-    return out
+def _calls(node: ast.AST) -> List[ast.Call]:
+    """*node*'s calls in one frame, ordered by (line, column)."""
+    return sorted((n for n in local_nodes(node) if isinstance(n, ast.Call)),
+                  key=lambda c: (c.lineno, c.col_offset))
 
 
 # -- taint -------------------------------------------------------------------
@@ -156,9 +145,7 @@ class _Taint:
 
     def _fixpoint(self, fn: ast.AST) -> None:
         assigns = []
-        for node in ast.walk(fn):
-            if isinstance(node, _FUNC_NODES) and node is not fn:
-                continue
+        for node in local_nodes(fn):
             if isinstance(node, ast.Assign):
                 assigns.append((node.targets, node.value))
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -325,9 +312,7 @@ class _FunctionPass:
         for p in self.info.params:
             if p == "comm" or p.endswith("_comm"):
                 self.comm_vars.add(p)
-        for n in ast.walk(node):
-            if isinstance(n, _FUNC_NODES) and n is not node:
-                continue
+        for n in local_nodes(node):
             if isinstance(n, ast.Assign) and len(n.targets) == 1:
                 tgt, val = n.targets[0], n.value
                 names = None
@@ -378,6 +363,10 @@ class _FunctionPass:
             if len(variants) > _MAX_PATHS * 2:
                 overflow = True
                 break
+        if not overflow and not any(v.events for v in variants):
+            # Every path enumerated and none communicates: exactly
+            # collective-free, however many paths it has.
+            variants = variants[:1]
         summary.overflow = overflow or self.info.in_cycle
         summary.root_params = self.root_params
         # Dedupe variants by (events, decisions) for compactness.
@@ -401,17 +390,19 @@ class _FunctionPass:
         # Loop-entry decisions ("lt"/"lf") are recorded untainted even
         # when the trip count is rank-dependent: REP104 owns trip-count
         # divergence, and letting it double as REP101 evidence would
-        # report every collective-in-tainted-loop twice.
+        # report every collective-in-tainted-loop twice.  Exception edges
+        # ("e<i>") are untainted too: exceptions are treated as
+        # rank-uniform, and a block's test decides only its branch edges.
         decisions: FrozenSet[DecisionKey] = frozenset(
             (line, label,
-             not label.startswith("l") and self.taint.is_tainted(test))
+             label[0] not in "le" and self.taint.is_tainted(test))
             for line, label, test in path.decisions)
         partials: List[List[Event]] = [[]]
         extra_decisions: List[Set[DecisionKey]] = [set()]
         for stmt, loops in path.steps:
             loop_tainted = any(self.taint.is_tainted(expr)
                                for expr, _line in loops)
-            for call in _calls_in_order(stmt):
+            for call in _calls(stmt):
                 ev = self._event_of(call)
                 if ev is not None:
                     if loop_tainted and ev.kind == "coll":
@@ -501,7 +492,7 @@ class _FunctionPass:
         if isinstance(actual, ast.Constant) and actual.value is None:
             mapping[formal] = None
             return
-        dotted = _dotted(actual)
+        dotted = dotted_name(actual)
         if dotted is not None:
             mapping[formal] = dotted
 
@@ -554,7 +545,7 @@ class _FunctionPass:
         op = func.attr
         if op not in COLLECTIVE_OPS and op not in _P2P_OPS:
             return None
-        dotted = _dotted(func.value)
+        dotted = dotted_name(func.value)
         if dotted is None or not self._is_comm(dotted):
             return None
         if op in COLLECTIVE_OPS:
@@ -642,19 +633,8 @@ class _FunctionPass:
         sites, including those on paths dropped by enumeration overflow
         — matching needs no path context, so it reads the raw AST.
         """
-        out: List[Event] = []
-        stack = list(ast.iter_child_nodes(self.info.node))
-        while stack:
-            n = stack.pop()
-            if isinstance(n, _FUNC_NODES):
-                continue
-            if isinstance(n, ast.Call):
-                ev = self._event_of(n)
-                if ev is not None and ev.kind == "p2p":
-                    out.append(ev)
-            stack.extend(ast.iter_child_nodes(n))
-        out.sort(key=lambda e: e.line)
-        return out
+        events = (self._event_of(call) for call in _calls(self.info.node))
+        return [ev for ev in events if ev is not None and ev.kind == "p2p"]
 
     # -- finding helpers -----------------------------------------------------
     def _rep104(self, line: int, what: str) -> None:

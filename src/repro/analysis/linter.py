@@ -46,21 +46,23 @@ a ``yield`` — without re-reading — is a lost update waiting for the
 right interleaving.  The pass recognises registries syntactically
 (variables assigned from ``tracked(...)``, attributes so assigned
 anywhere in the module, and results of same-module helpers whose body
-calls ``tracked``), walks each generator's statements in order tracking
-read/yield/write phases per registry, and forks the tracking state at
-``if``/``try`` branches so a yield on one arm cannot taint the other.
-Loop bodies are walked twice, catching reads cached across an
-iteration's yields.
+calls ``tracked``) and tracks read/yield/write phases per registry as a
+forward dataflow over each generator's control-flow graph
+(:mod:`repro.analysis.cfg`, shared with REP101..REP104): a yield on one
+arm of a branch cannot taint the other, an arm that returns or raises
+never reaches the code after the branch, and loop back edges carry
+reads cached across an iteration's yields.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .cfg import build_cfg, dotted_name, local_nodes
 from .rules import RULES
 
 __all__ = ["Finding", "Suppression", "lint_source", "lint_paths",
@@ -146,18 +148,6 @@ _NOQA_RE = re.compile(
     r")?")
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    """'a.b.c' for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _is_unordered(node: ast.AST) -> bool:
     """Does *node* evaluate to an unordered (or order-fragile) iterable?"""
     if isinstance(node, (ast.Set, ast.SetComp)):
@@ -205,7 +195,7 @@ class _Visitor(ast.NodeVisitor):
 
     # -- calls ------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         name = node.func.id if isinstance(node.func, ast.Name) else None
 
         if dotted in _WALLCLOCK:
@@ -323,27 +313,23 @@ _REG_WRITE_METHODS = frozenset({
 _REG_RW_METHODS = frozenset({"setdefault"})
 
 _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-_SKIP_NODES = (*_FUNC_NODES, ast.Lambda)
 
 
 def _is_tracked_call(node: ast.AST) -> bool:
     """Is *node* a call of ``tracked(...)`` (any dotted spelling)?"""
     if not isinstance(node, ast.Call):
         return False
-    dotted = _dotted(node.func)
+    dotted = dotted_name(node.func)
     return dotted is not None and dotted.split(".")[-1] == "tracked"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _RegState:
     """Read-basis tracking for one registry inside one generator."""
 
     armed: bool = False       # a read's value may still be live
     stale: bool = False       # ... and a yield has happened since it
     read_line: int = 0
-
-    def copy(self) -> "_RegState":
-        return _RegState(self.armed, self.stale, self.read_line)
 
 
 class _AtomicityPass:
@@ -353,31 +339,34 @@ class _AtomicityPass:
     attributes assigned from ``tracked(...)`` — directly, or via a
     same-module helper function whose body calls ``tracked`` (the
     ``_host_registry(home)`` idiom).  Within each *generator* function
-    the pass walks statements in order: a registry read arms a basis, a
-    yield marks every armed basis stale, and a write on a stale basis is
-    a finding (the written value may derive from a read that another
-    process has since invalidated).  A re-read re-arms fresh, and a
-    write always retires the basis — so single-statement
+    the pass runs a forward may-dataflow over the function's CFG
+    (:func:`repro.analysis.cfg.build_cfg`): a registry read arms a
+    basis, a yield marks every armed basis stale, and a write on a stale
+    basis is a finding (the written value may derive from a read that
+    another process has since invalidated).  A re-read re-arms fresh,
+    and a write always retires the basis — so single-statement
     read-modify-writes (``r[k] -= 1``, ``setdefault``) never flag.
+    Control-flow joins merge the states of their predecessors, a branch
+    that ends in ``return``/``raise`` never reaches the join, and loop
+    back edges carry an iteration's yields into the next.
     """
 
     def __init__(self, emit) -> None:
         self._emit = emit
-        self._reported: Set = set()
 
     # -- module pre-scan ---------------------------------------------------
     def run(self, tree: ast.Module) -> None:
         factories: Set[str] = set()
         for node in ast.walk(tree):
             if isinstance(node, _FUNC_NODES) and any(
-                    _is_tracked_call(n) for n in ast.walk(node)):
+                    _is_tracked_call(n) for n in local_nodes(node)):
                 factories.add(node.name)
 
         def makes_registry(value: ast.AST) -> bool:
             if _is_tracked_call(value):
                 return True
             if isinstance(value, ast.Call):
-                dotted = _dotted(value.func)
+                dotted = dotted_name(value.func)
                 return dotted is not None \
                     and dotted.split(".")[-1] in factories
             return False
@@ -394,25 +383,17 @@ class _AtomicityPass:
                     attr_regs.add(node.target.attr)
 
         for node in ast.walk(tree):
-            if isinstance(node, _FUNC_NODES) and self._is_generator(node):
+            if isinstance(node, _FUNC_NODES) and any(
+                    isinstance(n, (ast.Yield, ast.YieldFrom))
+                    for n in local_nodes(node)):
                 self._walk_function(node, makes_registry, attr_regs)
 
-    @staticmethod
-    def _is_generator(fn: ast.AST) -> bool:
-        stack = list(fn.body)  # type: ignore[attr-defined]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                return True
-            if isinstance(node, _SKIP_NODES):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-        return False
-
-    # -- per-function walk -------------------------------------------------
+    # -- per-function dataflow ---------------------------------------------
     def _walk_function(self, fn, makes_registry, attr_regs: Set[str]) -> None:
         local_regs: Set[str] = set()
-        state: Dict[str, _RegState] = {}
+        # (line, col, registry) -> (write node, stale read's line).  States
+        # only grow towards the fixpoint, so the last round's entry wins.
+        stale_writes: Dict[Tuple[int, int, str], Tuple[ast.AST, int]] = {}
 
         def rid_of(node: ast.AST) -> Optional[str]:
             if isinstance(node, ast.Name) and node.id in local_regs:
@@ -428,13 +409,9 @@ class _AtomicityPass:
             # enclosing access (the `reg` of `del reg[k]`) must not also
             # count as bare reads — a write statement would otherwise
             # re-arm its own basis fresh and mask the staleness.
-            # ast.walk is breadth-first, so parents precede children.
+            # local_nodes yields parents before their children.
             consumed: Set[int] = set()
-            for node in ast.walk(expr):
-                if isinstance(node, _SKIP_NODES):
-                    # ast.walk has no skip; nested defs inside simulated
-                    # generators don't occur in this tree.
-                    continue
+            for node in local_nodes(expr):
                 if isinstance(node, (ast.Yield, ast.YieldFrom)):
                     yields.append(node)
                 elif isinstance(node, ast.Subscript):
@@ -474,7 +451,7 @@ class _AtomicityPass:
                         # helpers — a read, conservatively.
                         reads.append((rid, node))
 
-        def stmt_events(stmt: ast.stmt) -> None:
+        def stmt_events(stmt: ast.stmt, state: Dict[str, _RegState]) -> None:
             reads: List = []
             writes: List = []
             yields: List = []
@@ -498,22 +475,14 @@ class _AtomicityPass:
             for rid, node in reads:
                 state[rid] = _RegState(True, False, node.lineno)
             if yields:
-                for _rid, st in sorted(state.items()):
+                for rid, st in sorted(state.items()):
                     if st.armed:
-                        st.stale = True
+                        state[rid] = replace(st, stale=True)
             for rid, node in writes:
                 st = state.get(rid)
                 if st is not None and st.armed and st.stale:
-                    key = (node.lineno, node.col_offset, rid)
-                    if key not in self._reported:
-                        self._reported.add(key)
-                        name = rid.lstrip(".")
-                        self._emit("REP007", node,
-                                   f"write to tracked registry {name!r} "
-                                   f"uses a value read at line "
-                                   f"{st.read_line}, before a yield: the "
-                                   f"registry may have changed while "
-                                   f"suspended — re-read after resuming")
+                    stale_writes[(node.lineno, node.col_offset, rid)] = (
+                        node, st.read_line)
                 state[rid] = _RegState()
 
         def merge(a: Dict[str, _RegState],
@@ -528,46 +497,34 @@ class _AtomicityPass:
                     max(sa.read_line, sb.read_line))
             return out
 
-        def block(stmts: Sequence[ast.stmt]) -> None:
-            nonlocal state
-            for stmt in stmts:
-                if isinstance(stmt, _SKIP_NODES):
-                    continue
-                if isinstance(stmt, ast.If):
-                    stmt_events(ast.Expr(stmt.test))
-                    before = {k: v.copy() for k, v in sorted(state.items())}
-                    block(stmt.body)
-                    then_state = state
-                    state = before
-                    block(stmt.orelse)
-                    state = merge(then_state, state)
-                elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                    stmt_events(ast.Expr(stmt.iter))
-                    block(stmt.body)   # twice: catch reads cached across
-                    block(stmt.body)   # one iteration's yields
-                    block(stmt.orelse)
-                elif isinstance(stmt, ast.While):
-                    stmt_events(ast.Expr(stmt.test))
-                    block(stmt.body)
-                    block(stmt.body)
-                    block(stmt.orelse)
-                elif isinstance(stmt, ast.Try):
-                    block(stmt.body)
-                    body_state = {k: v.copy()
-                                  for k, v in sorted(state.items())}
-                    for handler in stmt.handlers:
-                        block(handler.body)
-                        state = merge(body_state, state)
-                    block(stmt.orelse)
-                    block(stmt.finalbody)
-                elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    for item in stmt.items:
-                        stmt_events(ast.Expr(item.context_expr))
-                    block(stmt.body)
-                else:
-                    stmt_events(stmt)
+        # Round-robin to a fixpoint; block ids follow source order, so a
+        # registry's local binding is usually seen before its uses (and a
+        # late one re-runs the round).
+        cfg = build_cfg(fn)
+        ins: Dict[int, Dict[str, _RegState]] = {cfg.entry: {}}
+        while True:
+            before = (dict(ins), len(local_regs))
+            for blk in cfg.blocks:
+                if blk.bid not in ins:
+                    continue          # not reached (yet)
+                state = dict(ins[blk.bid])
+                for stmt in blk.stmts:
+                    stmt_events(stmt, state)
+                if blk.test is not None:
+                    stmt_events(ast.Expr(blk.test), state)
+                for dst, _label in blk.succs:
+                    ins[dst] = merge(ins.get(dst, {}), state)
+            if (ins, len(local_regs)) == before:
+                break
 
-        block(fn.body)
+        for (_line, _col, rid), (node, read_line) in sorted(
+                stale_writes.items()):
+            name = rid.lstrip(".")
+            self._emit("REP007", node,
+                       f"write to tracked registry {name!r} uses a value "
+                       f"read at line {read_line}, before a yield: the "
+                       f"registry may have changed while suspended — "
+                       f"re-read after resuming")
 
 
 # -- entry points ------------------------------------------------------------
@@ -688,7 +645,7 @@ def _lint(files: Sequence[Tuple[str, str]],
             _AtomicityPass(visitor._emit).run(tree)
         raw[path] = visitor.findings
     if rules & _REP1XX:
-        # Imported here: collectives builds on this module's helpers.
+        # Imported here: collectives imports Finding from this module.
         from .collectives import analyze_modules
 
         for f in analyze_modules(trees):

@@ -8,7 +8,6 @@ from .aggregation import (
     read_flattened_index,
 )
 from .api import PlfsMount
-from .burst import BurstWriteHandle, PlfsBurstMount
 from .posix import PlfsPosixFile, PosixAdapter
 from .config import AGGREGATIONS, FEDERATIONS, PlfsConfig
 from .container import ContainerLayout
@@ -19,8 +18,6 @@ from .writer import PlfsWriteHandle
 
 __all__ = [
     "PlfsMount",
-    "PlfsBurstMount",
-    "BurstWriteHandle",
     "PosixAdapter",
     "PlfsPosixFile",
     "PlfsConfig",

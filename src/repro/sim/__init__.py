@@ -1,14 +1,13 @@
 """Discrete-event simulation kernel (engine, resources, measurement)."""
 
-from .engine import (AllOf, AnyOf, Engine, Event, Process, Timeout,
+from .engine import (AllOf, Engine, Event, Process, Timeout,
                      blocked_report, describe_event)
 from .probes import BandwidthProbe, summarize_probe
-from .resources import FairShareServer, Join, Mutex, Resource, Store
+from .resources import FairShareServer, Join, Mutex, Store
 from .stats import JobMetrics, PhaseClock, Summary, summarize
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Engine",
     "Event",
     "Process",
@@ -20,7 +19,6 @@ __all__ = [
     "FairShareServer",
     "Join",
     "Mutex",
-    "Resource",
     "Store",
     "JobMetrics",
     "PhaseClock",

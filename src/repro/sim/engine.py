@@ -51,7 +51,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "describe_event",
     "blocked_report",
 ]
@@ -327,44 +326,11 @@ class AllOf(Event):
             self.succeed([ev._value for ev in self._events])
 
 
-class AnyOf(Event):
-    """Triggers when the first child event triggers; value is that child's value.
-
-    With an empty child list it triggers immediately with ``None``.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, env: "Engine", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = list(events)
-        for ev in self._events:
-            if ev.env is not env:
-                raise SimulationError("condition mixes events from different engines")
-        if not self._events:
-            self.succeed(None)
-            return
-        for ev in self._events:
-            if ev._processed:
-                self._check(ev)
-                return
-        for ev in self._events:
-            ev._add_callback(self._check)
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._exc is not None:
-            self.fail(event._exc)
-        else:
-            self.succeed(event._value)
-
-
 def describe_event(ev: Optional[Event], depth: int = 1) -> str:
     """One-line human description of what waiting on *ev* means.
 
     Used by deadlock reports.  Recurses *depth* levels into composite
-    events (``AllOf``/``AnyOf``, a fair-share ``Join``) so "blocked on
+    events (an ``AllOf``, a fair-share ``Join``) so "blocked on
     all_of" becomes "blocked on the 3 unfinished children of an all_of",
     which is what actually identifies a stuck fault-injection run.
     """
@@ -391,8 +357,6 @@ def describe_event(ev: Optional[Event], depth: int = 1) -> str:
         if depth > 0 and pending:
             inner = ", first: " + describe_event(pending[0], depth - 1)
         return f"all_of with {len(pending)}/{len(ev._events)} children pending{inner}"
-    if isinstance(ev, AnyOf):
-        return f"any_of over {len(ev._events)} events, none fired"
     if isinstance(ev, Timeout):
         return "a timeout that never fired (scheduled past the run horizon?)"
     return f"{type(ev).__name__} at {id(ev):#x}"
@@ -423,10 +387,10 @@ class Engine:
     in exact (time, sequence-id) order.
 
     The factories ``event()``, ``timeout(delay, value=None)``,
-    ``process(gen, name="")``, ``all_of(events)`` and ``any_of(events)``
-    are per-instance partials of the event classes: they are the hottest
-    constructors in the simulator, and a C-level partial costs no Python
-    wrapper frame per call.
+    ``process(gen, name="")`` and ``all_of(events)`` are per-instance
+    partials of the event classes: they are the hottest constructors in
+    the simulator, and a C-level partial costs no Python wrapper frame
+    per call.
 
     **Observers.**  :meth:`subscribe` puts any object on the bus; the
     engine calls whichever of these methods it defines:
@@ -468,7 +432,6 @@ class Engine:
         self.timeout = partial(Timeout, self)
         self.process: Callable[..., Process] = partial(Process, self)
         self.all_of = partial(AllOf, self)
-        self.any_of = partial(AnyOf, self)
 
     @property
     def now(self) -> float:

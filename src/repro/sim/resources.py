@@ -2,10 +2,9 @@
 
 Three primitives cover every contention effect in the modeled I/O stack:
 
-:class:`Resource`
-    A counted semaphore with FIFO queuing — used for bounded service slots
-    (e.g. an OSD's outstanding-command limit) and, with capacity 1, as a
-    mutex (e.g. a directory lock held during a create).
+:class:`Mutex`
+    A lock with FIFO granting — the per-block range locks of a
+    write-through PFS (:mod:`repro.pfs.locks`).
 
 :class:`FairShareServer`
     A generalized-processor-sharing (GPS) server: *k* concurrent jobs each
@@ -31,70 +30,41 @@ from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple, Union
 from ..errors import SimulationError
 from .engine import Engine, Event
 
-__all__ = ["Resource", "Mutex", "FairShareServer", "Join", "Store"]
+__all__ = ["Mutex", "FairShareServer", "Join", "Store"]
 
 
-class Resource:
-    """A counted resource with FIFO granting.
+class Mutex:
+    """A lock with FIFO granting.
 
-    ``yield res.acquire(n)`` blocks until *n* units are available; pair with
-    ``res.release(n)``.  Grants are strictly FIFO: a large request at the
-    head of the queue blocks later small ones (no starvation, no barging),
-    matching how slot-limited storage servers admit requests.
+    ``yield m.acquire()`` blocks until the lock is held; pair with
+    ``m.release()``.  A release hands the lock straight to the oldest
+    waiter, so a later acquirer never barges ahead of the queue.
     """
 
-    def __init__(self, env: Engine, capacity: int, name: str = ""):
-        if capacity < 1:
-            raise SimulationError(f"Resource capacity must be >= 1, got {capacity}")
+    def __init__(self, env: Engine, name: str = ""):
         self.env = env
-        self.capacity = capacity
         self.name = name
-        self._available = capacity
-        self._waiters: Deque[Tuple[Event, int]] = deque()
-        # Stats.
-        self.total_acquired = 0
-        self.peak_queue = 0
+        self.locked = False
+        self._waiters: Deque[Event] = deque()
 
-    @property
-    def available(self) -> int:
-        """Units currently free."""
-        return self._available
-
-    @property
-    def queued(self) -> int:
-        """Requests waiting for capacity."""
-        return len(self._waiters)
-
-    def acquire(self, n: int = 1) -> Event:
-        """Return an event that fires once *n* units have been granted."""
-        if n < 1 or n > self.capacity:
-            raise SimulationError(f"cannot acquire {n} of capacity {self.capacity}")
+    def acquire(self) -> Event:
+        """Return an event that fires once the lock is held."""
         ev = Event(self.env)
-        if not self._waiters and self._available >= n:
-            self._available -= n
-            self.total_acquired += n
-            ev.succeed(n)
+        if not self.locked:
+            self.locked = True
+            ev.succeed()
         else:
-            self._waiters.append((ev, n))
-            self.peak_queue = max(self.peak_queue, len(self._waiters))
+            self._waiters.append(ev)
         return ev
 
-    def release(self, n: int = 1) -> None:
-        """Return *n* units and grant queued requests in FIFO order."""
-        self._available += n
-        if self._available > self.capacity:
-            raise SimulationError(f"over-release on {self.name or 'Resource'}")
-        while self._waiters and self._available >= self._waiters[0][1]:
-            ev, want = self._waiters.popleft()
-            self._available -= want
-            self.total_acquired += want
-            ev.succeed(want)
-
-class Mutex(Resource):
-    """A capacity-1 resource; reads better at call sites guarding one object."""
-
-    def __init__(self, env: Engine, name: str = ""):
-        super().__init__(env, 1, name)
+    def release(self) -> None:
+        """Release the lock, granting it to the oldest waiter if any."""
+        if not self.locked:
+            raise SimulationError(f"over-release on {self.name or 'Mutex'}")
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self.locked = False
 
 
 class _ServeEvent(Event):

@@ -1,11 +1,14 @@
 """The shipped tree passes its own determinism linter and CLI."""
 
+import io
 import json
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
-from repro.analysis.linter import lint_paths
+from repro.analysis.linter import (collect_suppressions, iter_suppressions,
+                                   lint_paths)
 from repro.analysis.rules import RULES
 
 REPO = Path(__file__).resolve().parents[2]
@@ -15,6 +18,39 @@ SRC = REPO / "src"
 def test_shipped_tree_has_zero_findings():
     findings = lint_paths([str(SRC)])
     assert findings == [], "\n".join(f.render() for f in findings)
+
+
+def _strip_noqa(source):
+    """*source* with every noqa comment cut from its line."""
+    noqa_lines = {s.line for s in iter_suppressions(source)}
+    lines = source.splitlines(keepends=True)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT and tok.start[0] in noqa_lines:
+            row, col = tok.start
+            lines[row - 1] = lines[row - 1][:col].rstrip() + "\n"
+    return "".join(lines)
+
+
+def test_every_suppression_silences_a_live_finding(tmp_path):
+    """Lint a noqa-stripped copy of the tree: the findings are exactly
+    the suppressed sites.  No suppression is stale, and no rule's output
+    over the shipped tree (the REP104s in workloads/base.py included)
+    can move without this test noticing."""
+    suppressed = set()
+    for s in collect_suppressions([str(SRC)]):
+        assert s.rules is not None, f"bare noqa names no rule: {s.render()}"
+        rel = Path(s.path).relative_to(SRC).as_posix()
+        suppressed.update((rel, s.line, rule) for rule in s.rules)
+    assert suppressed
+    copy = tmp_path / "src"
+    for f in SRC.rglob("*.py"):
+        dst = copy / f.relative_to(SRC)
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        dst.write_text(_strip_noqa(f.read_text(encoding="utf-8")),
+                       encoding="utf-8")
+    found = {(Path(f.path).relative_to(copy).as_posix(), f.line, f.rule)
+             for f in lint_paths([str(copy)])}
+    assert found == suppressed
 
 
 def test_cli_lint_exits_zero_on_clean_tree():

@@ -185,3 +185,56 @@ def test_untracked_dicts_are_ignored():
             del reg["k"]
     """)
     assert findings == []
+
+
+def test_branch_ending_in_return_does_not_reach_the_write():
+    """A read and a yield on an arm that returns never reach the write
+    after the ``if``: only the fallthrough arm does, and it read nothing."""
+    findings = _lint("""
+        from repro.analysis.sanitize import tracked
+
+        def close(env, cond):
+            reg = tracked(env, {}, "refs")
+            if cond:
+                x = reg.get(1)
+                yield env.timeout(1.0)
+                return
+            reg[1] = 2
+    """)
+    assert findings == []
+
+
+def test_branch_ending_in_raise_does_not_reach_the_write():
+    findings = _lint("""
+        from repro.analysis.sanitize import tracked
+
+        def close(env, cond):
+            reg = tracked(env, {}, "refs")
+            if cond:
+                x = reg.get(1)
+                yield env.timeout(1.0)
+                raise RuntimeError(x)
+            reg[1] = 2
+    """)
+    assert findings == []
+
+
+def test_yield_nested_in_try_body_reaches_the_handler():
+    """The exception may strike after a yield deep inside the protected
+    body, so the handler's write can use a stale read."""
+    findings = _lint("""
+        from repro.analysis.sanitize import tracked
+
+        def close(env, cond):
+            reg = tracked(env, {}, "refs")
+            n = reg["k"]
+            try:
+                if cond:
+                    yield env.timeout(1.0)
+                    env.check()
+                n += 1
+            except RuntimeError:
+                reg["k"] = n
+    """)
+    assert _rules(findings) == ["REP007"]
+    assert "line 6" in findings[0].message

@@ -122,4 +122,4 @@ def test_lock_acquisitions_always_terminate_and_balance(ops):
         env.process(worker(env, client, offset, length))
     env.run()  # DeadlockError would surface here as stuck processes
     for mutex in mgr._mutex.values():
-        assert mutex.available == 1
+        assert not mutex.locked

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import AllOf, AnyOf, Engine
+from repro.sim import AllOf, Engine
 
 
 def test_timeout_advances_clock():
@@ -283,30 +283,6 @@ def test_all_of_fails_fast():
             return (str(exc), env.now)
 
     assert env.run_process(parent(env)) == ("bad child", 1)
-
-
-def test_any_of_returns_first():
-    env = Engine()
-
-    def child(env, d):
-        yield env.timeout(d)
-        return d
-
-    def parent(env):
-        val = yield AnyOf(env, [env.process(child(env, d)) for d in (7, 2, 5)])
-        return (val, env.now)
-
-    assert env.run_process(parent(env)) == (2, 2)
-
-
-def test_any_of_empty_triggers_immediately():
-    env = Engine()
-
-    def parent(env):
-        val = yield AnyOf(env, [])
-        return val
-
-    assert env.run_process(parent(env)) is None
 
 
 def test_run_process_detects_deadlock():

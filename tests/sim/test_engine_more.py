@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Engine
+from repro.sim import AllOf, Engine
 
 
 class TestEventEdges:
@@ -11,39 +11,6 @@ class TestEventEdges:
         env = Engine()
         env.event().succeed("ignored")
         env.run()  # must not raise
-
-    def test_anyof_with_failed_child_propagates(self):
-        env = Engine()
-
-        def bad(env):
-            yield env.timeout(1)
-            raise RuntimeError("child failed")
-
-        def good(env):
-            yield env.timeout(5)
-
-        def parent(env):
-            try:
-                yield AnyOf(env, [env.process(bad(env)), env.process(good(env))])
-            except RuntimeError as exc:
-                return str(exc)
-
-        assert env.run_process(parent(env)) == "child failed"
-
-    def test_anyof_with_already_processed_child(self):
-        env = Engine()
-
-        def child(env):
-            yield env.timeout(1)
-            return "early"
-
-        def parent(env):
-            c = env.process(child(env))
-            yield env.timeout(3)
-            got = yield AnyOf(env, [c, env.timeout(100)])
-            return (got, env.now)
-
-        assert env.run_process(parent(env)) == ("early", 3)
 
     def test_allof_value_order_is_construction_order(self):
         env = Engine()

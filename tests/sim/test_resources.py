@@ -1,25 +1,28 @@
-"""Unit tests for Resource, Mutex, FairShareServer, and Store."""
+"""Unit tests for Mutex, FairShareServer, and Store."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine, FairShareServer, Mutex, Resource, Store
+from repro.sim import Engine, FairShareServer, Mutex, Store
 
 
 class TestResource:
+    """:class:`Mutex`, the FIFO lock."""
+
     def test_immediate_grant(self):
         env = Engine()
-        res = Resource(env, 2)
+        res = Mutex(env)
 
         def proc(env):
             yield res.acquire()
             return env.now
 
         assert env.run_process(proc(env)) == 0
+        assert res.locked
 
     def test_blocks_at_capacity(self):
         env = Engine()
-        res = Resource(env, 1)
+        res = Mutex(env)
         order = []
 
         def holder(env):
@@ -37,48 +40,38 @@ class TestResource:
         env.process(waiter(env))
         env.run()
         assert order == [("holder-release", 5), ("waiter-acquired", 5)]
+        assert not res.locked
 
     def test_fifo_granting_no_barging(self):
         env = Engine()
-        res = Resource(env, 2)
+        res = Mutex(env)
         grants = []
 
-        def proc(env, tag, n, hold):
-            yield res.acquire(n)
+        def proc(env, tag):
+            yield res.acquire()
             grants.append(tag)
-            yield env.timeout(hold)
-            res.release(n)
+            yield env.timeout(1)
+            res.release()
 
-        # big (2 units) queued first must be granted before later small one
+        # "late" asks at the very instant the holder releases: the queued
+        # waiters are granted first.
         def scenario(env):
-            yield res.acquire(2)
-            env.process(proc(env, "big", 2, 1))
-            env.process(proc(env, "small", 1, 1))
+            yield res.acquire()
+            env.process(proc(env, "first"))
+            env.process(proc(env, "second"))
             yield env.timeout(3)
-            res.release(2)
+            res.release()
+            env.process(proc(env, "late"))
 
         env.run_process(scenario(env))
         env.run()
-        assert grants[0] == "big"
-
-    def test_acquire_more_than_capacity_rejected(self):
-        env = Engine()
-        res = Resource(env, 2)
-        with pytest.raises(SimulationError):
-            res.acquire(3)
-        with pytest.raises(SimulationError):
-            res.acquire(0)
+        assert grants == ["first", "second", "late"]
 
     def test_over_release_rejected(self):
         env = Engine()
-        res = Resource(env, 1)
+        res = Mutex(env)
         with pytest.raises(SimulationError):
             res.release()
-
-    def test_capacity_validation(self):
-        env = Engine()
-        with pytest.raises(SimulationError):
-            Resource(env, 0)
 
     def test_mutex_serializes(self):
         env = Engine()
