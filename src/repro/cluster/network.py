@@ -152,16 +152,6 @@ class StorageNetwork:
         reads no tracked state, so inspections never perturb footprints)."""
         return set(raw_snapshot(self._partitioned_nodes))
 
-    def slow_down(self, factor: float) -> None:
-        """Degrade the shared pipe to ``1/factor`` of configured bandwidth."""
-        if not (factor >= 1.0):
-            raise ConfigError(f"slow_down factor must be >= 1, got {factor}")
-        self.pipe.set_capacity(self.aggregate_bw / factor)
-
-    def restore_speed(self) -> None:
-        """Undo :meth:`slow_down`."""
-        self.pipe.set_capacity(self.aggregate_bw)
-
     def _check_up(self) -> None:
         if self.down:
             raise NetworkPartitioned("storage-net", "storage network partitioned")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List
@@ -49,6 +50,8 @@ class Cluster:
         self.env = env
         self.spec = spec
         self.nodes: List[Node] = [Node(i, spec.node, env) for i in range(spec.n_nodes)]
+        # Inode uids for every volume on this platform (see pfs.namespace).
+        self.uids = itertools.count(1)
         self.interconnect = Interconnect(
             env, self.nodes,
             latency=spec.interconnect_latency,

@@ -33,7 +33,7 @@ from ..harness.setup import build_world
 from ..harness.sweep import run_points
 from ..mpi import run_job
 from ..pfs.data import PatternData
-from ..workloads.base import IOStack, direct_stack, plfs_stack
+from ..workloads.base import make_stack
 from .injector import FaultInjector
 from .plan import COMPONENT_KINDS, FaultEvent, FaultPlan
 from .policies import RetryPolicy, retrying
@@ -57,12 +57,6 @@ def _policy(plan: FaultPlan, stream: int) -> RetryPolicy:
                        rng=plan.rng("retry-jitter", stream))
 
 
-def _make_stack(stack_name: str, world, retry: RetryPolicy) -> IOStack:
-    if stack_name == "plfs":
-        return plfs_stack(world, retry=retry)
-    return direct_stack(world, retry=retry)
-
-
 # -- efficiency leg ----------------------------------------------------------
 
 def _component_plan(kind: str, mtbf: float, scale: Scale, world) -> FaultPlan:
@@ -82,7 +76,7 @@ def _efficiency_leg(stack_name: str, kind: str, mtbf: float, scale: Scale):
     plan = _component_plan(kind, mtbf, scale, world)
     retry = _policy(plan, 0 if stack_name == "plfs" else 1)
     injector = FaultInjector(world, plan) if plan.component_events else None
-    camp = Campaign(world, _make_stack(stack_name, world, retry),
+    camp = Campaign(world, make_stack(stack_name, world, retry=retry),
                     nprocs=scale.faults_nprocs,
                     per_proc_bytes=scale.faults_per_proc,
                     record_bytes=scale.faults_record,
@@ -130,16 +124,16 @@ def _recovery_leg(stack_name: str, kind: str, scale: Scale):
     per_proc, record = scale.faults_per_proc, scale.faults_record
     env = world.env
     mount, volume = world.mount, world.volume
+    driver = make_stack(stack_name, world, retry=retry).make_driver()
 
     def fn(ctx):
         if ctx.rank == 0:
+            yield from driver.mkdir(ctx.client, "/faults")
             if stack_name == "plfs":
-                yield from mount.mkdir(ctx.client, "/faults")
                 # Pre-create the container skeleton: independent opens
                 # (comm=None) would otherwise race its creation.
                 yield from mount.create(ctx.client, path)
             else:
-                yield from volume.makedirs(ctx.client, "/faults")
                 fh0 = yield from volume.open(ctx.client, path, "w",
                                              create=True, truncate=True)
                 yield from fh0.close()
@@ -147,8 +141,9 @@ def _recovery_leg(stack_name: str, kind: str, scale: Scale):
         # Independent opens: a killed rank must not strand the others at a
         # collective close, so nothing below is collective.
         if stack_name == "plfs":
-            h = yield from mount.open_write(ctx.client, path, None, retry=retry)
+            h = yield from driver.open(ctx.client, None, path, "w")
         else:
+            # Not the driver's open: that would truncate the pre-created file.
             h = yield from retrying(env, retry, lambda: volume.open(
                 ctx.client, path, "w"))
         seed_r = (plan.seed * 1_000_003 + ctx.rank) & 0x7FFFFFFF
@@ -169,16 +164,10 @@ def _recovery_leg(stack_name: str, kind: str, scale: Scale):
             n = min(record, per_proc - written)
             off = ctx.rank * record + (written // record) * nprocs * record
             spec = PatternData(seed_r, written, n)
-            if stack_name == "plfs":
-                yield from h.write(off, spec)
-            else:
-                yield from retrying(env, retry, lambda o=off, s=spec: h.write(o, s))
+            yield from driver.write_at(h, off, spec)
             acked.append(AckedWrite(ctx.rank, off, spec))
             written += n
-        if stack_name == "plfs":
-            yield from mount.close_write(h, None)
-        else:
-            yield from retrying(env, retry, lambda: h.close())
+        yield from driver.close(h, None)
         return acked
 
     job = run_job(env, world.cluster, nprocs, fn, name=f"faults-{kind}",

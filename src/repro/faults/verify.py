@@ -29,6 +29,7 @@ from typing import Sequence
 from ..pfs.data import DataSpec, ZeroData
 from ..pfs.volume import Client
 from ..plfs.tools import plfs_check, plfs_recover
+from ..workloads.base import make_stack
 
 __all__ = ["AckedWrite", "RecoveryReport", "verify_recovery"]
 
@@ -96,29 +97,21 @@ def verify_recovery(world, stack_name: str, path: str,
     report = RecoveryReport(path=path, stack=stack_name)
     client = Client(node=world.cluster.nodes[0], client_id=_VERIFY_CLIENT_BASE)
     world.drop_caches()
+    driver = make_stack(stack_name, world).make_driver()
 
-    if stack_name == "plfs":
-        layout = world.mount.layout(path)
-
-        def driver():
+    def verify():
+        if stack_name == "plfs":
+            layout = world.mount.layout(path)
             check = yield from plfs_check(layout, client)
             report.dirty_hosts_before = len(check.dirty_hosts)
             post = yield from plfs_recover(layout, client)
             report.clean_after = post.clean
             world.mount.invalidate_index_cache()
-            rh = yield from world.mount.open_read(client, path, None)
-            for w in acked:
-                view = yield from rh.read(w.offset, w.spec.length)
-                _classify(report, w, view)
-            yield from rh.close()
-    else:
+        fh = yield from driver.open(client, None, path, "r")
+        for w in acked:
+            view = yield from driver.read_at(fh, w.offset, w.spec.length)
+            _classify(report, w, view)
+        yield from driver.close(fh, None)
 
-        def driver():
-            fh = yield from world.volume.open(client, path, "r")
-            for w in acked:
-                view = yield from fh.read(w.offset, w.spec.length)
-                _classify(report, w, view)
-            yield from fh.close()
-
-    world.env.run_process(driver(), name="verify-recovery")
+    world.env.run_process(verify(), name="verify-recovery")
     return report

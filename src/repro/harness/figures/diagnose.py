@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from ...cluster import lanl64
-from ...workloads import MPIIOTest, direct_stack, plfs_stack, run_workload
+from ...workloads import MPIIOTest, make_stack, run_workload
 from ..diagnostics import cache_report, resource_report
 from ..report import Table
 from ..scales import Scale
@@ -27,9 +27,8 @@ def run_diagnose_point(stack_name: str, scale: Scale) -> List[Table]:
     n = scale.fig2_nprocs
     wl = MPIIOTest(n, size_per_proc=scale.fig4_size_per_proc // 5,
                    transfer=scale.fig4_transfer)
-    stack_fn = direct_stack if stack_name == "direct" else plfs_stack
     world = build_world(cluster_spec=lanl64(), aggregation="parallel")
-    run_workload(world, wl, stack_fn(world), cold_read=False)
+    run_workload(world, wl, make_stack(stack_name, world), cold_read=False)
     res = resource_report(world)
     res.id = f"diagnose-{stack_name}"
     res.title = f"[{stack_name}] " + res.title

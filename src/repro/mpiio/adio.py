@@ -9,6 +9,11 @@ possible.  We mirror that structure: :class:`MPIFile` (in
 * :class:`UfsDriver` — pass-through to a backing volume (direct parallel
   file system access, the paper's "without PLFS" baseline);
 * :class:`PlfsDriver` — routes through :class:`repro.plfs.PlfsMount`.
+
+The driver is the one place that knows PLFS from direct access: workloads,
+metadata storms, campaigns and the fault experiment pick a stack by name
+and reach storage through its driver's ``mkdir``/``open``/``write_at``/
+``read_at``/``close``.
 """
 
 from __future__ import annotations
@@ -27,9 +32,13 @@ __all__ = ["ADIODriver", "UfsDriver", "PlfsDriver"]
 
 
 class ADIODriver:
-    """Driver interface: open/write_at/read_at/size/close, all generators."""
+    """Driver interface: mkdir/open/write_at/read_at/close generators, plus size."""
 
     name = "abstract"
+
+    def mkdir(self, client: Client, path: str) -> Generator:
+        """``mkdir -p`` *path*; free when every component already exists."""
+        raise NotImplementedError
 
     def open(self, client: Client, comm, path: str, mode: str) -> Generator:
         """Open *path*; collective when *comm* is given. Returns a handle."""
@@ -60,6 +69,10 @@ class UfsDriver(ADIODriver):
     def __init__(self, volume: Volume, retry: RetryPolicy = None):
         self.volume = volume
         self.retry = retry
+
+    def mkdir(self, client: Client, path: str) -> Generator:
+        """Create the missing components on the backing volume."""
+        yield from self.volume.makedirs(client, path)
 
     def open(self, client: Client, comm, path: str, mode: str) -> Generator:
         """Open on the backing volume; rank 0 creates/truncates shared files."""
@@ -112,6 +125,10 @@ class PlfsDriver(ADIODriver):
     def __init__(self, mount: PlfsMount, retry: RetryPolicy = None):
         self.mount = mount
         self.retry = retry
+
+    def mkdir(self, client: Client, path: str) -> Generator:
+        """Logical mkdir on every volume containers can hash to."""
+        yield from self.mount.mkdir(client, path)
 
     def open(self, client: Client, comm, path: str, mode: str) -> Generator:
         """Route to PLFS open_write/open_read; rejects read-write mode.

@@ -25,9 +25,6 @@ from .extents import HOLE, ExtentJournal
 
 __all__ = ["FileData", "Inode", "Namespace", "normalize", "split_path"]
 
-_uid_counter = itertools.count(1)
-
-
 def normalize(path: str) -> str:
     """Collapse a path to canonical '/a/b' form ('' and '/' both mean root)."""
     parts = [p for p in path.split("/") if p not in ("", ".")]
@@ -102,8 +99,8 @@ class Inode:
 
     __slots__ = ("uid", "is_dir", "children", "data", "nlink", "writers")
 
-    def __init__(self, is_dir: bool):
-        self.uid = next(_uid_counter)
+    def __init__(self, is_dir: bool, uid: int):
+        self.uid = uid
         self.is_dir = is_dir
         self.children: Optional[Dict[str, "Inode"]] = {} if is_dir else None
         self.data: Optional[FileData] = None if is_dir else FileData()
@@ -116,10 +113,16 @@ class Inode:
 
 
 class Namespace:
-    """A rooted tree of inodes with POSIX-flavoured operations."""
+    """A rooted tree of inodes with POSIX-flavoured operations.
 
-    def __init__(self) -> None:
-        self.root = Inode(is_dir=True)
+    Inode uids come from *uids*: a world passes one counter to all of its
+    volumes, so uids are unique within the world and independent of any
+    world built before it (uids place file lanes on OSDs).
+    """
+
+    def __init__(self, uids: Optional[Iterator[int]] = None) -> None:
+        self._uids = uids if uids is not None else itertools.count(1)
+        self.root = Inode(True, next(self._uids))
         self.n_files = 0
         self.n_dirs = 1
 
@@ -163,7 +166,7 @@ class Namespace:
         parent, name = self._parent_dir(path)
         if name in parent.children:
             raise FileExists(path)
-        node = Inode(is_dir=True)
+        node = Inode(True, next(self._uids))
         parent.children[name] = node
         self.n_dirs += 1
         return node
@@ -179,7 +182,7 @@ class Namespace:
                 raise NotADirectory(path)
             child = node.children.get(part)
             if child is None:
-                child = Inode(is_dir=True)
+                child = Inode(True, next(self._uids))
                 node.children[part] = child
                 self.n_dirs += 1
             node = child
@@ -199,7 +202,7 @@ class Namespace:
             if truncate:
                 node.data.truncate()
             return node
-        node = Inode(is_dir=False)
+        node = Inode(False, next(self._uids))
         parent.children[name] = node
         self.n_files += 1
         return node

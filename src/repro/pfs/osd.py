@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.sanitize import raw_snapshot, tracked
+from ..analysis.sanitize import tracked
 from ..errors import ConfigError, StorageUnavailable
 from ..sim import Engine, Event, FairShareServer, Join
 from .config import PfsConfig
@@ -41,7 +41,6 @@ class Osd:
         self.index = index
         self.server = FairShareServer(env, cfg.osd_bw, name=f"osd{index}")
         self.down = False
-        self.fail_count = 0
         # Per-object sequentiality state, mutated by every client process
         # that touches this device; tracked() is free when no sanitizer is
         # subscribed and a recording proxy under --instrument sanitize.
@@ -54,22 +53,12 @@ class Osd:
         self.stream_switches = 0
         self.bytes_moved = 0
 
-    def stream_snapshot(self) -> Dict[int, Tuple[int, int]]:
-        """Plain ``{obj_uid: (last_end, last_client)}`` copy of the
-        per-object stream trackers (oracle accessor — reads the raw dicts
-        behind the tracked proxies, perturbing nothing)."""
-        last_end = raw_snapshot(self._last_end)
-        last_client = raw_snapshot(self._last_client)
-        return {uid: (end, last_client.get(uid, -1))
-                for uid, end in sorted(last_end.items())}
-
     # -- fault hooks -------------------------------------------------------
     def fail(self) -> None:
         """Take the device down: reject new I/O, freeze in-flight service."""
         if self.down:
             return
         self.down = True
-        self.fail_count += 1
         self.server.pause()
 
     def restore(self) -> None:
@@ -161,10 +150,6 @@ class Osd:
                                 client_id, is_read)
             demands.append(base + (inflate - 1.0) * nbytes)
         self.server.serve_many(demands, join)
-
-    def forget(self, obj_uid: int) -> None:
-        """Drop sequentiality-tracking state for a deleted object."""
-        self._last_end.pop(obj_uid, None)
 
 
 def stripe_lanes(offset: int, length: int, stripe_unit: int, width: int

@@ -203,7 +203,7 @@ class Volume:
         self.cluster = cluster
         self.cfg = cfg
         self.name = name
-        self.ns = Namespace()
+        self.ns = Namespace(cluster.uids)
         self.mds = MetadataServer(env, cfg, name=f"{name}.mds")
         self.pool = pool if pool is not None else OsdPool(env, cfg, name=f"{name}.pool")
         self.locks = locks if locks is not None else RangeLockManager(env, cfg)

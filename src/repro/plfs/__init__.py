@@ -8,7 +8,6 @@ from .aggregation import (
     read_flattened_index,
 )
 from .api import PlfsMount
-from .posix import PlfsPosixFile, PosixAdapter
 from .config import AGGREGATIONS, FEDERATIONS, PlfsConfig
 from .container import ContainerLayout
 from .index import GlobalIndex, WriterIndex
@@ -18,8 +17,6 @@ from .writer import PlfsWriteHandle
 
 __all__ = [
     "PlfsMount",
-    "PosixAdapter",
-    "PlfsPosixFile",
     "PlfsConfig",
     "AGGREGATIONS",
     "FEDERATIONS",

@@ -76,20 +76,15 @@ class PlfsMount:
             raise UnsupportedOperation(
                 path, "PLFS does not support read-write opens of shared files")
         layout = self.layout(path)
-        if comm is not None and comm.size > 1:
-            if comm.rank == 0:
-                existed = layout.exists()
-                yield from retrying(self.env, retry,
-                                    lambda: layout.ensure_skeleton(client))
-                if truncate and existed:
-                    yield from layout.truncate(client)
-            yield from comm.bcast(None, nbytes=8, root=0)
-        else:
+        collective = comm is not None and comm.size > 1
+        if not collective or comm.rank == 0:
             existed = layout.exists()
             yield from retrying(self.env, retry,
                                 lambda: layout.ensure_skeleton(client))
             if truncate and existed:
                 yield from layout.truncate(client)
+        if collective:
+            yield from comm.bcast(None, nbytes=8, root=0)
         handle = yield from open_write_handle(layout, client, retry=retry)
         if truncate:
             self._index_cache.pop(layout.path, None)

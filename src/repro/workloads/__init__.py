@@ -8,6 +8,7 @@ from .base import (
     Workload,
     WorkloadResult,
     direct_stack,
+    make_stack,
     plfs_stack,
     run_workload,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "Workload",
     "WorkloadResult",
     "direct_stack",
+    "make_stack",
     "plfs_stack",
     "run_workload",
     "LANL1",

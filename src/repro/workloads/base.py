@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..faults.policies import RetryPolicy
@@ -27,8 +27,8 @@ from ..mpiio import ADIODriver, Hints, MPIFile, PlfsDriver, UfsDriver
 from ..pfs.data import PatternData
 from ..sim import JobMetrics
 
-__all__ = ["IOStack", "direct_stack", "plfs_stack", "Workload", "PhaseResult",
-           "WorkloadResult", "run_workload"]
+__all__ = ["IOStack", "direct_stack", "plfs_stack", "make_stack", "Workload",
+           "PhaseResult", "WorkloadResult", "run_workload"]
 
 Extent = Tuple[int, int]  # (offset, length)
 
@@ -56,6 +56,16 @@ def plfs_stack(world: World, hints: Hints = None,
     return IOStack(name="plfs",
                    make_driver=lambda: PlfsDriver(world.mount, retry=retry),
                    hints=hints or Hints())
+
+
+_STACKS = {"direct": direct_stack, "plfs": plfs_stack}
+
+
+def make_stack(name: str, world: World, retry: RetryPolicy = None) -> IOStack:
+    """The stack called *name* (``"direct"`` or ``"plfs"``) over *world*."""
+    if name not in _STACKS:
+        raise ConfigError(f"stack must be 'plfs' or 'direct', got {name!r}")
+    return _STACKS[name](world, retry=retry)
 
 
 class Workload:
@@ -156,14 +166,16 @@ def _phase_result(phase: str, metrics: JobMetrics, verified) -> PhaseResult:
 
 
 def _writer_fn(workload: Workload, stack: IOStack):
+    parent = workload.file_path(0).rpartition("/")[0]
+
     def fn(ctx):
         path = workload.file_path(ctx.rank)
-        if ctx.rank == 0:
-            yield from _ensure_parents(ctx, stack, workload)
+        driver = stack.make_driver()
+        if ctx.rank == 0 and parent:
+            yield from driver.mkdir(ctx.client, parent)
         yield from ctx.comm.barrier()
         ctx.start("open")
-        f = yield from MPIFile.open(ctx, path, "w", stack.make_driver(),
-                                    stack.hints,
+        f = yield from MPIFile.open(ctx, path, "w", driver, stack.hints,
                                     independent=not workload.shared_file)
         ctx.stop("open")
         ctx.start("write")
@@ -224,19 +236,6 @@ def _reader_fn(workload: Workload, stack: IOStack, verify: bool):
         return ok
 
     return fn
-
-
-def _ensure_parents(ctx, stack: IOStack, workload: Workload) -> Generator:
-    """Rank 0 creates the logical parent directory before the job opens files."""
-    parent = workload.file_path(0).rpartition("/")[0]
-    if not parent:
-        return
-    driver = stack.make_driver()
-    if isinstance(driver, PlfsDriver):
-        yield from driver.mount.mkdir(ctx.client, parent)
-    else:
-        if not driver.volume.ns.exists(parent):
-            yield from driver.volume.makedirs(ctx.client, parent)
 
 
 def run_workload(world: World, workload: Workload, stack: IOStack, *,

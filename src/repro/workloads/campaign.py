@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Optional
 
 from ..errors import ConfigError
 from ..faults.plan import FaultPlan
@@ -123,11 +123,12 @@ class Campaign:
         world, stack = self.world, self.stack
 
         def fn(ctx):
-            if ctx.rank == 0 and not _dir_exists(world, stack, "/campaign"):
-                yield from _make_dir(ctx, world, stack, "/campaign")
+            driver = stack.make_driver()
+            if ctx.rank == 0:
+                yield from driver.mkdir(ctx.client, "/campaign")
             yield from ctx.comm.barrier()
             f = yield from MPIFile.open(ctx, f"/campaign/ckpt.{version}", "w",
-                                        stack.make_driver(), stack.hints)
+                                        driver, stack.hints)
             written = 0
             while written < self.per_proc:
                 n = min(self.record, self.per_proc - written)
@@ -222,21 +223,3 @@ class Campaign:
         result.wall_time = wall
         return result
 
-
-def _dir_exists(world: World, stack: IOStack, path: str) -> bool:
-    from ..mpiio import PlfsDriver
-
-    driver = stack.make_driver()
-    if isinstance(driver, PlfsDriver):
-        return driver.mount.volumes[0].ns.exists(path)
-    return driver.volume.ns.exists(path)
-
-
-def _make_dir(ctx, world: World, stack: IOStack, path: str) -> Generator:
-    from ..mpiio import PlfsDriver
-
-    driver = stack.make_driver()
-    if isinstance(driver, PlfsDriver):
-        yield from driver.mount.mkdir(ctx.client, path)
-    else:
-        yield from driver.volume.makedirs(ctx.client, path)

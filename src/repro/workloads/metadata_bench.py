@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigError
 from ..harness.setup import World
 from ..mpi import run_job
+from .base import make_stack
 
 __all__ = ["MetadataTimes", "nn_metadata_storm", "n1_open_storm"]
 
@@ -43,35 +43,23 @@ def nn_metadata_storm(world: World, nprocs: int, files_per_proc: int,
     one shared directory of volume 0 — the single-MDS, single-directory
     baseline the paper compares against.
     """
-    if stack not in ("plfs", "direct"):
-        raise ConfigError(f"stack must be 'plfs' or 'direct', got {stack!r}")
-    use_plfs = stack == "plfs"
-    mount, volume = world.mount, world.volume
+    driver = make_stack(stack, world).make_driver()
 
     def fn(ctx):
         if ctx.rank == 0:
-            if use_plfs:
-                yield from mount.mkdir(ctx.client, dirname)
-            elif not volume.ns.exists(dirname):
-                yield from volume.makedirs(ctx.client, dirname)
+            yield from driver.mkdir(ctx.client, dirname)
         yield from ctx.comm.barrier()
         paths = [f"{dirname}/f.{ctx.client.client_id}.{i}"
                  for i in range(files_per_proc)]
         handles = []
         ctx.start("open")
         for p in paths:
-            if use_plfs:
-                h = yield from mount.open_write(ctx.client, p, None)
-            else:
-                h = yield from volume.open(ctx.client, p, "w", create=True)
+            h = yield from driver.open(ctx.client, None, p, "w")
             handles.append(h)
         ctx.stop("open")
         ctx.start("close")
         for h in handles:
-            if use_plfs:
-                yield from mount.close_write(h, None)
-            else:
-                yield from h.close()
+            yield from driver.close(h, None)
         ctx.stop("close")
 
     job = run_job(world.env, world.cluster, nprocs, fn, name=f"nn-meta-{stack}")
@@ -85,36 +73,19 @@ def nn_metadata_storm(world: World, nprocs: int, files_per_proc: int,
 def n1_open_storm(world: World, nprocs: int, stack: str,
                   path: str = "/meta-n1/shared") -> MetadataTimes:
     """All ranks open ONE shared file for write (Fig. 8c), then close it."""
-    if stack not in ("plfs", "direct"):
-        raise ConfigError(f"stack must be 'plfs' or 'direct', got {stack!r}")
-    use_plfs = stack == "plfs"
-    mount, volume = world.mount, world.volume
+    driver = make_stack(stack, world).make_driver()
     parent = path.rpartition("/")[0]
 
     def fn(ctx):
         if ctx.rank == 0 and parent:
-            if use_plfs:
-                yield from mount.mkdir(ctx.client, parent)
-            elif not volume.ns.exists(parent):
-                yield from volume.makedirs(ctx.client, parent)
+            yield from driver.mkdir(ctx.client, parent)
         yield from ctx.comm.barrier()
         ctx.start("open")
-        if use_plfs:
-            h = yield from mount.open_write(ctx.client, path, ctx.comm)
-        else:
-            if ctx.rank == 0:
-                h = yield from volume.open(ctx.client, path, "w", create=True)
-                yield from ctx.comm.bcast(None, nbytes=8, root=0)
-            else:
-                yield from ctx.comm.bcast(None, nbytes=8, root=0)
-                h = yield from volume.open(ctx.client, path, "w")
+        h = yield from driver.open(ctx.client, ctx.comm, path, "w")
         yield from ctx.comm.barrier()  # open time = until the whole job is open
         ctx.stop("open")
         ctx.start("close")
-        if use_plfs:
-            yield from mount.close_write(h, ctx.comm)
-        else:
-            yield from h.close()
+        yield from driver.close(h, ctx.comm)
         ctx.stop("close")
 
     job = run_job(world.env, world.cluster, nprocs, fn, name=f"n1-open-{stack}")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness.setup import World, build_world
+from repro.mpi import run_job
 from repro.cluster import CIELO, cielo
 from repro.pfs import lustre
 from repro.plfs import PlfsConfig
@@ -15,6 +16,23 @@ class TestBuildWorld:
         assert len(w.volumes) == 1
         assert w.volume is w.volumes[0]
         assert w.mount.cfg.aggregation == "parallel"
+
+    def test_inode_uids_restart_in_every_world(self):
+        """Uids place file lanes on OSDs, so a world's uids must not depend
+        on how many worlds this process built before it."""
+        def first_file_uid():
+            w = build_world(n_volumes=2)
+
+            def fn(ctx):
+                fh = yield from w.volume.open(ctx.client, "/f", "w", create=True)
+                yield from fh.close()
+
+            run_job(w.env, w.cluster, 1, fn)
+            # Federated volumes share the pool, so their uids never collide.
+            assert w.volumes[0].ns.root.uid != w.volumes[1].ns.root.uid
+            return w.volume.ns.resolve("/f").uid
+
+        assert first_file_uid() == first_file_uid()
 
     def test_federated_volumes_share_physical_storage(self):
         w = build_world(n_volumes=4, federation="container")

@@ -94,6 +94,26 @@ class TestDrivers:
                        client_id_base=1000)
         assert all(rres.results)
 
+    def test_mkdir_creates_parents_and_repeat_is_free(self, use_plfs):
+        w = make_world(n_volumes=2, federation="subdir")
+        driver = self.factory(w, use_plfs)()
+
+        def mds_ops():
+            return sum(sum(v.mds.op_counts.values()) for v in w.volumes)
+
+        def fn(ctx):
+            yield from driver.mkdir(ctx.client, "/a/b/c")
+            first = (ctx.env.now, mds_ops())
+            yield from driver.mkdir(ctx.client, "/a/b/c")
+            return first, (ctx.env.now, mds_ops())
+
+        first, again = run_job(w.env, w.cluster, 1, fn).results[0]
+        # PLFS makes logical directories on every volume; UFS on its own.
+        for vol in w.volumes if use_plfs else w.volumes[:1]:
+            assert vol.ns.resolve("/a/b/c").is_dir
+        assert first[1] >= 3
+        assert again == first
+
     def test_cb_write_then_independent_read(self, use_plfs):
         w = make_world()
         fac = self.factory(w, use_plfs)

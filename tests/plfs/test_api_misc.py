@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import FileExists, PLFSError
 from repro.mpi import run_job
-from repro.pfs.data import PatternData
+from repro.pfs.data import LiteralData, PatternData
 from repro.plfs import PlfsMount
 from tests.conftest import make_world
 
@@ -111,3 +111,48 @@ class TestLogicalNamespace:
 
         size, ok = solo(w, fn)
         assert size == 2 * KB and ok
+
+
+class TestIndependentPath:
+    """The FUSE-style path: every mount call with ``comm=None``."""
+
+    def test_second_writer_extends_past_a_hole(self, world):
+        w = world
+
+        def first(ctx):
+            fh = yield from w.mount.open_write(ctx.client, "/f", None, truncate=True)
+            yield from fh.write(0, LiteralData(b"one"))
+            yield from w.mount.close_write(fh, None)
+
+        def second(ctx):
+            # No truncate: the first writer's bytes survive this open.
+            fh = yield from w.mount.open_write(ctx.client, "/f", None)
+            st = yield from w.mount.stat(ctx.client, "/f")
+            yield from fh.write(st.size + 1000, LiteralData(b"two"))
+            yield from w.mount.close_write(fh, None)
+            return st.size
+
+        def reader(ctx):
+            rh = yield from w.mount.open_read(ctx.client, "/f", None)
+            view = yield from rh.read(0, rh.size)
+            yield from rh.close()
+            return view.to_bytes()
+
+        solo(w, first)
+        assert solo(w, second, base=10) == 3
+        assert solo(w, reader, base=20) == b"one" + bytes(1000) + b"two"
+
+    def test_stat_readdir_unlink(self, world):
+        w = world
+
+        def fn(ctx):
+            yield from w.mount.mkdir(ctx.client, "/d")
+            fh = yield from w.mount.open_write(ctx.client, "/d/a", None)
+            yield from fh.write(0, LiteralData(b"abc"))
+            yield from w.mount.close_write(fh, None)
+            st = yield from w.mount.stat(ctx.client, "/d/a")
+            names = yield from w.mount.readdir(ctx.client, "/d")
+            yield from w.mount.unlink(ctx.client, "/d/a")
+            return st.size, names, w.mount.exists("/d/a")
+
+        assert solo(w, fn) == (3, ["a"], False)

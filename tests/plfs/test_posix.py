@@ -1,11 +1,7 @@
-"""Tests for the FUSE-style POSIX adapter."""
+"""POSIX-style (FUSE-path) access to a PLFS mount: every call with ``comm=None``."""
 
-import pytest
-
-from repro.errors import BadFileHandle, InvalidArgument, UnsupportedOperation
 from repro.mpi import run_job
 from repro.pfs.data import LiteralData, PatternData
-from repro.plfs.posix import SEEK_CUR, SEEK_END, SEEK_SET, PosixAdapter
 
 
 def solo(world, gen_fn, base=0):
@@ -13,58 +9,35 @@ def solo(world, gen_fn, base=0):
                    client_id_base=base).results[0]
 
 
+def read_all(mount, client, path):
+    rh = yield from mount.open_read(client, path, None)
+    view = yield from rh.read(0, rh.size)
+    yield from rh.close()
+    return view
+
+
 class TestPosixFile:
     def test_sequential_write_read(self, world):
-        def fn(ctx):
-            px = PosixAdapter(world.mount, ctx.client)
-            f = yield from px.open("/f", "w")
-            yield from f.write(LiteralData(b"hello "))
-            yield from f.write(LiteralData(b"world"))
-            assert f.tell() == 11
-            yield from f.close()
+        m = world.mount
 
-            g = yield from px.open("/f", "r")
-            view = yield from g.read()
-            yield from g.close()
+        def fn(ctx):
+            fh = yield from m.open_write(ctx.client, "/f", None, truncate=True)
+            yield from fh.write(0, LiteralData(b"hello "))
+            yield from fh.write(6, LiteralData(b"world"))
+            yield from m.close_write(fh, None)
+            view = yield from read_all(m, ctx.client, "/f")
             return view.to_bytes()
 
         assert solo(world, fn) == b"hello world"
 
-    def test_seek_semantics(self, world):
-        def fn(ctx):
-            px = PosixAdapter(world.mount, ctx.client)
-            f = yield from px.open("/f", "w")
-            yield from f.write(PatternData(1, 0, 100))
-            f.seek(10)
-            yield from f.write(LiteralData(b"XX"))
-            assert f.tell() == 12
-            yield from f.close()
-
-            g = yield from px.open("/f", "r")
-            g.seek(-90, SEEK_END)
-            assert g.tell() == 10
-            head = yield from g.read(2)
-            g.seek(3, SEEK_CUR)
-            assert g.tell() == 15
-            g.seek(0, SEEK_SET)
-            whole = yield from g.read()
-            yield from g.close()
-            return head.to_bytes(), whole.length
-
-        head, total = solo(world, fn)
-        assert head == b"XX"
-        assert total == 100
-
     def test_sparse_seek_write(self, world):
+        m = world.mount
+
         def fn(ctx):
-            px = PosixAdapter(world.mount, ctx.client)
-            f = yield from px.open("/f", "w")
-            f.seek(1000)
-            yield from f.write(LiteralData(b"tail"))
-            yield from f.close()
-            g = yield from px.open("/f", "r")
-            view = yield from g.read()
-            yield from g.close()
+            fh = yield from m.open_write(ctx.client, "/f", None, truncate=True)
+            yield from fh.write(1000, LiteralData(b"tail"))
+            yield from m.close_write(fh, None)
+            view = yield from read_all(m, ctx.client, "/f")
             return view.length, view.to_bytes()[:4]
 
         length, head = solo(world, fn)
@@ -72,99 +45,38 @@ class TestPosixFile:
         assert head == b"\x00\x00\x00\x00"
 
     def test_append_mode(self, world):
+        """Reopening without truncate keeps the bytes; appends land at EOF."""
+        m = world.mount
+
         def fn(ctx):
-            px = PosixAdapter(world.mount, ctx.client)
-            f = yield from px.open("/log", "w")
-            yield from f.write(LiteralData(b"one"))
-            yield from f.close()
-            f = yield from px.open("/log", "a")
-            assert f.tell() == 3
-            yield from f.write(LiteralData(b"two"))
-            yield from f.close()
-            g = yield from px.open("/log", "r")
-            view = yield from g.read()
-            yield from g.close()
+            fh = yield from m.open_write(ctx.client, "/log", None, truncate=True)
+            yield from fh.write(0, LiteralData(b"one"))
+            yield from m.close_write(fh, None)
+            fh = yield from m.open_write(ctx.client, "/log", None)
+            st = yield from m.stat(ctx.client, "/log")
+            assert st.size == 3
+            yield from fh.write(st.size, LiteralData(b"two"))
+            yield from m.close_write(fh, None)
+            view = yield from read_all(m, ctx.client, "/log")
             return view.to_bytes()
 
         assert solo(world, fn) == b"onetwo"
 
-    def test_mode_enforcement(self, world):
-        def fn(ctx):
-            px = PosixAdapter(world.mount, ctx.client)
-            f = yield from px.open("/f", "w")
-            with pytest.raises(UnsupportedOperation):
-                yield from f.read(1)
-            yield from f.close()
-            g = yield from px.open("/f", "r")
-            with pytest.raises(UnsupportedOperation):
-                yield from g.write(LiteralData(b"x"))
-            yield from g.close()
-            with pytest.raises(InvalidArgument):
-                yield from px.open("/f", "rw")
-            return True
-
-        assert solo(world, fn)
-
-    def test_closed_file_rejected(self, world):
-        def fn(ctx):
-            px = PosixAdapter(world.mount, ctx.client)
-            f = yield from px.open("/f", "w")
-            yield from f.close()
-            with pytest.raises(BadFileHandle):
-                yield from f.write(LiteralData(b"x"))
-            with pytest.raises(BadFileHandle):
-                f.seek(0)
-            return True
-
-        assert solo(world, fn)
-
-    def test_seek_before_start_rejected(self, world):
-        def fn(ctx):
-            px = PosixAdapter(world.mount, ctx.client)
-            f = yield from px.open("/f", "w")
-            with pytest.raises(InvalidArgument):
-                f.seek(-1)
-            with pytest.raises(InvalidArgument):
-                f.seek(0, 99)
-            yield from f.close()
-            return True
-
-        assert solo(world, fn)
-
 
 class TestPosixNamespace:
-    def test_listdir_stat_unlink(self, world):
-        def fn(ctx):
-            px = PosixAdapter(world.mount, ctx.client)
-            yield from px.mkdir("/d")
-            f = yield from px.open("/d/a", "w")
-            yield from f.write(LiteralData(b"abc"))
-            yield from f.close()
-            st = yield from px.stat("/d/a")
-            names = yield from px.listdir("/d")
-            yield from px.unlink("/d/a")
-            return st.size, names, px.exists("/d/a")
-
-        size, names, still_there = solo(world, fn)
-        assert size == 3
-        assert names == ["a"]
-        assert not still_there
-
     def test_two_processes_share_logical_file(self, world):
         """A FUSE-path writer and a separate reader process interoperate."""
+        m = world.mount
+
         def writer(ctx):
-            px = PosixAdapter(world.mount, ctx.client)
-            f = yield from px.open("/shared", "w")
-            yield from f.write(PatternData(7, 0, 5000))
-            yield from f.close()
+            fh = yield from m.open_write(ctx.client, "/shared", None, truncate=True)
+            yield from fh.write(0, PatternData(7, 0, 5000))
+            yield from m.close_write(fh, None)
 
         run_job(world.env, world.cluster, 1, writer)
 
         def reader(ctx):
-            px = PosixAdapter(world.mount, ctx.client)
-            g = yield from px.open("/shared", "r")
-            view = yield from g.read()
-            yield from g.close()
+            view = yield from read_all(m, ctx.client, "/shared")
             return view.content_equal(PatternData(7, 0, 5000))
 
         assert solo(world, reader, base=99)

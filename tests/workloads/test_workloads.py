@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.units import KB, KiB, MB, MiB
 from repro.workloads import (
     IOR,
@@ -145,6 +146,14 @@ class TestMetadataBench:
         direct = nn_metadata_storm(world, 16, 4, "direct", dirname="/m1")
         plfs1 = nn_metadata_storm(world, 16, 4, "plfs", dirname="/m2")
         assert plfs1.open_time > direct.open_time  # container burden, 1 MDS
+
+    @pytest.mark.parametrize("storm", [
+        lambda w: nn_metadata_storm(w, 2, 1, "fuse"),
+        lambda w: n1_open_storm(w, 2, "fuse"),
+    ], ids=["nn", "n1"])
+    def test_unknown_stack_rejected(self, storm):
+        with pytest.raises(ConfigError):
+            storm(make_world())
 
     def test_n1_open_storm_runs(self):
         world = make_world(n_volumes=2, federation="subdir")
