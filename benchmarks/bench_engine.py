@@ -1,13 +1,16 @@
 """Microbenchmarks of the simulation kernel itself (events/sec budget)."""
 
+import gc
 import time
 
 from repro.analysis.sanitize import Sanitizer, tracked
-from repro.cluster import Cluster, ClusterSpec, NodeSpec
+from repro.cluster import Cluster, ClusterSpec, NodeSpec, cielo
+from repro.harness.setup import build_world
 from repro.pfs.osd import OsdPool
 from repro.pfs.presets import panfs_cielo
 from repro.sim import Engine, FairShareServer, Join
 from repro.sim.engine import Process
+from repro.workloads import nn_metadata_storm
 
 
 def test_engine_event_throughput(benchmark):
@@ -165,6 +168,43 @@ def test_striped_fanout(benchmark):
 
     events, timers = benchmark(run)
     assert events <= timers + 4 * k_requests, (events, timers)
+
+
+def test_metadata_storm_has_no_full_collection():
+    """A 2,048-rank N-N create storm (the Fig. 8d PLFS-10 point) runs with
+    no gen-2 collection inside ``Engine.run``.
+
+    A full collection traverses every live object, and the built world is
+    most of them, so collections that grow with N each cost O(N): O(N^2)
+    in all.  ``Engine.run`` freezes the world and raises the thresholds;
+    under CPython 3.11's default thresholds this storm takes three.
+    """
+    world = build_world(cluster_spec=cielo(), pfs_cfg=panfs_cielo(),
+                        n_volumes=10, federation="container")
+    env = world.env
+    inside = [False]
+    full = [0]
+    run = env.run
+
+    def counted_run(until=None):
+        inside[0] = True
+        try:
+            run(until)
+        finally:
+            inside[0] = False
+
+    def on_gc(phase, info):
+        if phase == "start" and info["generation"] == 2 and inside[0]:
+            full[0] += 1
+
+    env.run = counted_run
+    gc.callbacks.append(on_gc)
+    try:
+        res = nn_metadata_storm(world, 2048, 1, "plfs")
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert res.open_time > 0
+    assert full[0] == 0, f"{full[0]} gen-2 collections inside Engine.run"
 
 
 def test_sanitizer_off_is_structurally_free():

@@ -71,15 +71,21 @@ def retrying(env, policy: Optional[RetryPolicy],
              make_attempt: Callable[[], Generator]) -> Generator:
     """Run ``make_attempt()`` (a fresh generator per call), retrying transients.
 
-    With ``policy=None`` this is a plain pass-through — zero extra events,
-    so un-instrumented runs stay bit-identical.  On success the attempt's
-    return value is returned; on :class:`TransientIOError` the policy's
-    backoff is charged as simulated time and the attempt is re-made, up to
-    ``max_retries`` times and within ``deadline`` seconds.
+    With ``policy=None`` this returns ``make_attempt()`` itself: callers
+    ``yield from`` the attempt directly, with no wrapper frame and zero
+    extra events, so un-instrumented runs stay bit-identical.  With a
+    policy, the attempt's return value is returned on success; on
+    :class:`TransientIOError` the policy's backoff is charged as simulated
+    time and the attempt is re-made, up to ``max_retries`` times and
+    within ``deadline`` seconds.
     """
     if policy is None:
-        result = yield from make_attempt()
-        return result
+        return make_attempt()
+    return _retry(env, policy, make_attempt)
+
+
+def _retry(env, policy: RetryPolicy,
+           make_attempt: Callable[[], Generator]) -> Generator:
     start = env.now
     attempt = 0
     while True:

@@ -81,9 +81,11 @@ def build_world(*, n_volumes: int = 1, n_nodes: int = 4, cores: int = 4,
     ``plfs_cfg`` is given.  *instrument* names the :data:`INSTRUMENTS` to
     subscribe (comma-separated); None reads ``REPRO_INSTRUMENT``.
     """
-    # Sweeps build worlds in a loop; a retired world is hundreds of MB of
-    # cyclic engine/namespace references at paper scale, and the cycle
-    # collector doesn't keep up on its own.  Reclaim before building.
+    # The GC policy within a run belongs to Engine.run (it freezes the
+    # world and raises the thresholds).  This collection only reclaims
+    # retired worlds: sweeps build worlds in a loop, a retired world is
+    # hundreds of MB of cyclic references at paper scale, and collecting
+    # it here keeps peak memory at about one world.
     gc.collect()
     env = Engine()
     if instrument is None:

@@ -27,6 +27,10 @@ __all__ = ["FileData", "Inode", "Namespace", "normalize", "split_path"]
 
 def normalize(path: str) -> str:
     """Collapse a path to canonical '/a/b' form ('' and '/' both mean root)."""
+    if (path[:1] == "/" and path[-1] != "/" and "//" not in path
+            and "/./" not in path and "/../" not in path
+            and not path.endswith(("/.", "/.."))):
+        return path  # already canonical: the common case, no allocation
     parts = [p for p in path.split("/") if p not in ("", ".")]
     for p in parts:
         if p == "..":
@@ -143,11 +147,24 @@ class Namespace:
         return node
 
     def try_resolve(self, path: str) -> Optional[Inode]:
-        """Like :meth:`resolve` but returns None instead of raising."""
-        try:
-            return self.resolve(path)
-        except (FileNotFound, NotADirectory):
-            return None
+        """Like :meth:`resolve` but returns None where it would raise.
+
+        Walks the tree itself rather than catching: existence probes miss
+        often (every create probes first), and a raise per miss is the
+        costliest way to say no.
+        """
+        node = self.root
+        norm = normalize(path)
+        if norm == "/":
+            return node
+        for part in norm[1:].split("/"):
+            if not node.is_dir:
+                return None
+            child = node.children.get(part)
+            if child is None:
+                return None
+            node = child
+        return node
 
     def exists(self, path: str) -> bool:
         """True if *path* resolves to any inode."""

@@ -260,11 +260,10 @@ class Volume:
         """
         if mode not in ("r", "w", "rw"):
             raise InvalidArgument(path, f"bad open mode {mode!r}")
-        exists = self.ns.exists(path)
-        if not exists and not create:
+        inode = self.ns.try_resolve(path)
+        if inode is None and not create:
             raise FileNotFound(path)
-        if exists and not (create and exclusive):
-            inode = self.ns.resolve(path)
+        if inode is not None and not (create and exclusive):
             yield from self.mds.op("open",
                                    count=self._open_cost(client.node.id, inode.uid))
             if truncate:

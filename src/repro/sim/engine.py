@@ -38,6 +38,7 @@ Example
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
 from functools import partial
@@ -56,6 +57,10 @@ __all__ = [
 ]
 
 _PENDING = object()  # sentinel: event value not yet set
+_INF = float("inf")
+
+# Collection thresholds while Engine.run is in progress (see there).
+_RUN_GC_THRESHOLDS = (50_000, 20, 100)
 
 
 class Event:
@@ -503,18 +508,44 @@ class Engine:
         return ev
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the event queue drains, or until simulated time *until*."""
+        """Run until the event queue drains, or until simulated time *until*.
+
+        The run owns the host's garbage-collector policy.  A built world is
+        millions of long-lived container objects, and CPython's cyclic
+        collector would rescan all of them on every full collection, which
+        makes host time superlinear in the rank count.  So the run freezes
+        everything alive when it starts (``gc.freeze``) and raises the
+        collection thresholds; objects created during the run are still
+        collected.  The previous thresholds and freeze state are restored
+        when the run returns or raises; an enabled or disabled collector
+        is left as it was.  A caller that froze objects itself keeps them
+        frozen: the run then only raises the thresholds.
+        """
         if until is not None and until < self._now:
             raise SimulationError(f"run(until={until}) is in the past (now={self._now})")
-        if self._observed:
-            self._run_observed(until)
-            return
-        # The fast loop: one Python frame per event is the difference
-        # between "tens of minutes" and "minutes" at paper scale.
+        thresholds = gc.get_threshold()
+        freeze = gc.get_freeze_count() == 0
+        if freeze:
+            gc.freeze()
+        if thresholds[0]:  # a zero threshold switches automatic collection off
+            gc.set_threshold(*map(max, thresholds, _RUN_GC_THRESHOLDS))
+        try:
+            if self._observed:
+                self._run_observed(until)
+            else:
+                self._run(until)
+        finally:
+            gc.set_threshold(*thresholds)
+            if freeze:
+                gc.unfreeze()
+
+    def _run(self, until: Optional[float]) -> None:
+        """The fast loop: one Python frame per event is the difference
+        between "tens of minutes" and "minutes" at paper scale."""
         imm = self._immediate
         heap = self._heap
         heappop = heapq.heappop
-        horizon = float("inf") if until is None else until
+        horizon = _INF if until is None else until
         popleft = imm.popleft
         while True:
             if imm:
@@ -570,7 +601,7 @@ class Engine:
         imm = self._immediate
         heap = self._heap
         heappop = heapq.heappop
-        horizon = float("inf") if until is None else until
+        horizon = _INF if until is None else until
         while True:
             now = self._now
             due = bool(heap) and heap[0][0] <= now

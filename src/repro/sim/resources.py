@@ -32,6 +32,8 @@ from .engine import Engine, Event
 
 __all__ = ["Mutex", "FairShareServer", "Join", "Store"]
 
+_INF = float("inf")
+
 
 class Mutex:
     """A lock with FIFO granting.
@@ -178,6 +180,10 @@ class FairShareServer:
     with no faults injected is bit-identical to one built without hooks.
     """
 
+    # Every timer's callback: one bound _on_timer, made on the first arm
+    # (most servers of a large cluster never arm a timer).
+    _timer_cb: Optional[Callable[[Event], None]] = None
+
     def __init__(self, env: Engine, capacity: float, name: str = ""):
         if not (capacity > 0):
             raise SimulationError(f"FairShareServer capacity must be > 0, got {capacity}")
@@ -189,9 +195,9 @@ class FairShareServer:
         # (finish_vtime, seq, what completes: its event or its join)
         self._jobs: List[Tuple[float, int, Union[_ServeEvent, Join]]] = []
         self._seq = 0
-        self._timer_seq = 0  # invalidates stale completion timers
-        self._deadline = float("inf")  # wall time the earliest finish completes
-        self._armed_at = float("inf")  # wall time the live timer event targets
+        self._deadline = _INF  # wall time the earliest finish completes
+        self._armed_at = _INF  # wall time the live timer event targets
+        self._timer: Optional[Event] = None  # the live timer; others are stale
         self._paused = False  # frozen: in-flight jobs make no progress
         # Stats.
         self.total_served = 0.0
@@ -210,7 +216,7 @@ class FairShareServer:
 
     def _advance(self) -> None:
         """Advance virtual time to `env.now`."""
-        now = self.env.now
+        now = self.env._now
         if self._jobs and not self._paused:
             dt = now - self._t_last
             if dt > 0:
@@ -220,8 +226,8 @@ class FairShareServer:
 
     def _invalidate_timer(self) -> None:
         """Forget the armed completion timer (it becomes a no-op when it fires)."""
-        self._timer_seq += 1
-        self._armed_at = float("inf")
+        self._timer = None
+        self._armed_at = _INF
 
     def set_capacity(self, capacity: float) -> None:
         """Rescale service speed; in-flight jobs keep their remaining demand.
@@ -252,7 +258,7 @@ class FairShareServer:
             return
         self._advance()
         self._paused = True
-        self._deadline = float("inf")
+        self._deadline = _INF
         self._invalidate_timer()
 
     def resume(self) -> None:
@@ -272,7 +278,7 @@ class FairShareServer:
         """
         self._advance()
         jobs, self._jobs = self._jobs, []
-        self._deadline = float("inf")
+        self._deadline = _INF
         self._invalidate_timer()
         for _, _, ev in jobs:
             ev._job_failed(make_exc())
@@ -365,28 +371,33 @@ class FairShareServer:
         if self._paused:
             return  # deadline stays inf; resume() reschedules
         if not self._jobs:
-            self._deadline = float("inf")
+            self._deadline = _INF
             return
         finish_v = self._jobs[0][0]
         k = len(self._jobs)
         dt = max(0.0, (finish_v - self._vtime) * k / self.capacity)
-        self._deadline = self.env.now + dt
+        self._deadline = self.env._now + dt
         if self._deadline < self._armed_at:
             self._arm()
 
     def _arm(self) -> None:
-        """Create the physical timer event targeting the current deadline."""
-        self._timer_seq += 1
-        my_seq = self._timer_seq
-        self._armed_at = self._deadline
-        timer = self.env.schedule_at(self._deadline)
-        timer._add_callback(lambda _ev, s=my_seq: self._on_timer(s))
+        """Create the physical timer event targeting the current deadline.
 
-    def _on_timer(self, seq: int) -> None:
-        if seq != self._timer_seq:
-            return  # superseded by an earlier-deadline timer
-        self._armed_at = float("inf")  # this timer is spent
-        if self.env.now < self._deadline:
+        The timer's only callback is the server's one bound
+        :meth:`_on_timer`, so arming allocates no closure.
+        """
+        self._armed_at = self._deadline
+        timer = self._timer = self.env.schedule_at(self._deadline)
+        cb = self._timer_cb
+        if cb is None:
+            cb = self._timer_cb = self._on_timer
+        timer.callbacks = cb
+
+    def _on_timer(self, timer: Event) -> None:
+        if timer is not self._timer:
+            return  # superseded by an earlier-deadline timer, or invalidated
+        self._armed_at = _INF  # this timer is spent
+        if self.env._now < self._deadline:
             # Fired early: later arrivals pushed the deadline back without
             # arming a fresh timer (see _reschedule).  Chain to the true
             # deadline; no state has to change.

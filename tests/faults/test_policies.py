@@ -52,6 +52,38 @@ class TestRetrying:
         assert env.run_process(retrying(env, None, attempt)) == 42
         assert env.now == pytest.approx(1.0)
 
+    def test_none_policy_returns_the_attempt_itself(self):
+        """No policy, no wrapper: the caller yields from the attempt's own
+        generator object, so a no-fault op costs no extra frame."""
+        env = Engine()
+        made = []
+
+        def attempt():
+            yield env.timeout(1.0)
+            return 42
+
+        def make():
+            made.append(attempt())
+            return made[-1]
+
+        assert retrying(env, None, make) is made[0]
+        assert len(made) == 1
+
+    def test_none_policy_propagates_transient_unchanged(self):
+        env = Engine()
+        c = {"calls": 0}
+        err = StorageUnavailable("x", "injected")
+
+        def attempt():
+            c["calls"] += 1
+            raise err
+            yield
+
+        with pytest.raises(StorageUnavailable) as info:
+            env.run_process(retrying(env, None, attempt))
+        assert info.value is err
+        assert c["calls"] == 1  # no retry without a policy
+
     def test_transients_absorbed_with_charged_backoff(self):
         env = Engine()
         c = {"calls": 0}
