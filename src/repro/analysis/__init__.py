@@ -14,7 +14,8 @@ enforced invariant, with two engines:
   (``REP001``..``REP007``); plus the interprocedural collective-matching
   rules ``REP101``..``REP104`` (:mod:`repro.analysis.collectives`).
   Rules are listed in :mod:`repro.analysis.rules` and suppressible per
-  line with ``# repro: noqa[REPnnn] -- reason``.
+  line with ``# repro: noqa[REPnnn] -- reason``, the one spelling.
+  ``lint`` prints one text report.
 
 * a **yield-point race sanitizer** (:mod:`repro.analysis.sanitize`) — a
   dynamic checker for the hazard class behind the PR 2 last-closer bug:
@@ -31,7 +32,8 @@ enforced invariant, with two engines:
   — a CHESS-style bounded enumerator of same-instant interleavings.  An
   observer on the engine's bus breaks its same-instant ties, reorders ready
   events under a preemption bound, prunes DPOR-style using the access
-  footprints the ``tracked()`` proxies record, and evaluates semantic
+  footprints the ``tracked()`` proxies publish on the same bus as
+  ``access`` layer events, and evaluates semantic
   invariant oracles (:mod:`repro.analysis.oracles`) at every quiescent
   point.  Violating schedules are delta-minimized
   (:mod:`repro.analysis.minimize`) into replayable traces.

@@ -3,18 +3,16 @@
 Usage::
 
     python -m repro.analysis lint src/              # every rule, one tree
-    python -m repro.analysis lint src/ --format json       # machine-readable
-    python -m repro.analysis lint src/ --format sarif -o out.sarif
-    python -m repro.analysis lint src/ --show-suppressed   # noqa audit
     python -m repro.analysis lint a.py --select REP004,REP101
     python -m repro.analysis rules                  # rule table
     python -m repro.analysis check --workload smallio --budget 200
 
 Exit status: 0 when no findings/violations, 1 when any, 2 on usage
-error.  ``lint`` runs the module-local rules (REP001..REP007) and the
-whole-tree collective rules (REP101..REP104) in one pass, so
-``--select`` and ``--format sarif`` cover every rule and CI annotates
-PRs inline from one artifact.
+error (an unknown rule or workload, or a lint path that does not exist
+or holds no ``*.py`` file).  ``lint`` runs the module-local rules
+(REP001..REP007) and the whole-tree collective rules (REP101..REP104)
+in one pass and prints one text report, so ``--select`` covers every
+rule.
 The sanitizer has no subcommand here — it is a *runtime* check, enabled
 per experiment run with ``python -m repro.harness <figure> --instrument
 sanitize`` (and implicitly by ``check``); the collective-trace validator
@@ -24,45 +22,11 @@ likewise runs with ``--instrument collectives``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from .linter import Finding, collect_suppressions, lint_paths
+from .linter import discover, lint_paths
 from .rules import RULES
-
-
-def _show_suppressed(paths: List[str]) -> int:
-    suppressions = collect_suppressions(paths)
-    for s in suppressions:
-        print(s.render())
-    n = len(suppressions)
-    unjustified = sum(1 for s in suppressions if not s.justification)
-    print(f"\n{n} suppression(s), {unjustified} without a justification"
-          if n else "no suppressions")
-    return 0
-
-
-def _report(findings: List[Finding], args: argparse.Namespace) -> int:
-    if args.format == "sarif":
-        from .sarif import render_sarif
-        text = render_sarif(findings)
-    elif args.format == "json":
-        text = json.dumps([f.__dict__ for f in findings], indent=2)
-    else:
-        lines = [f.render() for f in findings]
-        n = len(findings)
-        files = len({f.path for f in findings})
-        lines.append(f"\n{n} finding(s) in {files} file(s)" if n
-                     else "no findings")
-        text = "\n".join(lines)
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {args.output}")
-    else:
-        print(text)
-    return 1 if findings else 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -74,9 +38,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if unknown:
             print(f"unknown rule(s): {sorted(unknown)}", file=sys.stderr)
             return 2
-    if args.show_suppressed:
-        return _show_suppressed(args.paths)
-    return _report(lint_paths(args.paths, enabled), args)
+    for path in args.paths:
+        if not discover([path]):
+            print(f"lint: {path!r} does not exist or holds no *.py file",
+                  file=sys.stderr)
+            return 2
+    findings = lint_paths(args.paths, enabled)
+    for f in findings:
+        print(f.render())
+    n = len(findings)
+    files = len({f.path for f in findings})
+    print(f"\n{n} finding(s) in {files} file(s)" if n else "no findings")
+    return 1 if findings else 0
 
 
 def _cmd_rules(_args: argparse.Namespace) -> int:
@@ -91,7 +64,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # Lazy imports: the explorer pulls in the whole simulator stack,
     # which `lint` runs (CI's most frequent path) should not pay for.
     from .explore import run_check, save_trace
+    from .scenarios import SCENARIOS
 
+    if args.workload not in SCENARIOS:
+        print(f"check: unknown workload {args.workload!r}; choices: "
+              f"{', '.join(sorted(SCENARIOS))}", file=sys.stderr)
+        return 2
     if args.budget < 1 or args.bound < 0:
         print("check needs --budget >= 1 and --bound >= 0", file=sys.stderr)
         return 2
@@ -118,13 +96,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     lint.add_argument("paths", nargs="+", help="files or directories")
     lint.add_argument("--select", default="",
                       help="comma-separated rule IDs to run (default: all)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text", help="output format (default text)")
-    lint.add_argument("-o", "--output", default="",
-                      help="write the report to a file instead of stdout")
-    lint.add_argument("--show-suppressed", action="store_true",
-                      help="audit: list every noqa suppression with its "
-                           "justification instead of linting")
     lint.set_defaults(fn=_cmd_lint)
 
     rules = sub.add_parser("rules", help="print the rule table")

@@ -17,12 +17,13 @@ Exploration is bounded and pruned:
 * **DPOR-style pruning** — a deviation at decision point *p* is only
   explored when the access footprints of the two reordered segments
   conflict (same tracked container and key, at least one write).  The
-  footprints come for free: the sanitizer's ``tracked()`` proxies report
-  every access to the controller via the observer hook, attributed to
-  the event segment that performed it.  Footprints are *causally
-  closed* within an instant: a segment inherits the footprints of every
-  event it triggers that fires at the same simulated time, because
-  reordering the segment reorders that whole same-instant cascade.
+  footprints come for free: the sanitizer's ``tracked()`` proxies publish
+  every access on the engine's bus as an ``access`` layer event, and the
+  controller attributes it to the event segment that performed it.
+  Footprints are *causally closed* within an instant: a segment
+  inherits the footprints of every event it triggers that fires at the
+  same simulated time, because reordering the segment reorders that
+  whole same-instant cascade.
   (A fair-share ``Join`` completion is the canonical case — the relay
   that fires it has an empty footprint itself, but firing it is what
   releases the process segment that mutates the registries.)
@@ -84,13 +85,12 @@ class Violation:
 
 
 class _Controller:
-    """Engine observer + sanitizer observer for one controlled run.
+    """The engine observer for one controlled run.
 
-    Doubles as both halves of the instrumentation: the engine asks it to
-    break ties (``select``/``fired``/``quiescent``) and the tracked
-    proxies report accesses to it (``on_access``), which it attributes
-    to the event segment currently executing — the footprints DPOR
-    pruning needs.
+    The engine asks it to break ties (``select``/``fired``/
+    ``quiescent``), and the tracked proxies publish their accesses to it
+    (``access``), which it attributes to the event segment currently
+    executing — the footprints DPOR pruning needs.
     """
 
     def __init__(self, schedule: Schedule, env: Any):
@@ -127,8 +127,8 @@ class _Controller:
         if self.quick_cb is not None:
             self.quick_cb(now)
 
-    # -- sanitizer observer hook ------------------------------------------
-    def on_access(self, container: str, key: Any, is_write: bool) -> None:
+    # -- the ``access`` layer event ---------------------------------------
+    def access(self, container: str, key: Any, is_write: bool) -> None:
         cur = self._cur
         if cur is None:
             return
@@ -186,7 +186,6 @@ def run_schedule(scenario: Scenario, schedule: Schedule, *,
                 quick_msgs.append(msg)
 
     controller.quick_cb = on_quiescent
-    san.observer = controller
     env.subscribe(controller)
 
     procs = scenario.drive(world)
@@ -198,7 +197,6 @@ def run_schedule(scenario: Scenario, schedule: Schedule, *,
 
     workload_decisions = len(controller.decisions)
     workload_conflicts = list(san.conflicts)
-    san.observer = None
     controller.quick_cb = None
     env.unsubscribe(controller)
 

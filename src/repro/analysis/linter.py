@@ -18,19 +18,12 @@ once and parses each once; the module-local passes run per file, the
 collective pass over all parsed modules, and the noqa filter once per
 file over every finding.  A file that does not parse yields one REP000.
 
-Suppression forms, narrowest first:
-
-* ``# repro: noqa[REP004]`` on the flagged line (several IDs comma-
-  separated; a trailing ``-- reason`` is encouraged and audited);
-* ``# noqa: REP003,REP101`` — the flake8-style spelling, same
-  semantics, so editors and other tools recognize the suppression;
-* ``# repro: noqa`` / ``# noqa`` on the flagged line silences every
-  rule there.
-
-Every suppression is an auditable record (:class:`Suppression`): its
-line, the codes it silences, and the justification text after ``--``.
-``python -m repro.analysis lint --show-suppressed`` lists them all, so
-unjustified suppressions are one grep away from review.
+One suppression spelling, on the flagged line:
+``# repro: noqa[REP004,REP101] -- reason``.  It names the rules it
+silences (a rule-less ``# noqa`` silences nothing), and the text after
+``--`` is its justification.  Every suppression is an auditable record
+(:class:`Suppression`); the tier-1 suite requires each one in the
+shipped tree to be justified and to silence a live finding.
 
 The matcher is deliberately syntactic: it cannot prove an iteration
 order reaches a result table, so REP004/REP006 over-approximate and the
@@ -66,7 +59,7 @@ from .cfg import build_cfg, dotted_name, local_nodes
 from .rules import RULES
 
 __all__ = ["Finding", "Suppression", "lint_source", "lint_paths",
-           "iter_suppressions", "collect_suppressions"]
+           "discover", "iter_suppressions", "collect_suppressions"]
 
 _REP1XX = frozenset({"REP101", "REP102", "REP103", "REP104"})
 
@@ -91,14 +84,13 @@ class Suppression:
 
     path: str
     line: int
-    rules: Optional[frozenset]  # None: suppresses every rule on the line
-    justification: str          # text after `--` (or trailing prose); ""
+    rules: frozenset
+    justification: str  # text after `--`; "" when there is none
 
     def render(self) -> str:
-        what = "all rules" if self.rules is None \
-            else ",".join(sorted(self.rules))
         why = self.justification or "(no justification)"
-        return f"{self.path}:{self.line}: noqa[{what}] -- {why}"
+        return (f"{self.path}:{self.line}: "
+                f"noqa[{','.join(sorted(self.rules))}] -- {why}")
 
 
 # -- rule tables -------------------------------------------------------------
@@ -138,14 +130,7 @@ _ORDER_INSENSITIVE = frozenset({
 
 _UNORDERED_METHODS = frozenset({"values", "keys", "items"})
 
-# Both spellings: `repro: noqa[REP004]` (bracketed, project-native)
-# and `noqa: REP003,REP101` (flake8-style colon list).  A bare
-# `noqa` / `repro: noqa` suppresses every rule on the line.
-_NOQA_RE = re.compile(
-    r"#\s*(?:repro:\s*)?noqa"
-    r"(?:\[(?P<bracket>[A-Za-z0-9,\s]+)\]"
-    r"|:\s*(?P<colon>[A-Za-z][A-Za-z0-9]*(?:\s*,\s*[A-Za-z][A-Za-z0-9]*)*)"
-    r")?")
+_NOQA_RE = re.compile(r"#\s*repro:\s*noqa\[(?P<rules>[A-Za-z0-9,\s]+)\]")
 
 
 def _is_unordered(node: ast.AST) -> bool:
@@ -531,25 +516,16 @@ class _AtomicityPass:
 
 def iter_suppressions(source: str, path: str = "<string>",
                       ) -> List[Suppression]:
-    """Every ``noqa`` comment in *source*, with its justification.
-
-    The justification is the text after ``--`` on the comment (the
-    convention the bracketed form has always encouraged), else whatever
-    prose trails the codes.
-    """
+    """Every ``# repro: noqa[...]`` comment in *source*, with the
+    justification after its ``--``."""
     out: List[Suppression] = []
     for lineno, comment in _comments(source):
         m = _NOQA_RE.search(comment)
         if not m:
             continue
-        codes = m.group("bracket") or m.group("colon")
-        rules = None if codes is None else frozenset(
-            r.strip().upper() for r in codes.split(",") if r.strip())
-        trailing = comment[m.end():]
-        if "--" in trailing:
-            just = trailing.split("--", 1)[1]
-        else:
-            just = trailing.lstrip(":#")
+        rules = frozenset(r.strip().upper()
+                          for r in m.group("rules").split(",") if r.strip())
+        _, _, just = comment[m.end():].partition("--")
         out.append(Suppression(path=path, line=lineno, rules=rules,
                                justification=" ".join(just.split())))
     return out
@@ -575,14 +551,11 @@ def _comments(source: str) -> List[Tuple[int, str]]:
     return comments
 
 
-def _noqa_map(source: str) -> Dict[int, Optional[Set[str]]]:
-    """line -> suppressed rule IDs (None means: every rule)."""
-    out: Dict[int, Optional[Set[str]]] = {}
+def _noqa_map(source: str) -> Dict[int, Set[str]]:
+    """line -> suppressed rule IDs."""
+    out: Dict[int, Set[str]] = {}
     for s in iter_suppressions(source):
-        if s.rules is None:
-            out[s.line] = None
-        elif out.get(s.line, set()) is not None:
-            out.setdefault(s.line, set()).update(s.rules)
+        out.setdefault(s.line, set()).update(s.rules)
     return out
 
 
@@ -590,25 +563,17 @@ def _filter_findings(findings: Iterable[Finding],
                      source: str) -> List[Finding]:
     """Drop findings suppressed by a ``noqa`` on their own line."""
     noqa = _noqa_map(source)
-    out: List[Finding] = []
-    for f in findings:
-        suppressed = noqa.get(f.line, ...)
-        if suppressed is None:
-            continue
-        if suppressed is not ... and f.rule in suppressed:
-            continue
-        out.append(f)
-    return out
+    return [f for f in findings if f.rule not in noqa.get(f.line, ())]
 
 
-def _discover(paths: Sequence[str]) -> List[Path]:
+def discover(paths: Sequence[str]) -> List[Path]:
     """Every ``*.py`` under *paths* (files or directories), once each."""
     files: List[Path] = []
     for p in paths:
         root = Path(p)
         if root.is_dir():
             files.extend(sorted(root.rglob("*.py")))
-        elif root.suffix == ".py":
+        elif root.suffix == ".py" and root.is_file():
             files.append(root)
     return list(dict.fromkeys(files))
 
@@ -616,7 +581,7 @@ def _discover(paths: Sequence[str]) -> List[Path]:
 def collect_suppressions(paths: Sequence[str]) -> List[Suppression]:
     """Audit: every noqa under *paths* (files or directories)."""
     out: List[Suppression] = []
-    for f in _discover(paths):
+    for f in discover(paths):
         out.extend(iter_suppressions(f.read_text(encoding="utf-8"),
                                      path=str(f)))
     return out
@@ -670,4 +635,4 @@ def lint_paths(paths: Sequence[str],
                enabled: Optional[Iterable[str]] = None) -> List[Finding]:
     """Lint every ``*.py`` under *paths* as one tree; findings in path order."""
     return _lint([(str(f), f.read_text(encoding="utf-8"))
-                  for f in _discover(paths)], enabled)
+                  for f in discover(paths)], enabled)

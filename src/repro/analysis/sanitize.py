@@ -37,6 +37,11 @@ world with ``--instrument sanitize``, which
 :func:`repro.harness.setup.build_world` reads from ``REPRO_INSTRUMENT``
 so sweep worker processes inherit the setting.
 
+Every tracked access is also published on the engine's bus as an
+``access(container, key, is_write)`` layer event, the way ``Comm``
+publishes ``collective``: the model checker subscribes to it for the
+access footprints its DPOR pruning compares.
+
 In strict mode (the default) a conflict raises
 :class:`~repro.errors.RaceConditionError` at the offending write, with
 the container, key, both process names, and both epochs in the message
@@ -96,7 +101,7 @@ class _ProcRecord:
 
 
 class Sanitizer:
-    """Collects per-process records, tracked containers, and conflicts.
+    """Collects per-process records and conflicts.
 
     Subscribe it to *env* before the world's containers are registered
     and its processes spawned: ``env.subscribe(Sanitizer(env))``.
@@ -106,15 +111,9 @@ class Sanitizer:
         self.strict = strict
         self.conflicts: List[Conflict] = []
         self.current: Optional[_ProcRecord] = None
-        self.containers = 0
         self.env = env
         self._nproc = 0
         self._ncid = 0
-        # Optional access-footprint observer (the model checker's schedule
-        # controller): called as ``observer.on_access(container, key,
-        # is_write)`` for every tracked access.  None costs one attribute
-        # load per access and nothing else.
-        self.observer: Any = None
 
     # -- the engine's spawn hook -------------------------------------------
     def spawn(self, gen: Generator, name: str) -> Generator:
@@ -150,11 +149,6 @@ class Sanitizer:
         self.conflicts.append(conflict)
         if self.strict:
             raise RaceConditionError(conflict.render())
-
-    def summary(self) -> str:
-        n = len(self.conflicts)
-        return (f"sanitizer: {self.containers} tracked containers, "
-                f"{self._nproc} instrumented processes, {n} conflict(s)")
 
 
 def sanitizer_of(env: Any) -> Optional[Sanitizer]:
@@ -220,28 +214,6 @@ class _TrackedList:
         self._owner._note_write(self._key)
         self._lst[i] = value
 
-    def __len__(self) -> int:
-        self._owner._note_read(self._key)
-        return len(self._lst)
-
-    def __iter__(self) -> Iterator[Any]:
-        self._owner._note_read(self._key)
-        return iter(list(self._lst))
-
-    def __eq__(self, other: Any) -> bool:
-        self._owner._note_read(self._key)
-        if isinstance(other, _TrackedList):
-            other = other._lst
-        return self._lst == other
-
-    def append(self, value: Any) -> None:
-        self._owner._note_write(self._key)
-        self._lst.append(value)
-
-    def pop(self, i: int = -1) -> Any:
-        self._owner._note_write(self._key)
-        return self._lst.pop(i)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"tracked({self._lst!r})"
 
@@ -251,8 +223,9 @@ class _TrackedBase:
 
     Subclasses expose a dict or set surface; every access funnels through
     :meth:`_note_read` / :meth:`_note_write`, which record the vectors the
-    race detector compares and notify the sanitizer's access-footprint
-    observer (when one is installed by the model checker).
+    race detector compares and publish an ``access(container, key,
+    is_write)`` layer event on the engine's bus (the model checker
+    subscribes to it for its DPOR footprints).
     """
 
     __slots__ = ("_san", "name", "_cid", "_ver", "_writer", "_del_ver")
@@ -261,7 +234,6 @@ class _TrackedBase:
         self._san = san
         self.name = name
         san._ncid += 1
-        san.containers += 1
         self._cid = san._ncid
         self._ver: Dict[Any, int] = {}
         self._writer: Dict[Any, str] = {}
@@ -273,15 +245,13 @@ class _TrackedBase:
         rec = san.current
         if rec is not None:
             rec.reads[(self._cid, key)] = (self._ver.get(key, 0), rec.epoch)
-        obs = san.observer
-        if obs is not None:
-            obs.on_access(self.name, key, False)
+        for hook in san.env.subscribers("access"):
+            hook(self.name, key, False)
 
     def _note_write(self, key: Any, deleted: bool = False) -> None:
         san = self._san
-        obs = san.observer
-        if obs is not None:
-            obs.on_access(self.name, key, True)
+        for hook in san.env.subscribers("access"):
+            hook(self.name, key, True)
         rec = san.current
         ver = self._ver.get(key, 0)
         # Deletions *by others since the read* decide the conflict kind, so
@@ -317,10 +287,10 @@ class TrackedDict(_TrackedBase):
     """Recording proxy around a plain dict of shared simulation state.
 
     Supports the mapping surface the instrumented modules actually use
-    (item access, ``get``/``setdefault``/``pop``/``update``, ``del``,
-    ``in``, iteration, ``values``/``items``/``keys``, ``clear``, ``|=``,
-    ``len``).  List values come back wrapped in :class:`_TrackedList` so
-    in-place field mutations are visible to the race detector.
+    (item access, ``get``/``setdefault``, ``del``, ``in``, iteration,
+    truth, ``values``/``items``, ``clear``, ``len``).  List values come
+    back wrapped in :class:`_TrackedList` so in-place field mutations
+    are visible to the race detector.
     """
 
     __slots__ = ("_d", "_wrappers")
@@ -383,31 +353,6 @@ class TrackedDict(_TrackedBase):
         self._note_read(key)
         return self._wrap(key, self._d[key])
 
-    def pop(self, key: Any, *default: Any) -> Any:
-        if key in self._d or not default:
-            self._note_write(key, deleted=True)
-            value = self._d.pop(key)
-            self._wrappers.pop(key, None)
-            return value
-        self._note_read(key)
-        return default[0]
-
-    def update(self, other: Any = (), **kw: Any) -> None:
-        items = other.items() if hasattr(other, "items") else other
-        for k, v in items:
-            self._note_write(k)
-            self._d[k] = v
-        for k, v in kw.items():  # repro: noqa[REP004] -- kwargs preserve call order (PEP 468)
-            self._note_write(k)
-            self._d[k] = v
-
-    def __ior__(self, other: Any) -> "TrackedDict":
-        self.update(other)
-        return self
-
-    def keys(self) -> List[Any]:
-        return list(iter(self))
-
     def values(self) -> List[Any]:
         return [self._wrap(k, self._d[k]) for k in iter(self)]
 
@@ -428,8 +373,8 @@ class TrackedSet(_TrackedBase):
     """Recording proxy around a plain set of shared simulation state.
 
     Each element is its own conflict key (membership is the state), so a
-    membership test is a read of that element and ``add``/``discard``/
-    ``remove`` are writes to it — a process that checks ``x in s``,
+    membership test is a read of that element and ``add``/``discard``
+    are writes to it — a process that checks ``x in s``,
     yields, and then mutates ``x``'s membership after another process
     changed it gets flagged exactly like a stale dict write.
     """
@@ -450,12 +395,6 @@ class TrackedSet(_TrackedBase):
     def __bool__(self) -> bool:
         return bool(self._s)
 
-    def __iter__(self) -> Iterator[Any]:
-        keys = sorted(self._s, key=repr)
-        for k in keys:
-            self._note_read(k)
-        return iter(keys)
-
     def add(self, key: Any) -> None:
         self._note_write(key)
         self._s.add(key)
@@ -466,27 +405,6 @@ class TrackedSet(_TrackedBase):
             self._s.discard(key)
         else:
             self._note_read(key)
-
-    def remove(self, key: Any) -> None:
-        if key not in self._s:
-            self._note_read(key)
-            raise KeyError(key)
-        self._note_write(key, deleted=True)
-        self._s.remove(key)
-
-    def update(self, other: Any) -> None:
-        for k in other:
-            self._note_write(k)
-            self._s.add(k)
-
-    def __ior__(self, other: Any) -> "TrackedSet":
-        self.update(other)
-        return self
-
-    def clear(self) -> None:
-        for k in list(self._s):
-            self._note_write(k, deleted=True)
-        self._s.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TrackedSet({self.name!r}, {self._s!r})"

@@ -230,7 +230,7 @@ class OsdPool:
         for lane, obj_off, nbytes in lanes:
             by_osd.setdefault((file_uid + lane) % cfg.n_osds, []).append(
                 (file_uid * mult + lane, obj_off, nbytes))
-        for osd_index, reqs in by_osd.items():  # repro: noqa[REP004] - insertion order follows the lane walk above, deterministically
+        for osd_index, reqs in by_osd.items():  # repro: noqa[REP004] -- insertion order follows the lane walk above, deterministically
             if len(reqs) == 1:
                 self.osds[osd_index].io(*reqs[0], join, **kwargs)
             else:

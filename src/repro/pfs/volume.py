@@ -390,7 +390,7 @@ class Volume:
                         osd = self.pool.lane_osd(n.uid, lane)
                         demand[osd.index] = (demand.get(osd.index, 0.0)
                                              + size / lanes + overhead)
-                for i, d in demand.items():  # repro: noqa[REP004] - keyed by osd index from the deterministic lane walk
+                for i, d in demand.items():  # repro: noqa[REP004] -- keyed by osd index from the deterministic lane walk
                     self.pool.osds[i].server.serve(d, join)
             self.storage_net.path_events(client.node, total, join)
             yield join

@@ -413,8 +413,9 @@ class Engine:
 
     Any other name is a *layer event* that a model layer publishes to
     :meth:`subscribers` of that name, and only when there are some:
-    ``collective`` (:class:`repro.mpi.Comm`) and ``job_drain``
-    (:func:`repro.mpi.run_job`).  With no ``fired``, ``quiescent`` or
+    ``collective`` (:class:`repro.mpi.Comm`), ``job_drain``
+    (:func:`repro.mpi.run_job`) and ``access`` (the sanitizer's tracked
+    containers).  With no ``fired``, ``quiescent`` or
     ``select`` subscriber, :meth:`run` is the inlined fast loop and the
     bus costs nothing per event.
 

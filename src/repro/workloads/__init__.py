@@ -15,7 +15,6 @@ from .base import (
 from .kernels import LANL1, LANL3, Aramco, MADbench, Pixie3D
 from .metadata_bench import MetadataTimes, n1_open_storm, nn_metadata_storm
 from .synthetic import IOR, MPIIOTest
-from .trace import IOTrace, TraceOp, TraceWorkload, synthesize_strided_trace
 
 __all__ = [
     "AppSpec",
@@ -41,8 +40,4 @@ __all__ = [
     "nn_metadata_storm",
     "IOR",
     "MPIIOTest",
-    "IOTrace",
-    "TraceOp",
-    "TraceWorkload",
-    "synthesize_strided_trace",
 ]

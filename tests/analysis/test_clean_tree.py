@@ -1,7 +1,6 @@
 """The shipped tree passes its own determinism linter and CLI."""
 
 import io
-import json
 import subprocess
 import sys
 import tokenize
@@ -53,32 +52,60 @@ def test_every_suppression_silences_a_live_finding(tmp_path):
     assert found == suppressed
 
 
-def test_cli_lint_exits_zero_on_clean_tree():
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "lint", str(SRC)],
+def test_shipped_tree_suppressions_are_justified():
+    # Every noqa in the shipped tree must say *why*, after its `--`.
+    suppressions = collect_suppressions([str(SRC)])
+    assert suppressions
+    unjustified = [s.render() for s in suppressions if not s.justification]
+    assert unjustified == []
+
+
+def _cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "repro.analysis", *argv],
         cwd=REPO, capture_output=True, text=True,
         env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
+
+
+def test_cli_lint_exits_zero_on_clean_tree():
+    proc = _cli("lint", str(SRC))
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "no findings"
 
 
-def test_cli_lint_flags_and_reports_json(tmp_path):
+def test_cli_lint_flags_and_reports_text(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nt = time.time()\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "lint", "--format", "json",
-         str(bad)],
-        cwd=REPO, capture_output=True, text=True,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
+    proc = _cli("lint", str(bad))
     assert proc.returncode == 1
-    payload = json.loads(proc.stdout)
-    assert [f["rule"] for f in payload] == ["REP001"]
+    flagged = [line for line in proc.stdout.splitlines() if " REP" in line]
+    assert len(flagged) == 1
+    assert flagged[0].startswith(f"{bad}:2:5: REP001 ")
+    assert "1 finding(s) in 1 file(s)" in proc.stdout
+
+
+def test_cli_lint_rejects_a_path_with_no_sources(tmp_path):
+    # A typo in the lint path must not silently switch the gate off.
+    missing = tmp_path / "does_not_exist"
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("not python\n")
+    for path in (missing, tmp_path / "missing.py", empty):
+        proc = _cli("lint", str(path))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert str(path) in proc.stderr
+        assert "no findings" not in proc.stdout
+
+
+def test_cli_check_rejects_an_unknown_workload():
+    proc = _cli("check", "--workload", "nope", "--budget", "1")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "'nope'" in proc.stderr and "smallio" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_rules_lists_all_rules():
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "rules"],
-        cwd=REPO, capture_output=True, text=True,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
+    proc = _cli("rules")
     assert proc.returncode == 0
     for rule_id in RULES:
         assert rule_id in proc.stdout

@@ -229,7 +229,7 @@ class TestSuppression:
         mod.write_text(textwrap.dedent('''
             def leader(comm):
                 if comm.rank == 0:
-                    yield from comm.bcast("h", root=0)  # noqa: REP101 -- demo
+                    yield from comm.bcast("h", root=0)  # repro: noqa[REP101] -- demo
                 vals = yield from comm.gather(comm.rank, root=0)
                 return vals
         '''))
@@ -240,7 +240,7 @@ class TestSuppression:
         mod.write_text(textwrap.dedent('''
             def leader(comm):
                 if comm.rank == 0:
-                    yield from comm.bcast("h", root=0)  # noqa: REP104
+                    yield from comm.bcast("h", root=0)  # repro: noqa[REP104] -- other rule
                 vals = yield from comm.gather(comm.rank, root=0)
                 return vals
         '''))

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.analysis.linter import Finding, lint_source
+from repro.analysis.linter import Finding, iter_suppressions, lint_source
 from repro.analysis.rules import RULES
 
 
@@ -226,12 +226,29 @@ def test_rep006_suppressed():
 
 # -- machinery ---------------------------------------------------------------
 
-def test_bare_noqa_silences_every_rule_on_line():
-    findings = _lint("""
+def test_rule_less_and_flake8_noqa_do_not_suppress():
+    # One spelling suppresses: `# repro: noqa[REPnnn]`.  The bare forms
+    # and the flake8 colon list leave the finding standing.
+    for comment in ("# noqa", "# repro: noqa", "# noqa: REP001"):
+        findings = _lint(f"""
+            import time
+            t = time.time()  {comment}
+        """)
+        assert _rules(findings) == ["REP001"], comment
+
+
+def test_justification_is_the_text_after_double_dash():
+    source = textwrap.dedent("""
         import time
-        t = time.time() + hash("x")  # repro: noqa
+        a = time.time()  # repro: noqa[REP001] -- harness progress report
+        b = time.time()  # repro: noqa[rep001]  trailing prose is no reason
     """)
-    assert findings == []
+    first, second = iter_suppressions(source)
+    assert first.rules == frozenset({"REP001"})
+    assert first.justification == "harness progress report"
+    assert second.rules == frozenset({"REP001"})
+    assert second.justification == ""
+    assert lint_source(source) == []
 
 
 def test_noqa_for_other_rule_does_not_suppress():

@@ -26,7 +26,6 @@ def test_tracked_returns_proxy_with_sanitizer():
     env, san = make_env()
     d = tracked(env, {}, "x")
     assert isinstance(d, TrackedDict)
-    assert san.containers == 1
 
 
 def test_sanitize_enabled_reads_env_flag(monkeypatch):
@@ -196,17 +195,32 @@ def test_wrapper_propagates_exceptions():
         env.run()
 
 
-def test_summary_counts():
-    env, san = make_env()
-    tracked(env, {}, "a")
-    tracked(env, {}, "b")
+def test_access_events_ride_the_engine_bus():
+    """Tracked reads and writes are ``access`` layer events on the bus:
+    a subscriber defining ``access`` sees each one, and nothing after it
+    unsubscribes."""
 
-    def noop(env):
-        yield env.timeout(0.1)
+    class Footprints:
+        def __init__(self):
+            self.seen = []
 
-    env.process(noop(env), "n")
-    env.run()
-    s = san.summary()
-    assert "2 tracked containers" in s
-    assert "1 instrumented processes" in s
-    assert "0 conflict(s)" in s
+        def access(self, container, key, is_write):
+            self.seen.append((container, key, is_write))
+
+    env, _san = make_env()
+    d = tracked(env, {"k": 1}, "reg")
+    obs = env.subscribe(Footprints())
+    assert d["k"] == 1
+    d["k"] = 2
+    assert "k" in d
+    assert obs.seen == [("reg", "k", False), ("reg", "k", True),
+                        ("reg", "k", False)]
+    env.unsubscribe(obs)
+    d["k"] = 3
+    assert "k" in d
+    assert len(obs.seen) == 3
+
+    plain = Engine()
+    plain.subscribe(Footprints())
+    container = {}
+    assert tracked(plain, container, "reg") is container
