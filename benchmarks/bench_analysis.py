@@ -1,6 +1,6 @@
-"""Cost guards for the collective-matching analyzer and trace validator.
+"""Cost guards for the determinism linter and the collective trace validator.
 
-Two contracts keep the new tooling affordable:
+Two contracts keep the tooling affordable:
 
 * **the full-tree lint (every rule) stays under 30 s** — it runs in CI on
   every push, so its wall time bounds the feedback loop;
@@ -50,8 +50,8 @@ def _job(tracer=False):
 
 def test_full_tree_lint_under_30s():
     """CI gates on ``python -m repro.analysis lint src/``; every rule,
-    including the interprocedural pass (CFG + path enumeration +
-    call-graph summaries over the whole tree), must stay interactive."""
+    REP007's per-generator CFG dataflow included, must stay
+    interactive."""
     t0 = time.perf_counter()
     findings = lint_paths([str(SRC)])
     dt = time.perf_counter() - t0

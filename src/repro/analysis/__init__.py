@@ -11,11 +11,12 @@ enforced invariant, with two engines:
   ``hash()``, unordered-container iteration feeding results or event
   schedules, mutable default arguments, order-sensitive float
   reductions, and registry reads gone stale across a yield
-  (``REP001``..``REP007``); plus the interprocedural collective-matching
-  rules ``REP101``..``REP104`` (:mod:`repro.analysis.collectives`).
-  Rules are listed in :mod:`repro.analysis.rules` and suppressible per
-  line with ``# repro: noqa[REPnnn] -- reason``, the one spelling.
-  ``lint`` prints one text report.
+  (``REP001``..``REP007``).  Rules are listed in
+  :mod:`repro.analysis.rules` and suppressible per line with
+  ``# repro: noqa[REPnnn] -- reason``, the one spelling.  ``lint``
+  prints one text report.  Collective congruence has no static rule: it
+  is checked at run time by :mod:`repro.mpi.trace`
+  (``--instrument collectives``).
 
 * a **yield-point race sanitizer** (:mod:`repro.analysis.sanitize`) — a
   dynamic checker for the hazard class behind the PR 2 last-closer bug:

@@ -1,22 +1,20 @@
-"""Analysis CLI: determinism and collective linter, model checker.
+"""Analysis CLI: determinism linter, model checker.
 
 Usage::
 
-    python -m repro.analysis lint src/              # every rule, one tree
-    python -m repro.analysis lint a.py --select REP004,REP101
+    python -m repro.analysis lint src/              # every rule
+    python -m repro.analysis lint a.py --select REP004,REP007
     python -m repro.analysis rules                  # rule table
     python -m repro.analysis check --workload smallio --budget 200
 
 Exit status: 0 when no findings/violations, 1 when any, 2 on usage
-error (an unknown rule or workload, or a lint path that does not exist
-or holds no ``*.py`` file).  ``lint`` runs the module-local rules
-(REP001..REP007) and the whole-tree collective rules (REP101..REP104)
-in one pass and prints one text report, so ``--select`` covers every
-rule.
+error (an unknown rule or workload, a ``--select`` that names no rule,
+or a lint path that does not exist or holds no ``*.py`` file).  ``lint``
+runs the rules (REP001..REP007) file by file and prints one text report.
 The sanitizer has no subcommand here — it is a *runtime* check, enabled
 per experiment run with ``python -m repro.harness <figure> --instrument
-sanitize`` (and implicitly by ``check``); the collective-trace validator
-likewise runs with ``--instrument collectives``.
+sanitize`` (and implicitly by ``check``); collective congruence is
+likewise checked at run time, with ``--instrument collectives``.
 """
 
 from __future__ import annotations
@@ -31,12 +29,17 @@ from .rules import RULES
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     enabled = None
-    if args.select:
+    if args.select is not None:
         enabled = {r.strip().upper() for r in args.select.split(",")
                    if r.strip()}
         unknown = enabled - set(RULES)
         if unknown:
             print(f"unknown rule(s): {sorted(unknown)}", file=sys.stderr)
+            return 2
+        if not enabled:
+            # A typo'd select must not silently switch the gate off.
+            print(f"lint: --select {args.select!r} names no rule",
+                  file=sys.stderr)
             return 2
     for path in args.paths:
         if not discover([path]):
@@ -92,9 +95,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     lint = sub.add_parser(
-        "lint", help="run every rule (REP001..REP104) over a source tree")
+        "lint", help="run every rule (REP001..REP007) over a source tree")
     lint.add_argument("paths", nargs="+", help="files or directories")
-    lint.add_argument("--select", default="",
+    lint.add_argument("--select",
                       help="comma-separated rule IDs to run (default: all)")
     lint.set_defaults(fn=_cmd_lint)
 

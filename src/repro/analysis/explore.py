@@ -216,9 +216,8 @@ def run_schedule(scenario: Scenario, schedule: Schedule, *,
     for msg in quick_msgs:
         violations.append(Violation("invariant", msg))
     # Quiescent-drain collective-congruence oracle: every communicator
-    # the workload touched must show identical per-rank traces.  This is
-    # the runtime confirmation channel for static REP101..REP104
-    # findings (repro.analysis.collectives).
+    # the workload touched must show identical per-rank traces, and no
+    # drained job may leave a message unreceived (repro.mpi.trace).
     from ..mpi.trace import validate_tracer
 
     for msg in validate_tracer(tracer):

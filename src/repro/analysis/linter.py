@@ -1,6 +1,7 @@
 """The linter: every REP rule from one walk over the sources.
 
-Module-local rules (see :mod:`repro.analysis.rules` for rationale):
+Every rule is module-local (see :mod:`repro.analysis.rules` for
+rationale):
 
 ========  ===========================================================
 REP001    wall-clock reads (``time.time``, ``datetime.now``, ...)
@@ -12,14 +13,12 @@ REP006    float reductions (``sum``/``fsum``) over unordered iterables
 REP007    registry read separated from its dependent write by a yield
 ========  ===========================================================
 
-and the whole-tree collective-matching rules REP101..REP104
-(:mod:`repro.analysis.collectives`).  :func:`lint_paths` finds the files
-once and parses each once; the module-local passes run per file, the
-collective pass over all parsed modules, and the noqa filter once per
-file over every finding.  A file that does not parse yields one REP000.
+:func:`lint_paths` finds the files once and lints each on its own: one
+parse, the rule passes, then the noqa filter over its findings.  A file
+that does not parse yields one REP000.
 
 One suppression spelling, on the flagged line:
-``# repro: noqa[REP004,REP101] -- reason``.  It names the rules it
+``# repro: noqa[REP004,REP006] -- reason``.  It names the rules it
 silences (a rule-less ``# noqa`` silences nothing), and the text after
 ``--`` is its justification.  Every suppression is an auditable record
 (:class:`Suppression`); the tier-1 suite requires each one in the
@@ -41,10 +40,10 @@ right interleaving.  The pass recognises registries syntactically
 anywhere in the module, and results of same-module helpers whose body
 calls ``tracked``) and tracks read/yield/write phases per registry as a
 forward dataflow over each generator's control-flow graph
-(:mod:`repro.analysis.cfg`, shared with REP101..REP104): a yield on one
-arm of a branch cannot taint the other, an arm that returns or raises
-never reaches the code after the branch, and loop back edges carry
-reads cached across an iteration's yields.
+(:mod:`repro.analysis.cfg`): a yield on one arm of a branch cannot taint
+the other, an arm that returns or raises never reaches the code after
+the branch, and loop back edges carry reads cached across an
+iteration's yields.
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ from .rules import RULES
 
 __all__ = ["Finding", "Suppression", "lint_source", "lint_paths",
            "discover", "iter_suppressions", "collect_suppressions"]
-
-_REP1XX = frozenset({"REP101", "REP102", "REP103", "REP104"})
 
 
 @dataclass(frozen=True)
@@ -497,7 +494,7 @@ class _AtomicityPass:
                     stmt_events(stmt, state)
                 if blk.test is not None:
                     stmt_events(ast.Expr(blk.test), state)
-                for dst, _label in blk.succs:
+                for dst in blk.succs:
                     ins[dst] = merge(ins.get(dst, {}), state)
             if (ins, len(local_regs)) == before:
                 break
@@ -587,52 +584,31 @@ def collect_suppressions(paths: Sequence[str]) -> List[Suppression]:
     return out
 
 
-def _lint(files: Sequence[Tuple[str, str]],
-          enabled: Optional[Iterable[str]]) -> List[Finding]:
-    """Every enabled rule over *files* ((path, source) pairs), in file
-    order; noqa-filtered once per file."""
-    rules = set(enabled) if enabled is not None else set(RULES)
-    trees: Dict[str, ast.Module] = {}
-    raw: Dict[str, List[Finding]] = {}
-    for path, source in files:
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            raw[path] = [Finding(rule="REP000", path=path,
-                                 line=exc.lineno or 1,
-                                 col=(exc.offset or 1) - 1,
-                                 message=f"syntax error: {exc.msg}")]
-            continue
-        trees[path] = tree
-        visitor = _Visitor(rules, path)
-        visitor.visit(tree)
-        if "REP007" in rules:
-            _AtomicityPass(visitor._emit).run(tree)
-        raw[path] = visitor.findings
-    if rules & _REP1XX:
-        # Imported here: collectives imports Finding from this module.
-        from .collectives import analyze_modules
-
-        for f in analyze_modules(trees):
-            if f.rule in rules:
-                raw[f.path].append(f)
-    out: List[Finding] = []
-    for path, source in files:
-        found = raw[path]
-        if path in trees:
-            found = _filter_findings(found, source)
-        out.extend(sorted(found, key=lambda f: (f.line, f.col, f.rule)))
-    return out
-
-
 def lint_source(source: str, path: str = "<string>",
                 enabled: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Lint one source string under every rule (or *enabled* ones)."""
-    return _lint([(path, source)], enabled)
+    """Lint one source string under every rule (or *enabled* ones);
+    findings in line order, noqa-filtered."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return [Finding(rule="REP000", path=path, line=exc.lineno or 1,
+                        col=(exc.offset or 1) - 1,
+                        message=f"syntax error: {exc.msg}")]
+    rules = set(enabled) if enabled is not None else set(RULES)
+    visitor = _Visitor(rules, path)
+    visitor.visit(tree)
+    if "REP007" in rules:
+        _AtomicityPass(visitor._emit).run(tree)
+    return sorted(_filter_findings(visitor.findings, source),
+                  key=lambda f: (f.line, f.col, f.rule))
 
 
 def lint_paths(paths: Sequence[str],
                enabled: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Lint every ``*.py`` under *paths* as one tree; findings in path order."""
-    return _lint([(str(f), f.read_text(encoding="utf-8"))
-                  for f in discover(paths)], enabled)
+    """Lint every ``*.py`` under *paths*, one file at a time; findings in
+    path order."""
+    out: List[Finding] = []
+    for f in discover(paths):
+        out.extend(lint_source(f.read_text(encoding="utf-8"), str(f),
+                               enabled))
+    return out

@@ -141,8 +141,9 @@ class CollectiveMismatchError(MPIError):
 
     Raised at job drain by the collective-trace validator
     (``--instrument collectives``): some rank issued a different
-    collective, a different root, or skipped one the others issued —
-    the runtime confirmation of a static REP101/REP102/REP104 finding.
+    collective, a different root, or skipped one the others issued; or,
+    in a job that otherwise finished, a point-to-point message was sent
+    that no rank ever received.
     """
 
 

@@ -97,9 +97,9 @@ def main(argv=None) -> int:
                              f"{{{','.join(INSTRUMENTS)}}}: 'sanitize' "
                              "raises RaceConditionError on a shared-state "
                              "race (repro.analysis); 'collectives' asserts "
-                             "per-communicator collective congruence at "
-                             "job drain (CollectiveMismatchError), the "
-                             "runtime cross-check for REP101..REP104")
+                             "per-communicator collective congruence, and "
+                             "that no sent message goes unreceived, at job "
+                             "drain (CollectiveMismatchError)")
     args = parser.parse_args(argv)
     if args.replay_schedule:
         if args.figures:

@@ -1,17 +1,19 @@
 """Runtime collective-trace recording and congruence validation.
 
-The static analyzer (:mod:`repro.analysis.collectives`) proves rank
-congruence where it can and is conservative where it cannot — unresolved
-calls, opaque summaries, justified ``noqa`` sites.  This module is the
-runtime half of the contract: with a :class:`CollectiveTracer` on the
-engine's observer bus (``--instrument collectives`` in the harness), it
-receives the ``collective`` layer event :class:`~repro.mpi.comm.Comm`
-publishes for every top-level collective a rank issues, records it as
-``(op, root)`` against its communicator, and at each ``job_drain`` event
+This module is the one check of the SPMD contract every collective in
+the stack relies on: every rank of a communicator issues the same
+collective sequence with the same roots.  With a
+:class:`CollectiveTracer` on the engine's observer bus
+(``--instrument collectives`` in the harness), it receives the
+``collective`` layer event :class:`~repro.mpi.comm.Comm` publishes for
+every top-level collective a rank issues, records it as ``(op, root)``
+against its communicator, and at each ``job_drain`` event
 (:func:`~repro.mpi.runtime.run_job`) asserts that every rank of every
-communicator issued the *same* sequence with the *same* roots.  A static
-finding is confirmed by a non-congruent trace and dismissed by a
-congruent one — each with a replayable run.
+communicator issued the *same* sequence with the *same* roots.  A job
+that finished is also checked for point-to-point messages that were
+sent and never received: a ``recv`` nothing matches already hangs the
+job (a :class:`~repro.errors.DeadlockError`), and this catches the
+silent converse.
 
 Recording is per-communicator, keyed by object identity, so the
 sub-communicators of ``split`` validate independently (each color group
@@ -19,9 +21,8 @@ must be internally congruent; the groups legitimately differ from each
 other).  Composite collectives (``barrier``, ``allgather``,
 ``allreduce``, ``split``) record once — their nested ``gather``/
 ``bcast`` building blocks are suppressed by a per-rank depth counter —
-so the trace matches the caller's source, which is what the analyzer
-models.  ``split`` records root ``None``: its color argument varies by
-rank by design.
+so the trace matches the caller's source.  ``split`` records root
+``None``: its color argument varies by rank by design.
 
 The tracer is off by default; with no ``collective`` subscriber a
 collective call costs one bus lookup (benchmarks/bench_analysis.py
@@ -30,7 +31,7 @@ guards the overhead at <2%).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import CollectiveMismatchError
 
@@ -60,6 +61,9 @@ class CollectiveTracer:
         # congruence is a per-communicator property.
         self._traces: Dict[int, Tuple[Any, Dict[int, List[TraceEntry]]]] = {}
         self._order: List[int] = []  # deterministic reporting order
+        # Unreceived-message reports a non-strict tracer kept for
+        # validate_tracer, one per drained communicator that had any.
+        self._orphans: List[str] = []
 
     # -- layer events -------------------------------------------------------
     def collective(self, shared: Any, rank: int, op: str,
@@ -78,18 +82,24 @@ class CollectiveTracer:
         *stuck* is the job's deadlock report, or None when every rank
         finished.  A rank-divergent collective usually *causes* the hang,
         so a mismatch then replaces the generic report, strict or not.
+        Only a finished job is checked for unreceived messages: a hung
+        one may strand them mid-protocol.
         """
         errors = validate_comm(self, shared)
-        if not errors:
-            return
         if stuck is not None:
+            if errors:
+                raise CollectiveMismatchError(
+                    stuck + "\n  non-congruent collective traces:\n  "
+                    + "\n  ".join(errors))
+            return
+        orphans = _unreceived(shared)
+        if not self.strict:
+            self._orphans.extend(orphans)
+        elif errors or orphans:
             raise CollectiveMismatchError(
-                stuck + "\n  non-congruent collective traces:\n  "
-                + "\n  ".join(errors))
-        if self.strict:
-            raise CollectiveMismatchError(
-                f"job {job_name!r}: non-congruent collective traces "
-                f"({len(errors)} communicator(s)):\n  " + "\n  ".join(errors))
+                f"job {job_name!r}: non-congruent collective traces or "
+                f"unreceived messages ({len(errors) + len(orphans)} "
+                f"communicator(s)):\n  " + "\n  ".join(errors + orphans))
 
     # -- validation ---------------------------------------------------------
     def trace_of(self, shared: Any) -> Dict[int, List[TraceEntry]]:
@@ -127,29 +137,51 @@ def _mismatch_of(shared: Any,
     return None
 
 
+def _family(shared: Any) -> Iterator[Any]:
+    """*shared* and, recursively, its split sub-communicators."""
+    yield shared
+    for seq in sorted(shared._splits):
+        comms, _ = shared._splits[seq]
+        for color in sorted(comms):
+            yield from _family(comms[color])
+
+
 def validate_comm(tracer: CollectiveTracer, shared: Any) -> List[str]:
     """Congruence errors for *shared* and (recursively) its splits."""
     errors: List[str] = []
-    msg = _mismatch_of(shared, tracer.trace_of(shared))
-    if msg is not None:
-        errors.append(msg)
-    splits = getattr(shared, "_splits", None)
-    if splits:
-        for seq in sorted(splits):
-            comms, _ = splits[seq]
-            for color in sorted(comms):
-                errors.extend(validate_comm(tracer, comms[color]))
+    for comm in _family(shared):
+        msg = _mismatch_of(comm, tracer.trace_of(comm))
+        if msg is not None:
+            errors.append(msg)
+    return errors
+
+
+def _unreceived(shared: Any) -> List[str]:
+    """Messages still queued on *shared* and (recursively) its splits,
+    one report per communicator that holds any."""
+    errors: List[str] = []
+    for comm in _family(shared):
+        # Tags mix ints and tuples, so they sort by repr.
+        stranded = sorted((dst, src, repr(tag), len(box))
+                          for (dst, src, tag), box in comm._mail.items()
+                          if len(box))
+        if stranded:
+            errors.append(
+                f"communicator {comm.name!r}: sent but never received: "
+                + "; ".join(f"(dst={dst}, src={src}, tag={tag}) x{n}"
+                            for dst, src, tag, n in stranded))
     return errors
 
 
 def validate_tracer(tracer: CollectiveTracer) -> List[str]:
-    """Congruence errors across every communicator the tracer saw."""
+    """Congruence errors across every communicator the tracer saw, then
+    the unreceived messages a non-strict tracer kept at job drains."""
     errors: List[str] = []
     for shared in tracer.comms():
         msg = _mismatch_of(shared, tracer.trace_of(shared))
         if msg is not None:
             errors.append(msg)
-    return errors
+    return errors + tracer._orphans
 
 
 def attach_tracer(env: Any, strict: bool = True) -> CollectiveTracer:

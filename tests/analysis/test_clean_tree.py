@@ -111,16 +111,25 @@ def test_cli_rules_lists_all_rules():
         assert rule_id in proc.stdout
 
 
+def test_cli_lint_rejects_a_select_that_names_no_rule(tmp_path):
+    # An empty or retired rule list must not silently switch the gate
+    # off: the file below has a live REP001.
+    bad = tmp_path / "bad.py"
+    bad.write_text("import time\nt = time.time()\n")
+    for select in (",", " ", "", "REP101"):
+        proc = _cli("lint", "--select", select, str(bad))
+        assert proc.returncode == 2, (select, proc.stdout + proc.stderr)
+        assert "no findings" not in proc.stdout
+    proc = _cli("lint", "--select", " rep001 ,", str(bad))
+    assert proc.returncode == 1
+    assert "REP001" in proc.stdout
+
+
 def test_syntax_error_reported_once(tmp_path):
-    # Module-local and whole-tree passes share one parse per file, so a
-    # file that does not parse yields exactly one REP000, and the
-    # whole-tree pass still runs over the files that do parse.
+    # Each file is parsed once, so a file that does not parse yields
+    # exactly one REP000, and the files that do parse are still linted.
     (tmp_path / "broken.py").write_text("def broken(:\n")
-    (tmp_path / "leader.py").write_text(
-        "def leader(comm):\n"
-        "    if comm.rank == 0:\n"
-        "        yield from comm.bcast('h', root=0)\n"
-        "    yield from comm.barrier()\n")
+    (tmp_path / "clock.py").write_text("import time\nt = time.time()\n")
     findings = lint_paths([str(tmp_path)])
     assert [(Path(f.path).name, f.rule) for f in findings] == [
-        ("broken.py", "REP000"), ("leader.py", "REP101")]
+        ("broken.py", "REP000"), ("clock.py", "REP001")]

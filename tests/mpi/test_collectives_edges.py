@@ -1,5 +1,5 @@
-"""Edge cases of the collective implementations the REP1xx analyzer (and
-its runtime trace validator) reason about: split sub-communicators,
+"""Edge cases of the collective implementations the runtime trace
+validator (repro.mpi.trace) reasons about: split sub-communicators,
 nonzero-root vrank rotation, and zero-byte payloads."""
 
 import pytest
@@ -162,7 +162,7 @@ class TestTracerGranularity:
     def test_composites_record_once(self):
         # barrier/allgather/allreduce are built from gather+bcast
         # internally; the trace must show the *caller-level* collective
-        # only, matching the static analyzer's event model.
+        # only, the granularity the caller's source has.
         def fn(ctx):
             yield from ctx.comm.barrier()
             yield from ctx.comm.allgather(ctx.rank, nbytes=8)
