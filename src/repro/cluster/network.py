@@ -15,12 +15,15 @@ number of simultaneous transfers is handled in O(log n).
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List
+from typing import TYPE_CHECKING, Generator
 
 from ..analysis.sanitize import raw_snapshot, tracked
 from ..errors import ConfigError, NetworkPartitioned
 from ..sim import Engine, FairShareServer, Join
 from .node import Node
+
+if TYPE_CHECKING:
+    from .topology import NodeTable
 
 __all__ = ["Interconnect", "StorageNetwork"]
 
@@ -28,13 +31,14 @@ __all__ = ["Interconnect", "StorageNetwork"]
 class Interconnect:
     """Compute fabric: per-node NIC in/out servers plus a bisection pipe.
 
-    ``bisection_bw`` caps aggregate traffic crossing the fabric; per-node
-    NICs cap any single node's injection/ejection rate.  Messages between
-    ranks on the *same* node bypass the fabric and cost a memory copy.
+    ``bisection_bw`` caps aggregate traffic crossing the fabric; each
+    node's own ``nic_out``/``nic_in`` cap its injection/ejection rate.
+    Messages between ranks on the *same* node bypass the fabric and cost a
+    memory copy.
     """
 
-    def __init__(self, env: Engine, nodes: Iterable[Node], *, latency: float,
-                 bisection_bw: float, local_latency: float = 0.5e-6):
+    def __init__(self, env: Engine, *, latency: float, bisection_bw: float,
+                 local_latency: float = 0.5e-6):
         if latency < 0 or local_latency < 0:
             raise ConfigError("latencies must be non-negative")
         if bisection_bw <= 0:
@@ -43,10 +47,6 @@ class Interconnect:
         self.latency = latency
         self.local_latency = local_latency
         self.fabric = FairShareServer(env, bisection_bw, name="fabric")
-        self.nodes: List[Node] = list(nodes)
-        for node in self.nodes:
-            node.nic_out = FairShareServer(env, node.spec.nic_bw, name=f"nic-out[{node.id}]")
-            node.nic_in = FairShareServer(env, node.spec.nic_bw, name=f"nic-in[{node.id}]")
         self.messages_sent = 0
         self.bytes_sent = 0
 
@@ -73,9 +73,9 @@ class StorageNetwork:
     """The dedicated network between compute nodes and the storage system.
 
     Modeled as one aggregate pipe (the paper's 1.25 GB/s "theoretical peak"
-    for the 64-node cluster is the 10 GigE uplink) plus per-node storage
-    NICs.  Both directions share the pipe, as they do on a single Ethernet
-    uplink.
+    for the 64-node cluster is the 10 GigE uplink) plus each node's own
+    ``storage_nic``.  Both directions share the pipe, as they do on a
+    single Ethernet uplink.
 
     Fault hooks (driven by ``repro.faults``): :meth:`partition` severs the
     link — new transfers raise :class:`NetworkPartitioned`, bytes already
@@ -83,22 +83,17 @@ class StorageNetwork:
     a jitter term to every traversal (a flapping or congested link).
     """
 
-    def __init__(self, env: Engine, nodes: Iterable[Node], *, latency: float,
-                 aggregate_bw: float, client_bw: float):
+    def __init__(self, env: Engine, nodes: "NodeTable", *, latency: float,
+                 aggregate_bw: float):
         if latency < 0:
             raise ConfigError("latency must be non-negative")
-        if aggregate_bw <= 0 or client_bw <= 0:
+        if aggregate_bw <= 0:
             raise ConfigError("bandwidths must be positive")
         self.env = env
         self.latency = latency
         self.aggregate_bw = aggregate_bw
         self.pipe = FairShareServer(env, aggregate_bw, name="storage-pipe")
-        # Read by client transfers while the fault injector partitions and
-        # heals; tracked() registers it with the sanitizer when one is on.
-        self._client_nics = tracked(env, {
-            node.id: FairShareServer(env, client_bw, name=f"stor-nic[{node.id}]")
-            for node in nodes
-        }, "storage-net.client-nics")
+        self._nodes = nodes
         # Node ids currently cut off from storage (single-node partitions,
         # as opposed to the whole-link partition() below).  Mutated by the
         # fault injector, read by every transfer — a classic shared set.
@@ -117,10 +112,12 @@ class StorageNetwork:
         self.down = True
         self.partitions += 1
         self.pipe.pause()
-        # Sorted: pausing reschedules in-flight service events, so the
-        # order is part of the event schedule.
-        for _nid, nic in sorted(self._client_nics.items()):
-            nic.pause()
+        # By id: pausing reschedules in-flight service events, so the
+        # order is part of the event schedule.  Only built nodes: an
+        # unbuilt node's NIC is idle, and an idle unpaused server behaves
+        # as a paused one (the down link rejects every new transfer).
+        for node in self._nodes.built():
+            node.storage_nic.pause()
 
     def heal(self) -> None:
         """Reconnect a partitioned link; frozen transfers resume."""
@@ -128,24 +125,26 @@ class StorageNetwork:
             return
         self.down = False
         self.pipe.resume()
-        for _nid, nic in sorted(self._client_nics.items()):
-            nic.resume()
+        for node in self._nodes.built():
+            node.storage_nic.resume()
 
     def partition_node(self, node_id: int) -> None:
         """Cut one node off from storage: its transfers reject, its bytes
-        on the wire freeze, every other node keeps going.  Idempotent."""
+        on the wire freeze, every other node keeps going.  Idempotent.
+        An unknown id raises :class:`IndexError` and changes nothing."""
         if node_id in self._partitioned_nodes:
             return
+        nic = self._nodes[node_id].storage_nic
         self._partitioned_nodes.add(node_id)
         self.partitions += 1
-        self._client_nics[node_id].pause()
+        nic.pause()
 
     def heal_node(self, node_id: int) -> None:
         """Reconnect a node severed by :meth:`partition_node`."""
         if node_id not in self._partitioned_nodes:
             return
         self._partitioned_nodes.discard(node_id)
-        self._client_nics[node_id].resume()
+        self._nodes[node_id].storage_nic.resume()
 
     def partition_snapshot(self) -> set:
         """Plain copy of the partitioned-node set (oracle accessor —
@@ -175,7 +174,7 @@ class StorageNetwork:
         self.bytes_moved += nbytes
         if nbytes == 0:
             return
-        self._client_nics[node.id].serve(nbytes, join)
+        node.storage_nic.serve(nbytes, join)
         self.pipe.serve(nbytes, join)
 
     def transfer(self, node: Node, nbytes: int) -> Generator:

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import List
+from typing import Callable, Dict, List
 
 from ..errors import ConfigError
 from ..sim import Engine
 from .network import Interconnect, StorageNetwork
 from .node import Node, NodeSpec
 
-__all__ = ["ClusterSpec", "Cluster"]
+__all__ = ["ClusterSpec", "Cluster", "NodeTable"]
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,44 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ConfigError(f"cluster needs >= 1 node, got {self.n_nodes}")
+        if self.storage_client_bw <= 0:
+            raise ConfigError("storage client bandwidth must be positive")
 
     @property
     def total_cores(self) -> int:
         return self.n_nodes * self.node.cores
+
+
+class NodeTable(Sequence):
+    """A cluster's nodes, each built the first time it is indexed.
+
+    ``len()`` is the platform's node count, and an id outside it raises
+    :class:`IndexError`, as for a list; but a Cielo-sized table costs
+    nothing until a job places ranks on it.  Node construction schedules
+    no event and draws no sequence number, so when a node is built never
+    changes a simulated result.
+    """
+
+    def __init__(self, n_nodes: int, build: Callable[[int], Node]):
+        self._n = n_nodes
+        self._build = build
+        self._built: Dict[int, Node] = {}
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, node_id) -> Node:  # type: ignore[override]
+        node = self._built.get(node_id)
+        if node is None:
+            i = range(self._n)[node_id]  # list semantics, IndexError included
+            node = self._built.get(i)
+            if node is None:
+                node = self._built[i] = self._build(i)
+        return node
+
+    def built(self) -> List[Node]:
+        """The nodes built so far, by id (builds none)."""
+        return [self._built[i] for i in sorted(self._built)]
 
 
 class Cluster:
@@ -44,16 +79,22 @@ class Cluster:
     contiguous blocks of ``cores`` per node (block placement, the MPI
     default), wrapping around when jobs oversubscribe cores — the paper's
     2048-stream runs on 1024 cores do exactly that.
+
+    ``nodes`` is a :class:`NodeTable`: a node, its page cache and its NICs
+    exist once something indexes it, so host memory follows the nodes a
+    job touches, not the platform's size.
     """
 
     def __init__(self, env: Engine, spec: ClusterSpec):
         self.env = env
         self.spec = spec
-        self.nodes: List[Node] = [Node(i, spec.node, env) for i in range(spec.n_nodes)]
+        self.nodes = NodeTable(
+            spec.n_nodes,
+            lambda i: Node(i, spec.node, env, spec.storage_client_bw))
         # Inode uids for every volume on this platform (see pfs.namespace).
         self.uids = itertools.count(1)
         self.interconnect = Interconnect(
-            env, self.nodes,
+            env,
             latency=spec.interconnect_latency,
             bisection_bw=spec.bisection_bw_per_node * spec.n_nodes,
         )
@@ -61,7 +102,6 @@ class Cluster:
             env, self.nodes,
             latency=spec.storage_latency,
             aggregate_bw=spec.storage_aggregate_bw,
-            client_bw=spec.storage_client_bw,
         )
 
     def node_for_rank(self, rank: int, nprocs: int) -> Node:
@@ -78,5 +118,5 @@ class Cluster:
 
     def drop_caches(self) -> None:
         """Clear every node's page cache (the paper's cold-read runs)."""
-        for node in self.nodes:
+        for node in self.nodes.built():
             node.page_cache.clear()

@@ -11,6 +11,8 @@ Usage::
                                                 # under the runtime checkers
     python -m repro.harness --replay-schedule trace.json
                                                 # re-run a model-checker trace
+    python -m repro.harness compare old.json new.json [--threshold T]
+                                                # diff two --json snapshots
 
 ``REPRO_SCALE=paper`` is equivalent to ``--scale paper``.
 """
@@ -67,6 +69,11 @@ def _instruments(spec: str):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["compare"]:
+        from .compare import main as compare_main
+
+        return compare_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Reproduce the tables/figures of 'The Power and "

@@ -6,19 +6,21 @@ relative drifts above a threshold — the tool you run after touching a
 model to see which figures moved:
 
     python -m repro.harness fig5 --json new.json
-    python - <<'PY'
-    from repro.harness.compare import compare_files, render_diffs
-    print(render_diffs(compare_files("old.json", "new.json")))
-    PY
+    python -m repro.harness compare old.json new.json            # any drift
+    python -m repro.harness compare old.json new.json --threshold 0.05
+
+``compare`` prints the drifted cells and exits 1 if there are any, 0 if
+the snapshots agree, and 2 on a usage error.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
-__all__ = ["CellDiff", "compare_results", "compare_files", "render_diffs"]
+__all__ = ["CellDiff", "compare_results", "compare_files", "render_diffs", "main"]
 
 
 @dataclass(frozen=True)
@@ -97,3 +99,27 @@ def render_diffs(diffs: List[CellDiff], limit: int = 50) -> str:
     if len(diffs) > limit:
         lines.append(f"... and {len(diffs) - limit} more")
     return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    """``python -m repro.harness compare OLD NEW [--threshold T]``."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.harness compare",
+        description="Diff two harness --json snapshots cell by cell; exit 1 "
+                    "on any drifted cell.")
+    parser.add_argument("old", help="baseline snapshot")
+    parser.add_argument("new", help="snapshot under test")
+    parser.add_argument("--threshold", type=float, default=0.0, metavar="T",
+                        help="ignore numeric drifts below this relative "
+                             "change (default 0: every change is a drift)")
+    args = parser.parse_args(argv)
+    if args.threshold < 0:
+        parser.error(f"--threshold must be >= 0, got {args.threshold}")
+    try:
+        diffs = compare_files(args.old, args.new, threshold=args.threshold)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
+    print(render_diffs(diffs))
+    if diffs:
+        print(f"{len(diffs)} drifted cell(s) at threshold {args.threshold:g}")
+    return 1 if diffs else 0

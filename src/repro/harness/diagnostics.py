@@ -72,9 +72,9 @@ def _imbalance(busy: List[float]) -> float:
 
 
 def cache_report(world: World) -> Table:
-    """Per-node page-cache effectiveness (aggregated)."""
+    """Per-node page-cache effectiveness (aggregated over built nodes)."""
     hits = misses = evictions = resident = 0
-    for node in world.cluster.nodes:
+    for node in world.cluster.nodes.built():
         pc = node.page_cache
         hits += pc.hits
         misses += pc.misses

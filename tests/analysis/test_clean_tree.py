@@ -33,8 +33,7 @@ def _strip_noqa(source):
 def test_every_suppression_silences_a_live_finding(tmp_path):
     """Lint a noqa-stripped copy of the tree: the findings are exactly
     the suppressed sites.  No suppression is stale, and no rule's output
-    over the shipped tree (the REP104s in workloads/base.py included)
-    can move without this test noticing."""
+    over the shipped tree can move without this test noticing."""
     suppressed = set()
     for s in collect_suppressions([str(SRC)]):
         assert s.rules is not None, f"bare noqa names no rule: {s.render()}"

@@ -57,18 +57,15 @@ class TestPageCache:
         assert pc.hit_bytes(1, MiB, MiB) == 0
         assert pc.evictions == 1
 
-    def test_invalidate_file(self):
-        pc = PageCache(capacity_bytes=4 * MiB, block_size=MiB)
-        pc.insert(1, 0, MiB)
-        pc.insert(2, 0, MiB)
-        pc.invalidate_file(1)
-        assert pc.hit_bytes(1, 0, MiB) == 0
-        assert pc.hit_bytes(2, 0, MiB) == MiB
-
     def test_zero_capacity_never_caches(self):
         pc = PageCache(capacity_bytes=0)
         pc.insert(1, 0, MiB)
         assert pc.hit_bytes(1, 0, MiB) == 0
+
+    def test_zero_capacity_counts_a_miss_per_block(self):
+        pc = PageCache(capacity_bytes=0, block_size=MiB)
+        assert pc.hit_bytes(1, MiB // 2, 3 * MiB) == 0  # spans blocks 0..3
+        assert (pc.hits, pc.misses, len(pc)) == (0, 4, 0)
 
 
 class TestNetworks:

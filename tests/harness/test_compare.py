@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.harness.__main__ import main as harness_main
 from repro.harness.compare import compare_files, compare_results, render_diffs
 
 
@@ -70,3 +71,35 @@ class TestCompare:
         out = render_diffs(diffs)
         assert "t1[0].y" in out
         assert render_diffs([]) == "no drifts above threshold"
+
+
+class TestCompareCli:
+    def files(self, tmp_path, old_rows, new_rows):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(snap(old_rows)))
+        b.write_text(json.dumps(snap(new_rows)))
+        return str(a), str(b)
+
+    def test_identical_exits_zero(self, tmp_path, capsys):
+        a, b = self.files(tmp_path, [[1, 10.0]], [[1, 10.0]])
+        assert harness_main(["compare", a, b]) == 0
+        assert "no drifts" in capsys.readouterr().out
+
+    def test_any_drift_exits_one_at_default_threshold(self, tmp_path, capsys):
+        a, b = self.files(tmp_path, [[1, 10.0]], [[1, 10.001]])
+        assert harness_main(["compare", a, b]) == 1
+        out = capsys.readouterr().out
+        assert "t1[0].y" in out and "1 drifted cell(s)" in out
+
+    def test_threshold_forgives_small_drift(self, tmp_path):
+        a, b = self.files(tmp_path, [[1, 10.0]], [[1, 10.001]])
+        assert harness_main(["compare", a, b, "--threshold", "0.05"]) == 0
+
+    def test_usage_errors_exit_two(self, tmp_path):
+        a, _ = self.files(tmp_path, [[1, 10.0]], [[1, 10.0]])
+        with pytest.raises(SystemExit) as exc:
+            harness_main(["compare", a, str(tmp_path / "missing.json")])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            harness_main(["compare", a, a, "--threshold", "-1"])
+        assert exc.value.code == 2

@@ -1,5 +1,8 @@
 """Property-based tests for the storage models (locks, cache, striping)."""
 
+from collections import OrderedDict
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +11,7 @@ from repro.pfs.config import PfsConfig
 from repro.pfs.locks import RangeLockManager
 from repro.pfs.osd import stripe_lanes
 from repro.sim import Engine
+from repro.units import MB, GiB, MiB
 
 
 # --- striping ---------------------------------------------------------------
@@ -53,36 +57,108 @@ def test_consecutive_ranges_stay_object_sequential(start, sizes, width, su):
 
 # --- page cache ----------------------------------------------------------------
 
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3),      # file
-                          st.integers(min_value=0, max_value=64),     # block
-                          st.booleans()),                             # insert?
-                max_size=120),
-       st.integers(min_value=1, max_value=16))
-@settings(max_examples=150, deadline=None)
-def test_page_cache_matches_lru_reference(ops, capacity):
-    bs = 1024
-    cache = PageCache(capacity_bytes=capacity * bs, block_size=bs)
-    ref = []  # list of keys, LRU first
+class BlockLRU:
+    """The per-block LRU the run-length PageCache must equal: one
+    OrderedDict entry per resident ``(file_uid, block)``, walked block by
+    block."""
 
-    def touch(key):
-        if key in ref:
-            ref.remove(key)
-            ref.append(key)
-            return True
-        return False
+    def __init__(self, capacity_bytes, block_size):
+        self.bs = block_size
+        self.capacity = max(0, capacity_bytes // block_size)
+        self.blocks = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
 
-    for fuid, block, is_insert in ops:
-        key = (fuid, block)
-        if is_insert:
-            cache.insert(fuid, block * bs, bs)
-            if not touch(key):
-                ref.append(key)
-                if len(ref) > capacity:
-                    ref.pop(0)
+    def insert(self, fuid, offset, length, full_blocks_only=False):
+        if self.capacity == 0 or length <= 0:
+            return
+        bs = self.bs
+        if full_blocks_only:
+            blocks = range(-(-offset // bs), (offset + length) // bs)
         else:
-            hit = cache.hit_bytes(fuid, block * bs, bs)
-            assert (hit == bs) == touch(key)
-    assert len(cache) == len(ref)
+            blocks = range(offset // bs, (offset + length - 1) // bs + 1)
+        for b in blocks:
+            key = (fuid, b)
+            if key in self.blocks:
+                self.blocks.move_to_end(key)
+            else:
+                self.blocks[key] = None
+                if len(self.blocks) > self.capacity:
+                    self.blocks.popitem(last=False)
+                    self.evictions += 1
+
+    def hit_bytes(self, fuid, offset, length):
+        if length <= 0:
+            return 0
+        bs, hit = self.bs, 0
+        for b in range(offset // bs, (offset + length - 1) // bs + 1):
+            key = (fuid, b)
+            if key in self.blocks:
+                self.blocks.move_to_end(key)
+                hit += min(offset + length, (b + 1) * bs) - max(offset, b * bs)
+                self.hits += 1
+            else:
+                self.misses += 1
+        return hit
+
+
+CACHE_BS = 64
+cache_ops = st.lists(
+    st.tuples(st.sampled_from(["insert", "fill", "hit"]),
+              st.integers(min_value=0, max_value=3),                 # file
+              st.integers(min_value=0, max_value=40 * CACHE_BS),     # offset
+              st.integers(min_value=0, max_value=24 * CACHE_BS)),    # length
+    max_size=60)
+
+
+@given(cache_ops, st.integers(min_value=0, max_value=16))
+@settings(max_examples=300, deadline=None)
+def test_page_cache_matches_lru_reference(ops, capacity):
+    """Multi-block ranges, read fills (``full_blocks_only``) and ranges
+    longer than the whole cache: every result, counter and the full LRU
+    order match the per-block model after every call."""
+    cache = PageCache(capacity_bytes=capacity * CACHE_BS, block_size=CACHE_BS)
+    ref = BlockLRU(capacity * CACHE_BS, CACHE_BS)
+    for op, fuid, offset, length in ops:
+        if op == "hit":
+            assert cache.hit_bytes(fuid, offset, length) == \
+                ref.hit_bytes(fuid, offset, length)
+        else:
+            cache.insert(fuid, offset, length, full_blocks_only=op == "fill")
+            ref.insert(fuid, offset, length, full_blocks_only=op == "fill")
+        assert (cache.hits, cache.misses, cache.evictions, len(cache)) == \
+            (ref.hits, ref.misses, ref.evictions, len(ref.blocks))
+        assert list(cache) == list(ref.blocks)
+
+
+def test_insert_longer_than_free_space_evicts_its_own_range():
+    """Blocks 5, 6 are resident; inserting 3..6 into a 3-block cache
+    evicts 5 and then 6 before the walk reaches them, so both come back as
+    fresh blocks: three evictions, where classifying the range up front
+    would count one."""
+    cache = PageCache(capacity_bytes=3 * CACHE_BS, block_size=CACHE_BS)
+    ref = BlockLRU(3 * CACHE_BS, CACHE_BS)
+    for c in (cache, ref):
+        c.insert(1, 5 * CACHE_BS, 2 * CACHE_BS)
+        c.insert(1, 3 * CACHE_BS, 4 * CACHE_BS)
+    assert cache.evictions == ref.evictions == 3
+    assert list(cache) == list(ref.blocks) == [(1, 4), (1, 5), (1, 6)]
+
+
+@pytest.mark.parametrize("transfer", [8 * MiB, 8 * MB])
+def test_interleaved_sequential_writers_hold_one_run_per_write(transfer):
+    """16 ranks on one node append 8 MiB writes to their own files in
+    turn: residency costs at most one run per write call, not one entry
+    per block.  With 8 MB writes each write also re-touches the block it
+    shares with the rank's previous write."""
+    cache = PageCache(capacity_bytes=16 * GiB, block_size=MiB)
+    writes = 0
+    for k in range(6):
+        for uid in range(16):
+            cache.insert(uid, k * transfer, transfer)
+            writes += 1
+    runs = sum(len(r) for r in cache._files.values())
+    assert len(cache) == 16 * -(-6 * transfer // MiB)
+    assert runs <= writes
 
 
 @given(st.integers(min_value=0, max_value=10_000),
