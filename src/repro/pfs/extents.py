@@ -213,24 +213,26 @@ class FlatMap:
         if length == 0:
             return out
         lo, hi = offset, offset + length
-        i = int(np.searchsorted(self.starts, lo, side="right")) - 1
-        if i >= 0 and self.ends[i] <= lo:
-            i += 1
-        i = max(i, 0)
+        # Rows i..j-1 are the ones starting before hi, from the last one
+        # starting at or before lo (which may end before lo and then adds
+        # nothing).  The ndarray methods skip numpy's Python-level
+        # wrappers, and one tolist() per column converts only those rows.
+        starts = self.starts
+        i = int(starts.searchsorted(lo, "right")) - 1
+        if i < 0:
+            i = 0
+        j = int(starts.searchsorted(hi))
         pos = lo
-        n = len(self.starts)
-        while pos < hi and i < n:
-            s, e = int(self.starts[i]), int(self.ends[i])
-            if s >= hi:
-                break
+        for s, e, src, src_off in zip(starts[i:j].tolist(), self.ends[i:j].tolist(),
+                                      self.srcs[i:j].tolist(),
+                                      self.src_offs[i:j].tolist()):
             if pos < s:
                 out.append((pos, s, HOLE, 0))
                 pos = s
-            seg_end = min(e, hi)
+            seg_end = e if e < hi else hi
             if seg_end > pos:
-                out.append((pos, seg_end, int(self.srcs[i]), int(self.src_offs[i]) + (pos - s)))
+                out.append((pos, seg_end, src, src_off + (pos - s)))
                 pos = seg_end
-            i += 1
         if pos < hi:
             out.append((pos, hi, HOLE, 0))
         return out

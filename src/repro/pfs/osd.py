@@ -15,7 +15,7 @@ like a seek.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.sanitize import tracked
 from ..errors import ConfigError, StorageUnavailable
@@ -83,28 +83,6 @@ class Osd:
             raise StorageUnavailable(
                 f"osd{self.index}", f"OSD {self.index} is down")
 
-    def _demand(self, obj_uid: int, offset: int, nbytes: int, ops: int,
-                seek_mult: float, client_id, is_read: bool) -> float:
-        """Device-time demand in byte-equivalents for one (merged) request."""
-        cfg = self.cfg
-        demand = float(nbytes) + ops * cfg.osd_op_overhead * cfg.osd_bw
-        if self._last_end.get(obj_uid) != offset:
-            self.seeks += 1
-            demand += seek_mult * cfg.osd_seek_time * cfg.osd_bw
-            # A different client breaking the stream also trashes the
-            # object's readahead window (§IV-D: interleaved shared-file
-            # readers defeat prefetching; private PLFS logs do not).
-            if (is_read and cfg.readahead_waste > 0 and client_id is not None
-                    and self._last_client.get(obj_uid, client_id) != client_id):
-                self.stream_switches += 1
-                demand += cfg.readahead_waste
-        if client_id is not None:
-            self._last_client[obj_uid] = client_id
-        self._last_end[obj_uid] = offset + nbytes
-        self.requests += ops
-        self.bytes_moved += nbytes
-        return demand
-
     def io(self, obj_uid: int, offset: int, nbytes: int,
            join: Optional[Join] = None, *, ops: int = 1,
            inflate: float = 1.0, seek_mult: float = 1.0,
@@ -120,12 +98,10 @@ class Osd:
         overhead.  *client_id*/*is_read* feed the readahead-pollution
         model.
         """
-        if nbytes < 0 or ops < 1 or inflate < 1.0 or seek_mult < 1.0:
-            raise ConfigError(f"bad OSD request ({nbytes}, {ops}, {inflate}, {seek_mult})")
-        self._check_up()
-        base = self._demand(obj_uid, offset, nbytes, ops, seek_mult, client_id, is_read)
-        extra = (inflate - 1.0) * nbytes
-        return self.server.serve(base + extra, join)
+        if nbytes < 0:
+            raise ConfigError(f"bad OSD request length {nbytes}")
+        return _charge(self.cfg, ((self, obj_uid, offset, nbytes),), join,
+                       ops, inflate, seek_mult, client_id, is_read)
 
     def io_many(self, requests: List[Tuple[int, int, int]], join: Join, *,
                 ops: int = 1, inflate: float = 1.0, seek_mult: float = 1.0,
@@ -139,17 +115,61 @@ class Osd:
         virtual-time advance, one heap restore, and at most one timer —
         instead of one of each per request.
         """
-        if ops < 1 or inflate < 1.0 or seek_mult < 1.0:
-            raise ConfigError(f"bad OSD batch ({ops}, {inflate}, {seek_mult})")
-        self._check_up()
-        demands = []
-        for obj_uid, offset, nbytes in requests:
-            if nbytes < 0:
-                raise ConfigError(f"bad OSD request length {nbytes}")
-            base = self._demand(obj_uid, offset, nbytes, ops, seek_mult,
-                                client_id, is_read)
-            demands.append(base + (inflate - 1.0) * nbytes)
+        if any(nbytes < 0 for _, _, nbytes in requests):
+            raise ConfigError(f"bad OSD request lengths {requests}")
+        demands: List[float] = []
+        _charge(self.cfg, [(self, *req) for req in requests], join,
+                ops, inflate, seek_mult, client_id, is_read, demands)
         self.server.serve_many(demands, join)
+
+
+def _charge(cfg: PfsConfig, requests: Sequence[Tuple[Osd, int, int, int]],
+            join: Optional[Join], ops: int, inflate: float, seek_mult: float,
+            client_id: Optional[int], is_read: bool,
+            batch: Optional[List[float]] = None) -> Optional[Event]:
+    """Charge ``(osd, obj_uid, offset, nbytes)`` requests in order, and serve
+    each on its OSD as soon as it is charged (counted toward *join* if one
+    is given); returns the last serve's result.  Given a *batch* list, the
+    demands go there instead, for the caller's one ``serve_many``.
+
+    A request's device-time demand, in byte-equivalents: its payload, plus
+    *ops* per-request overheads, plus *seek_mult* seeks when it does not
+    continue the object's previous access, plus the readahead window a read
+    trashes when it breaks another client's stream, plus the payload again
+    ``inflate - 1`` times.  Every OSD request is charged here; the
+    constants are computed once per call, not once per lane.
+    """
+    if ops < 1 or inflate < 1.0 or seek_mult < 1.0:
+        raise ConfigError(f"bad OSD request ({ops}, {inflate}, {seek_mult})")
+    per_op = ops * cfg.osd_op_overhead * cfg.osd_bw
+    seek = seek_mult * cfg.osd_seek_time * cfg.osd_bw
+    # A different client breaking the stream also trashes the object's
+    # readahead window (§IV-D: interleaved shared-file readers defeat
+    # prefetching; private PLFS logs do not).
+    waste = cfg.readahead_waste if is_read and client_id is not None else 0
+    extra = inflate - 1.0
+    done = None
+    for osd, obj_uid, offset, nbytes in requests:
+        if osd.down:
+            osd._check_up()
+        last_end = osd._last_end
+        demand = float(nbytes) + per_op
+        if last_end.get(obj_uid) != offset:
+            osd.seeks += 1
+            demand += seek
+            if waste > 0 and osd._last_client.get(obj_uid, client_id) != client_id:
+                osd.stream_switches += 1
+                demand += waste
+        if client_id is not None:
+            osd._last_client[obj_uid] = client_id
+        last_end[obj_uid] = offset + nbytes
+        osd.requests += ops
+        osd.bytes_moved += nbytes
+        if batch is None:
+            done = osd.server.serve(demand + extra * nbytes, join)
+        else:
+            batch.append(demand + extra * nbytes)
+    return done
 
 
 def stripe_lanes(offset: int, length: int, stripe_unit: int, width: int
@@ -208,33 +228,34 @@ class OsdPool:
         touched, each counted toward *join*.
 
         The object uid for sequentiality tracking combines file and lane, so
-        distinct files never alias each other's streams.  When the stripe is
-        wider than the pool (lanes wrap around the OSDs), each OSD's lane
-        requests are batched through :meth:`Osd.io_many` so the device pays
-        one fair-share submission per OSD rather than one per lane.
+        distinct files never alias each other's streams.  Lanes are charged
+        and served in lane order by one :func:`_charge` loop.  When the
+        stripe is wider than the pool (lanes wrap around the OSDs), each
+        OSD's lane requests are batched through :meth:`Osd.io_many` so the
+        device pays one fair-share submission per OSD rather than one per
+        lane.
         """
         cfg = self.cfg
-        mult = self._uid_mult
+        osds, n_osds = self.osds, cfg.n_osds
+        base = file_uid * self._uid_mult
         lanes = stripe_lanes(offset, length, cfg.stripe_unit, cfg.stripe_width)
-        kwargs = dict(ops=ops_per_lane, inflate=inflate, seek_mult=seek_mult,
-                      client_id=client_id, is_read=is_read)
-        if cfg.stripe_width <= cfg.n_osds:
+        if cfg.stripe_width <= n_osds:
             # Common case: every lane of one I/O lives on its own OSD.
-            for lane, obj_off, nbytes in lanes:
-                self.lane_osd(file_uid, lane).io(file_uid * mult + lane,
-                                                 obj_off, nbytes, join, **kwargs)
+            _charge(cfg, [(osds[(file_uid + lane) % n_osds], base + lane, obj_off, nbytes)
+                          for lane, obj_off, nbytes in lanes],
+                    join, ops_per_lane, inflate, seek_mult, client_id, is_read)
             return
         # Wide stripe: group each OSD's lanes (submission-order preserving,
         # so per-object seek accounting is unchanged) and batch per device.
+        # A lone lane's serve_many is its serve: a lane's demand is never 0.
         by_osd: Dict[int, List[Tuple[int, int, int]]] = {}
         for lane, obj_off, nbytes in lanes:
-            by_osd.setdefault((file_uid + lane) % cfg.n_osds, []).append(
-                (file_uid * mult + lane, obj_off, nbytes))
+            by_osd.setdefault((file_uid + lane) % n_osds, []).append(
+                (base + lane, obj_off, nbytes))
         for osd_index, reqs in by_osd.items():  # repro: noqa[REP004] -- insertion order follows the lane walk above, deterministically
-            if len(reqs) == 1:
-                self.osds[osd_index].io(*reqs[0], join, **kwargs)
-            else:
-                self.osds[osd_index].io_many(reqs, join, **kwargs)
+            osds[osd_index].io_many(reqs, join, ops=ops_per_lane, inflate=inflate,
+                                    seek_mult=seek_mult, client_id=client_id,
+                                    is_read=is_read)
 
     @property
     def total_bytes_moved(self) -> int:

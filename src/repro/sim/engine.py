@@ -186,6 +186,15 @@ class Timeout(Event):
             heapq.heappush(env._heap, (env._now + delay, env._eid, self))
 
 
+class _Timer(Event):
+    """An event at an absolute time, made by :meth:`Engine.schedule_at`."""
+
+    __slots__ = ()
+
+
+_new_event = object.__new__  # a bare instance; schedule_at fills the slots
+
+
 class _Init:
     """Stand-in for the start 'event' of a process: send(None) semantics."""
 
@@ -495,12 +504,18 @@ class Engine:
 
         Unlike ``timeout(t - now)``, the fire time is exactly the float
         *t* — no ``now + delay`` re-rounding — which resource models use to
-        hit a precomputed deadline bit-for-bit.
+        hit a precomputed deadline bit-for-bit.  Every fair-share server
+        arms its completion timers here, once per distinct completion
+        instant, so the event is built inline: no ``__init__`` frame.
         """
         if t < self._now:
             raise SimulationError(f"schedule_at({t}) is in the past (now={self._now})")
-        ev = Event(self)
+        ev = _new_event(_Timer)
+        ev.env = self
+        ev.callbacks = None
         ev._value = None
+        ev._exc = None
+        ev._processed = False
         self._eid += 1
         if t == self._now:
             self._immediate.append((self._eid, ev))

@@ -23,8 +23,8 @@ Three primitives cover every contention effect in the modeled I/O stack:
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SimulationError
@@ -289,12 +289,17 @@ class FairShareServer:
 
         Returns the job's completion event, or, given a *join*, counts the
         job toward it and returns the join.
+
+        This and :meth:`serve_many` and :meth:`_on_timer` run once per
+        job, so each inlines :meth:`_advance`, :meth:`_reschedule` and
+        :meth:`_arm` with the same float expressions in the same order.
         """
         if demand < 0:
             raise SimulationError(f"negative demand {demand!r}")
         target: Union[_ServeEvent, Join]
+        env = self.env
         if join is None:
-            target = _ServeEvent(self.env)
+            target = _ServeEvent(env)
             target.server = self
             if demand == 0:
                 target.succeed()
@@ -306,14 +311,29 @@ class FairShareServer:
             if demand == 0:
                 join._relay(join._zero_done)
                 return join
-        self._advance()
-        self._seq += 1
+        now = env._now
         jobs = self._jobs
-        heapq.heappush(jobs, (self._vtime + demand, self._seq, target))
+        vtime = self._vtime
+        if jobs and not self._paused:
+            dt = now - self._t_last
+            if dt > 0:
+                vtime = self._vtime = vtime + dt * self.capacity / len(jobs)
+                self.busy_time += dt
+        self._t_last = now
+        self._seq += 1
+        heappush(jobs, (vtime + demand, self._seq, target))
         self.total_served += demand
-        if len(jobs) > self.peak_active:
-            self.peak_active = len(jobs)
-        self._reschedule()
+        k = len(jobs)
+        if k > self.peak_active:
+            self.peak_active = k
+        if self._paused:
+            return target
+        dt = (jobs[0][0] - vtime) * k / self.capacity
+        deadline = self._deadline = now + dt if dt > 0.0 else now
+        if deadline < self._armed_at:
+            self._armed_at = deadline
+            timer = self._timer = env.schedule_at(deadline)
+            timer.callbacks = self._timer_cb or self._bind_timer_cb()
         return target
 
     def serve_many(self, demands: Sequence[float], join: Join) -> Join:
@@ -326,9 +346,16 @@ class FairShareServer:
         bulk-synchronous pattern where one caller submits N jobs at once
         (e.g. a striped I/O touching one device on several lanes).
         """
-        self._advance()
+        env = self.env
+        now = env._now
         jobs = self._jobs
-        vt = self._vtime
+        vtime = self._vtime
+        if jobs and not self._paused:
+            dt = now - self._t_last
+            if dt > 0:
+                vtime = self._vtime = vtime + dt * self.capacity / len(jobs)
+                self.busy_time += dt
+        self._t_last = now
         join.servers.append(self)
         pushed = 0
         for demand in demands:
@@ -340,17 +367,26 @@ class FairShareServer:
                 continue
             self._seq += 1
             if pushed:
-                jobs.append((vt + demand, self._seq, join))
+                jobs.append((vtime + demand, self._seq, join))
             else:
-                heapq.heappush(jobs, (vt + demand, self._seq, join))
+                heappush(jobs, (vtime + demand, self._seq, join))
             pushed += 1
             self.total_served += demand
-        if pushed:
-            if pushed > 1:
-                heapq.heapify(jobs)
-            if len(jobs) > self.peak_active:
-                self.peak_active = len(jobs)
-            self._reschedule()
+        if not pushed:
+            return join
+        if pushed > 1:
+            heapify(jobs)
+        k = len(jobs)
+        if k > self.peak_active:
+            self.peak_active = k
+        if self._paused:
+            return join
+        dt = (jobs[0][0] - vtime) * k / self.capacity
+        deadline = self._deadline = now + dt if dt > 0.0 else now
+        if deadline < self._armed_at:
+            self._armed_at = deadline
+            timer = self._timer = env.schedule_at(deadline)
+            timer.callbacks = self._timer_cb or self._bind_timer_cb()
         return join
 
     def _reschedule(self) -> None:
@@ -367,6 +403,8 @@ class FairShareServer:
         the chained timer targets the stored *absolute* deadline
         (``Engine.schedule_at``), completion timestamps are bit-for-bit what
         per-arrival re-arming would produce.
+
+        The fault hooks call this; the per-job paths inline it.
         """
         if self._paused:
             return  # deadline stays inf; resume() reschedules
@@ -384,44 +422,68 @@ class FairShareServer:
         """Create the physical timer event targeting the current deadline.
 
         The timer's only callback is the server's one bound
-        :meth:`_on_timer`, so arming allocates no closure.
+        :meth:`_on_timer`, so arming allocates no closure.  Every arm goes
+        through ``Engine.schedule_at``, so an instrument wrapping it sees
+        each one.
         """
         self._armed_at = self._deadline
         timer = self._timer = self.env.schedule_at(self._deadline)
-        cb = self._timer_cb
-        if cb is None:
-            cb = self._timer_cb = self._on_timer
-        timer.callbacks = cb
+        timer.callbacks = self._timer_cb or self._bind_timer_cb()
+
+    def _bind_timer_cb(self) -> Callable[[Event], None]:
+        cb = self._timer_cb = self._on_timer
+        return cb
 
     def _on_timer(self, timer: Event) -> None:
         if timer is not self._timer:
             return  # superseded by an earlier-deadline timer, or invalidated
-        self._armed_at = _INF  # this timer is spent
-        if self.env._now < self._deadline:
+        env = self.env
+        now = env._now
+        deadline = self._deadline
+        if now < deadline:
             # Fired early: later arrivals pushed the deadline back without
             # arming a fresh timer (see _reschedule).  Chain to the true
             # deadline; no state has to change.
-            self._arm()
+            self._armed_at = deadline
+            timer = self._timer = env.schedule_at(deadline)
+            timer.callbacks = self._timer_cb
             return
-        self._advance()
+        # A live timer implies jobs in flight and no pause: pause() and
+        # fail_all() invalidate it, and only completions here drain jobs.
+        jobs = self._jobs
+        vtime = self._vtime
+        dt = now - self._t_last
+        if dt > 0:
+            vtime = self._vtime = vtime + dt * self.capacity / len(jobs)
+            self.busy_time += dt
+        self._t_last = now
         # Complete every job whose virtual finish has been reached.  The
         # epsilon absorbs float drift so simultaneous finishers batch.
-        eps = 1e-9 * max(1.0, abs(self._vtime))
-        completed = []
-        while self._jobs and self._jobs[0][0] <= self._vtime + eps:
-            _, _, ev = heapq.heappop(self._jobs)
-            completed.append(ev)
-        if not completed and self._jobs:
+        # Completing one never re-enters the server (it only schedules
+        # events), so each completes as it is popped.
+        mag = abs(vtime)
+        limit = vtime + 1e-9 * (mag if mag > 1.0 else 1.0)
+        if jobs[0][0] > limit:
             # Float underflow: the timer was armed for the heap top, but the
-            # residual virtual time is below the resolution of `now` so
-            # _advance() made no progress.  Completing it is exact up to one
+            # residual virtual time is below the resolution of `now` so the
+            # advance made no progress.  Completing it is exact up to one
             # ulp — and refusing to would loop forever.
-            fv, _, ev = heapq.heappop(self._jobs)
-            self._vtime = fv
-            completed.append(ev)
-        for ev in completed:
-            ev._job_done()
-        self._reschedule()
+            fv, _, target = heappop(jobs)
+            vtime = self._vtime = fv
+            target._job_done()
+        else:
+            while jobs and jobs[0][0] <= limit:
+                heappop(jobs)[2]._job_done()
+        self._armed_at = _INF  # this timer is spent
+        if not jobs:
+            self._deadline = _INF
+            return
+        dt = (jobs[0][0] - vtime) * len(jobs) / self.capacity
+        deadline = self._deadline = now + dt if dt > 0.0 else now
+        if deadline < _INF:
+            self._armed_at = deadline
+            timer = self._timer = env.schedule_at(deadline)
+            timer.callbacks = self._timer_cb
 
     def work_remaining(self) -> float:
         """Demand units still owed to in-flight jobs (at the current time).

@@ -186,6 +186,41 @@ class TestOsd:
         # Both OSDs served two lanes' worth of the I/O.
         assert all(osd.bytes_moved == 4 * 64 * KiB for osd in pool.osds)
 
+    @pytest.mark.parametrize("n_osds,width,nbytes", [
+        (2, 3, 3 * 64 * KiB),     # OSD 0 holds two lanes, OSD 1 one
+        (3, 5, 7 * 64 * KiB + 5),  # uneven lanes, a partial tail unit
+    ])
+    def test_wide_stripe_matches_a_loop_of_io(self, n_osds, width, nbytes):
+        """Batched wide-stripe submission, lone-lane groups included, keeps
+        the per-lane io() loop's completion time and device accounting."""
+        cfg = PfsConfig(n_osds=n_osds, stripe_unit=64 * KiB, stripe_width=width,
+                        osd_bw=100e6, osd_seek_time=1e-3, osd_op_overhead=1e-4,
+                        readahead_waste=10_000)
+
+        def completions(batched):
+            env = Engine()
+            pool = OsdPool(env, cfg)
+
+            def proc(env):
+                for offset, client in ((0, 1), (nbytes, 1), (0, 2)):
+                    join = Join(env)
+                    if batched:
+                        pool.io_events(3, offset, nbytes, join, client_id=client,
+                                       is_read=True)
+                    else:
+                        for lane, obj_off, n in stripe_lanes(offset, nbytes,
+                                                             cfg.stripe_unit, width):
+                            pool.lane_osd(3, lane).io(3 * 64 + lane, obj_off, n, join,
+                                                      client_id=client, is_read=True)
+                    yield join
+                return env.now.hex()
+
+            done = env.run_process(proc(env))
+            return done, [(o.seeks, o.stream_switches, o.requests, o.bytes_moved)
+                          for o in pool.osds]
+
+        assert completions(batched=True) == completions(batched=False)
+
 
 class TestReadaheadPollution:
     def cfg(self, waste):
