@@ -49,9 +49,8 @@ def _job(tracer=False):
 # -- the <30 s full-tree lint guard ------------------------------------------
 
 def test_full_tree_lint_under_30s():
-    """CI gates on ``python -m repro.analysis lint src/``; every rule,
-    REP007's per-generator CFG dataflow included, must stay
-    interactive."""
+    """CI gates on ``python -m repro.analysis lint src/``; every rule
+    (REP001..REP006) over the whole tree must stay interactive."""
     t0 = time.perf_counter()
     findings = lint_paths([str(SRC)])
     dt = time.perf_counter() - t0

@@ -9,14 +9,14 @@ enforced invariant, with two engines:
   over the source tree that flags the constructs that historically break
   simulated determinism: wall-clock reads, unseeded global RNGs, salted
   ``hash()``, unordered-container iteration feeding results or event
-  schedules, mutable default arguments, order-sensitive float
-  reductions, and registry reads gone stale across a yield
-  (``REP001``..``REP007``).  Rules are listed in
+  schedules, mutable default arguments and order-sensitive float
+  reductions (``REP001``..``REP006``).  Rules are listed in
   :mod:`repro.analysis.rules` and suppressible per line with
   ``# repro: noqa[REPnnn] -- reason``, the one spelling.  ``lint``
-  prints one text report.  Collective congruence has no static rule: it
-  is checked at run time by :mod:`repro.mpi.trace`
-  (``--instrument collectives``).
+  prints one text report.  Two hazards have no static rule and are
+  checked at run time: collective congruence by :mod:`repro.mpi.trace`
+  (``--instrument collectives``), and registry reads gone stale across
+  a yield by the sanitizer and the model checker below.
 
 * a **yield-point race sanitizer** (:mod:`repro.analysis.sanitize`) — a
   dynamic checker for the hazard class behind the PR 2 last-closer bug:

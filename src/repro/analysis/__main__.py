@@ -3,14 +3,14 @@
 Usage::
 
     python -m repro.analysis lint src/              # every rule
-    python -m repro.analysis lint a.py --select REP004,REP007
+    python -m repro.analysis lint a.py --select REP004,REP006
     python -m repro.analysis rules                  # rule table
     python -m repro.analysis check --workload smallio --budget 200
 
 Exit status: 0 when no findings/violations, 1 when any, 2 on usage
 error (an unknown rule or workload, a ``--select`` that names no rule,
 or a lint path that does not exist or holds no ``*.py`` file).  ``lint``
-runs the rules (REP001..REP007) file by file and prints one text report.
+runs the rules (REP001..REP006) file by file and prints one text report.
 The sanitizer has no subcommand here — it is a *runtime* check, enabled
 per experiment run with ``python -m repro.harness <figure> --instrument
 sanitize`` (and implicitly by ``check``); collective congruence is
@@ -95,7 +95,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     lint = sub.add_parser(
-        "lint", help="run every rule (REP001..REP007) over a source tree")
+        "lint", help="run every rule (REP001..REP006) over a source tree")
     lint.add_argument("paths", nargs="+", help="files or directories")
     lint.add_argument("--select",
                       help="comma-separated rule IDs to run (default: all)")

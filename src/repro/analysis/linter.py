@@ -10,7 +10,6 @@ REP003    salted builtin ``hash()``
 REP004    iteration over unordered containers (``.values()``, sets)
 REP005    mutable default arguments
 REP006    float reductions (``sum``/``fsum``) over unordered iterables
-REP007    registry read separated from its dependent write by a yield
 ========  ===========================================================
 
 :func:`lint_paths` finds the files once and lints each on its own: one
@@ -31,30 +30,21 @@ That trade keeps the pass dependency-free, fast (one ``ast.parse`` per
 file), and — most importantly — loud for the next person who writes
 ``for x in d.values()`` into an event schedule.
 
-REP007 is the static face of the model checker's favourite dynamic bug
-(:mod:`repro.analysis.explore`): inside a *generator* function, a value
-read from a ``tracked()`` shared registry and then *written back* after
-a ``yield`` — without re-reading — is a lost update waiting for the
-right interleaving.  The pass recognises registries syntactically
-(variables assigned from ``tracked(...)``, attributes so assigned
-anywhere in the module, and results of same-module helpers whose body
-calls ``tracked``) and tracks read/yield/write phases per registry as a
-forward dataflow over each generator's control-flow graph
-(:mod:`repro.analysis.cfg`): a yield on one arm of a branch cannot taint
-the other, an arm that returns or raises never reaches the code after
-the branch, and loop back edges carry reads cached across an
-iteration's yields.
+A registry read gone stale across a ``yield`` has no static rule: the
+sanitizer (:mod:`repro.analysis.sanitize`) and the model checker
+(:mod:`repro.analysis.explore`) catch it at run time, and
+``tests/analysis/test_tracked_sites.py`` requires every ``tracked()``
+registry to be written by a run that CI makes.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .cfg import build_cfg, dotted_name, local_nodes
 from .rules import RULES
 
 __all__ = ["Finding", "Suppression", "lint_source", "lint_paths",
@@ -128,6 +118,18 @@ _ORDER_INSENSITIVE = frozenset({
 _UNORDERED_METHODS = frozenset({"values", "keys", "items"})
 
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa\[(?P<rules>[A-Za-z0-9,\s]+)\]")
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """'a.b.c' for a Name/Attribute chain, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
 
 def _is_unordered(node: ast.AST) -> bool:
@@ -285,230 +287,6 @@ class _Visitor(ast.NodeVisitor):
     visit_AsyncFunctionDef = _check_defaults
 
 
-# -- REP007: registry atomicity across yields --------------------------------
-
-_REG_READ_METHODS = frozenset({"get", "keys", "values", "items", "copy"})
-_REG_WRITE_METHODS = frozenset({
-    "pop", "popitem", "clear", "update", "add", "discard", "remove",
-})
-# setdefault reads and writes in one engine step: atomic by construction.
-_REG_RW_METHODS = frozenset({"setdefault"})
-
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _is_tracked_call(node: ast.AST) -> bool:
-    """Is *node* a call of ``tracked(...)`` (any dotted spelling)?"""
-    if not isinstance(node, ast.Call):
-        return False
-    dotted = dotted_name(node.func)
-    return dotted is not None and dotted.split(".")[-1] == "tracked"
-
-
-@dataclass(frozen=True)
-class _RegState:
-    """Read-basis tracking for one registry inside one generator."""
-
-    armed: bool = False       # a read's value may still be live
-    stale: bool = False       # ... and a yield has happened since it
-    read_line: int = 0
-
-
-class _AtomicityPass:
-    """REP007: find read -> yield -> write chains on tracked registries.
-
-    Purely syntactic and module-local.  Registries are variables or
-    attributes assigned from ``tracked(...)`` — directly, or via a
-    same-module helper function whose body calls ``tracked`` (the
-    ``_host_registry(home)`` idiom).  Within each *generator* function
-    the pass runs a forward may-dataflow over the function's CFG
-    (:func:`repro.analysis.cfg.build_cfg`): a registry read arms a
-    basis, a yield marks every armed basis stale, and a write on a stale
-    basis is a finding (the written value may derive from a read that
-    another process has since invalidated).  A re-read re-arms fresh,
-    and a write always retires the basis — so single-statement
-    read-modify-writes (``r[k] -= 1``, ``setdefault``) never flag.
-    Control-flow joins merge the states of their predecessors, a branch
-    that ends in ``return``/``raise`` never reaches the join, and loop
-    back edges carry an iteration's yields into the next.
-    """
-
-    def __init__(self, emit) -> None:
-        self._emit = emit
-
-    # -- module pre-scan ---------------------------------------------------
-    def run(self, tree: ast.Module) -> None:
-        factories: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, _FUNC_NODES) and any(
-                    _is_tracked_call(n) for n in local_nodes(node)):
-                factories.add(node.name)
-
-        def makes_registry(value: ast.AST) -> bool:
-            if _is_tracked_call(value):
-                return True
-            if isinstance(value, ast.Call):
-                dotted = dotted_name(value.func)
-                return dotted is not None \
-                    and dotted.split(".")[-1] in factories
-            return False
-
-        attr_regs: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign) and makes_registry(node.value):
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Attribute):
-                        attr_regs.add(tgt.attr)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None \
-                    and makes_registry(node.value):
-                if isinstance(node.target, ast.Attribute):
-                    attr_regs.add(node.target.attr)
-
-        for node in ast.walk(tree):
-            if isinstance(node, _FUNC_NODES) and any(
-                    isinstance(n, (ast.Yield, ast.YieldFrom))
-                    for n in local_nodes(node)):
-                self._walk_function(node, makes_registry, attr_regs)
-
-    # -- per-function dataflow ---------------------------------------------
-    def _walk_function(self, fn, makes_registry, attr_regs: Set[str]) -> None:
-        local_regs: Set[str] = set()
-        # (line, col, registry) -> (write node, stale read's line).  States
-        # only grow towards the fixpoint, so the last round's entry wins.
-        stale_writes: Dict[Tuple[int, int, str], Tuple[ast.AST, int]] = {}
-
-        def rid_of(node: ast.AST) -> Optional[str]:
-            if isinstance(node, ast.Name) and node.id in local_regs:
-                return f"{node.id}"
-            if isinstance(node, ast.Attribute) and node.attr in attr_regs:
-                return f".{node.attr}"
-            return None
-
-        def scan(expr: ast.AST, reads: List, writes: List,
-                 yields: List) -> None:
-            """Registry touches and yields in one statement's expressions."""
-            # Inner Name/Attribute nodes already classified as part of an
-            # enclosing access (the `reg` of `del reg[k]`) must not also
-            # count as bare reads — a write statement would otherwise
-            # re-arm its own basis fresh and mask the staleness.
-            # local_nodes yields parents before their children.
-            consumed: Set[int] = set()
-            for node in local_nodes(expr):
-                if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                    yields.append(node)
-                elif isinstance(node, ast.Subscript):
-                    rid = rid_of(node.value)
-                    if rid is None:
-                        continue
-                    consumed.add(id(node.value))
-                    if isinstance(node.ctx, ast.Load):
-                        reads.append((rid, node))
-                    else:             # Store or Del
-                        writes.append((rid, node))
-                elif isinstance(node, ast.Compare):
-                    for op, cmp in zip(node.ops, node.comparators):
-                        if isinstance(op, (ast.In, ast.NotIn)):
-                            rid = rid_of(cmp)
-                            if rid is not None:
-                                consumed.add(id(cmp))
-                                reads.append((rid, node))
-                elif isinstance(node, ast.Call) \
-                        and isinstance(node.func, ast.Attribute):
-                    rid = rid_of(node.func.value)
-                    if rid is None:
-                        continue
-                    m = node.func.attr
-                    if m in _REG_READ_METHODS or m in _REG_RW_METHODS:
-                        consumed.add(id(node.func.value))
-                        reads.append((rid, node))
-                    if m in _REG_WRITE_METHODS or m in _REG_RW_METHODS:
-                        consumed.add(id(node.func.value))
-                        writes.append((rid, node))
-                elif isinstance(node, (ast.Name, ast.Attribute)):
-                    rid = rid_of(node)
-                    if rid is not None and id(node) not in consumed \
-                            and isinstance(
-                                getattr(node, "ctx", None), ast.Load):
-                        # Bare registry use: iteration, len(), snapshot
-                        # helpers — a read, conservatively.
-                        reads.append((rid, node))
-
-        def stmt_events(stmt: ast.stmt, state: Dict[str, _RegState]) -> None:
-            reads: List = []
-            writes: List = []
-            yields: List = []
-            if isinstance(stmt, ast.AugAssign):
-                rid = rid_of(stmt.target.value) \
-                    if isinstance(stmt.target, ast.Subscript) else None
-                if rid is not None:
-                    reads.append((rid, stmt))
-                    writes.append((rid, stmt))
-                scan(stmt.value, reads, writes, yields)
-            else:
-                scan(stmt, reads, writes, yields)
-            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                value = stmt.value
-                if value is not None and makes_registry(value):
-                    targets = stmt.targets if isinstance(stmt, ast.Assign) \
-                        else [stmt.target]
-                    for tgt in targets:
-                        if isinstance(tgt, ast.Name):
-                            local_regs.add(tgt.id)
-            for rid, node in reads:
-                state[rid] = _RegState(True, False, node.lineno)
-            if yields:
-                for rid, st in sorted(state.items()):
-                    if st.armed:
-                        state[rid] = replace(st, stale=True)
-            for rid, node in writes:
-                st = state.get(rid)
-                if st is not None and st.armed and st.stale:
-                    stale_writes[(node.lineno, node.col_offset, rid)] = (
-                        node, st.read_line)
-                state[rid] = _RegState()
-
-        def merge(a: Dict[str, _RegState],
-                  b: Dict[str, _RegState]) -> Dict[str, _RegState]:
-            out: Dict[str, _RegState] = {}
-            for rid in sorted(set(a) | set(b)):
-                sa = a.get(rid, _RegState())
-                sb = b.get(rid, _RegState())
-                out[rid] = _RegState(
-                    sa.armed or sb.armed,
-                    (sa.armed and sa.stale) or (sb.armed and sb.stale),
-                    max(sa.read_line, sb.read_line))
-            return out
-
-        # Round-robin to a fixpoint; block ids follow source order, so a
-        # registry's local binding is usually seen before its uses (and a
-        # late one re-runs the round).
-        cfg = build_cfg(fn)
-        ins: Dict[int, Dict[str, _RegState]] = {cfg.entry: {}}
-        while True:
-            before = (dict(ins), len(local_regs))
-            for blk in cfg.blocks:
-                if blk.bid not in ins:
-                    continue          # not reached (yet)
-                state = dict(ins[blk.bid])
-                for stmt in blk.stmts:
-                    stmt_events(stmt, state)
-                if blk.test is not None:
-                    stmt_events(ast.Expr(blk.test), state)
-                for dst in blk.succs:
-                    ins[dst] = merge(ins.get(dst, {}), state)
-            if (ins, len(local_regs)) == before:
-                break
-
-        for (_line, _col, rid), (node, read_line) in sorted(
-                stale_writes.items()):
-            name = rid.lstrip(".")
-            self._emit("REP007", node,
-                       f"write to tracked registry {name!r} uses a value "
-                       f"read at line {read_line}, before a yield: the "
-                       f"registry may have changed while suspended — "
-                       f"re-read after resuming")
-
-
 # -- entry points ------------------------------------------------------------
 
 def iter_suppressions(source: str, path: str = "<string>",
@@ -597,8 +375,6 @@ def lint_source(source: str, path: str = "<string>",
     rules = set(enabled) if enabled is not None else set(RULES)
     visitor = _Visitor(rules, path)
     visitor.visit(tree)
-    if "REP007" in rules:
-        _AtomicityPass(visitor._emit).run(tree)
     return sorted(_filter_findings(visitor.findings, source),
                   key=lambda f: (f.line, f.col, f.rule))
 

@@ -77,18 +77,6 @@ RULES: Dict[str, Rule] = {
             "drift.  Reduce over a sorted or explicitly ordered sequence, "
             "or annotate integer sums with # repro: noqa[REP006].",
         ),
-        Rule(
-            "REP007",
-            "registry read separated from its write by a yield",
-            "A value read from a tracked() shared registry is stale after "
-            "any yield: the event loop may run another process that "
-            "mutates the registry at the same simulated instant (the "
-            "PLFS last-closer race was exactly a zero-refcount check "
-            "cached across metadata ops).  Re-read after resuming, or "
-            "restructure so the read and the dependent write straddle no "
-            "yield; a # repro: noqa[REP007] with a reason documents a "
-            "site proven atomic by other means.",
-        ),
     )
 }
 

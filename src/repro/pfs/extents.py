@@ -136,12 +136,6 @@ class ExtentJournal:
             self._size = end
         self._flat = None
 
-    def last_record(self):
-        """(start, length, src, src_off) of the newest record, or None."""
-        if not len(self):
-            return None
-        return (self._start[-1], self._length[-1], self._src[-1], self._src_off[-1])
-
     def extend(self, other: "ExtentJournal") -> None:
         """Append every record of *other* (index aggregation uses this)."""
         self._start.extend(other._start)

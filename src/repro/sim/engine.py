@@ -241,15 +241,6 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    @property
-    def waiting_on(self) -> Optional[Event]:
-        """The event this process is currently blocked on (None if runnable/done).
-
-        This is what :func:`blocked_report` reads to turn a deadlock into an
-        actionable message instead of a bare "queue drained".
-        """
-        return self._waiting
-
     def _resume(self, event: Any) -> None:
         """Advance the generator; loop inline over already-triggered yields."""
         gen = self._gen

@@ -29,10 +29,6 @@ class MetadataTimes:
     open_time: float
     close_time: float
 
-    @property
-    def total_files(self) -> int:
-        return self.nprocs * self.files_per_proc
-
 
 def nn_metadata_storm(world: World, nprocs: int, files_per_proc: int,
                       stack: str, dirname: str = "/meta") -> MetadataTimes:

@@ -66,6 +66,7 @@ def test_shipped_tree_explores_clean(workload):
     report = run_check(workload, budget=40, bound=2)
     assert report.ok, report.render()
     assert report.runs >= 1
+    assert report.exhausted, report.render()
 
 
 # -- the re-introduced last-closer bug ---------------------------------------

@@ -122,6 +122,9 @@ def test_cli_lint_rejects_a_select_that_names_no_rule(tmp_path):
     proc = _cli("lint", "--select", " rep001 ,", str(bad))
     assert proc.returncode == 1
     assert "REP001" in proc.stdout
+    proc = _cli("lint", "src/", "--select", "REP007")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "unknown rule(s)" in proc.stderr
 
 
 def test_syntax_error_reported_once(tmp_path):

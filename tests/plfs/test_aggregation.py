@@ -165,6 +165,38 @@ class TestStorageCharge:
         env.run_process(proc(env))
         assert fetched == [(0, MiB)]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "Volume.bulk_read_files charges osd.server.serve directly, so the "
+        "OSDs' bytes_moved and requests never see an index slurp"))
+    def test_bulk_read_counts_its_osd_traffic(self):
+        """A cold bulk read of three 300 KiB files moves their 921,600
+        bytes through the OSD counters, with at least one request per lane."""
+        env = Engine()
+        cluster = Cluster(env, ClusterSpec(name="t", n_nodes=1,
+                                           node=NodeSpec(cores=4)))
+        vol = Volume(env, cluster, panfs())
+        client = Client(node=cluster.nodes[0], client_id=0)
+        cfg, pool = vol.cfg, vol.pool
+        size = 300 * 1024
+        paths = ["/a", "/b", "/c"]
+        lanes = len(paths) * max(1, min(cfg.stripe_width, -(-size // cfg.stripe_unit)))
+        seen = {}
+
+        def proc(env):
+            for i, path in enumerate(paths):
+                fh = yield from vol.open(client, path, "w", create=True)
+                yield from fh.write(0, PatternData(i, 0, size))
+                yield from fh.close()
+            client.node.page_cache.clear()
+            before = (pool.total_bytes_moved, sum(o.requests for o in pool.osds))
+            yield from vol.bulk_read_files(client, paths)
+            seen["bytes"] = pool.total_bytes_moved - before[0]
+            seen["requests"] = sum(o.requests for o in pool.osds) - before[1]
+
+        env.run_process(proc(env))
+        assert seen["bytes"] == len(paths) * size == 921_600
+        assert seen["requests"] >= lanes
+
 
 class TestParallel:
     @pytest.mark.parametrize("nprocs,group", [(8, 0), (8, 2), (9, 3), (16, 4)])
