@@ -3,9 +3,12 @@
 import gc
 import time
 
+import numpy as np
+
 from repro.analysis.sanitize import Sanitizer, tracked
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, cielo
 from repro.harness.setup import build_world
+from repro.pfs.extents import ExtentJournal
 from repro.pfs.osd import OsdPool
 from repro.pfs.presets import panfs_cielo
 from repro.sim import Engine, FairShareServer, Join
@@ -168,6 +171,34 @@ def test_striped_fanout(benchmark):
 
     events, timers = benchmark(run)
     assert events <= timers + 4 * k_requests, (events, timers)
+
+
+def test_extent_query(benchmark):
+    """One lookup per record in the global index of the Fig. 4 Original
+    cell: 128 writers x 250 strided 200 KB records, each read back by a
+    query of exactly its own extent (the per-read cost on that path)."""
+    writers, records, xfer = 128, 250, 200_000
+    journal = ExtentJournal()
+    i = np.arange(records, dtype=np.int64)
+    for w in range(writers):
+        journal.extend_arrays(w * xfer + i * writers * xfer, np.full(records, xfer),
+                              w, i * xfer, 0.0, w)
+    flat = journal.flatten()
+    expected = [[(w * xfer + k * writers * xfer, w * xfer + (k * writers + 1) * xfer,
+                  w, k * xfer)]
+                for k in range(records) for w in range(writers)]
+    offsets = [seg[0][0] for seg in expected]
+    assert len(flat) == len(offsets) == writers * records
+
+    def run():
+        query = flat.query
+        return [query(off, xfer) for off in offsets]
+
+    assert benchmark(run) == expected
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        us = benchmark.stats.stats.min / len(offsets) * 1e6
+        benchmark.extra_info["us_per_query"] = us
+        print(f"\nextent query: {us:.2f} us per query over {len(offsets)} records")
 
 
 def test_metadata_storm_has_no_full_collection():

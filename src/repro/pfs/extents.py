@@ -23,6 +23,7 @@ millions of records).  :meth:`ExtentJournal.flatten` resolves it:
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -176,25 +177,48 @@ RECORD_BYTES = 48
 
 
 class FlatMap:
-    """A resolved, sorted, non-overlapping extent map supporting range queries."""
+    """A resolved, sorted, non-overlapping extent map supporting range queries.
 
-    __slots__ = ("starts", "ends", "srcs", "src_offs", "size")
+    The four columns (start, end, src, src_off) are stored once, as
+    ``array('q')``.  :meth:`query` is the per-read hot path: a read of a
+    small transfer touches one or two rows, so it bisects the start column
+    and walks those rows as Python ints, with no numpy call per query.
+    ``starts``/``ends``/``srcs``/``src_offs`` are zero-copy numpy views of
+    the columns for vector consumers.
+    """
 
-    def __init__(self, starts: np.ndarray, ends: np.ndarray, srcs: np.ndarray,
-                 src_offs: np.ndarray, size: int):
-        self.starts = starts
-        self.ends = ends
-        self.srcs = srcs
-        self.src_offs = src_offs
+    __slots__ = ("_starts", "_ends", "_srcs", "_src_offs", "size")
+
+    def __init__(self, starts: array, ends: array, srcs: array, src_offs: array,
+                 size: int):
+        self._starts = starts
+        self._ends = ends
+        self._srcs = srcs
+        self._src_offs = src_offs
         self.size = size
 
+    @property
+    def starts(self) -> np.ndarray:
+        return np.frombuffer(self._starts, dtype=np.int64)
+
+    @property
+    def ends(self) -> np.ndarray:
+        return np.frombuffer(self._ends, dtype=np.int64)
+
+    @property
+    def srcs(self) -> np.ndarray:
+        return np.frombuffer(self._srcs, dtype=np.int64)
+
+    @property
+    def src_offs(self) -> np.ndarray:
+        return np.frombuffer(self._src_offs, dtype=np.int64)
+
     def __len__(self) -> int:
-        return len(self.starts)
+        return len(self._starts)
 
     def segments(self) -> Iterator[Segment]:
         """All written segments, in offset order."""
-        for i in range(len(self.starts)):
-            yield (int(self.starts[i]), int(self.ends[i]), int(self.srcs[i]), int(self.src_offs[i]))
+        return zip(self._starts, self._ends, self._srcs, self._src_offs)
 
     def query(self, offset: int, length: int) -> List[Segment]:
         """Segments covering [offset, offset+length), holes included as src=HOLE.
@@ -207,32 +231,43 @@ class FlatMap:
         if length == 0:
             return out
         lo, hi = offset, offset + length
-        # Rows i..j-1 are the ones starting before hi, from the last one
-        # starting at or before lo (which may end before lo and then adds
-        # nothing).  The ndarray methods skip numpy's Python-level
-        # wrappers, and one tolist() per column converts only those rows.
-        starts = self.starts
-        i = int(starts.searchsorted(lo, "right")) - 1
+        # The rows that can overlap are those starting before hi, from the
+        # last one starting at or before lo (which may end before lo and
+        # then adds nothing).
+        starts, ends = self._starts, self._ends
+        i = bisect_right(starts, lo) - 1
         if i < 0:
             i = 0
-        j = int(starts.searchsorted(hi))
         pos = lo
-        for s, e, src, src_off in zip(starts[i:j].tolist(), self.ends[i:j].tolist(),
-                                      self.srcs[i:j].tolist(),
-                                      self.src_offs[i:j].tolist()):
+        for k in range(i, bisect_left(starts, hi, i)):
+            s = starts[k]
             if pos < s:
                 out.append((pos, s, HOLE, 0))
                 pos = s
+            e = ends[k]
             seg_end = e if e < hi else hi
             if seg_end > pos:
-                out.append((pos, seg_end, src, src_off + (pos - s)))
+                out.append((pos, seg_end, self._srcs[k], self._src_offs[k] + (pos - s)))
                 pos = seg_end
         if pos < hi:
             out.append((pos, hi, HOLE, 0))
         return out
 
 
-_EMPTY = np.zeros(0, dtype=np.int64)
+def _gather(values: np.ndarray, rows: np.ndarray) -> array:
+    """``values[rows]`` as a new ``array('q')`` column.
+
+    numpy writes the rows straight into the column's buffer, so no numpy
+    copy of the column ever exists next to it (``mode="clip"`` keeps
+    ``take`` from buffering; every row is in range).
+    """
+    col = array("q", [0]) * len(rows)
+    np.take(values, rows, out=np.frombuffer(col, dtype=np.int64), mode="clip")
+    return col
+
+
+def _empty(size: int) -> FlatMap:
+    return FlatMap(array("q"), array("q"), array("q"), array("q"), size)
 
 
 def _flatten(start: np.ndarray, length: np.ndarray, src: np.ndarray,
@@ -240,13 +275,14 @@ def _flatten(start: np.ndarray, length: np.ndarray, src: np.ndarray,
              size: int) -> FlatMap:
     n = len(start)
     if n == 0:
-        return FlatMap(_EMPTY, _EMPTY, _EMPTY, _EMPTY, 0)
+        return _empty(0)
     end = start + length
     order = np.lexsort((minor, stamp, start))
-    s, e = start[order], end[order]
-    if np.all(e[:-1] <= s[1:]):
+    s, e = _gather(start, order), _gather(end, order)
+    sv, ev = np.frombuffer(s, dtype=np.int64), np.frombuffer(e, dtype=np.int64)
+    if np.all(ev[:-1] <= sv[1:]):
         # Fast path: already disjoint once sorted by start.
-        return FlatMap(s, e, src[order], src_off[order], size)
+        return FlatMap(s, e, _gather(src, order), _gather(src_off, order), size)
     return _paint(start, end, src, src_off, stamp, minor, size)
 
 
@@ -285,7 +321,7 @@ def _paint(start, end, src, src_off, stamp, minor, size) -> FlatMap:
 
     painted = np.nonzero(winner >= 0)[0]
     if len(painted) == 0:
-        return FlatMap(_EMPTY, _EMPTY, _EMPTY, _EMPTY, size)
+        return _empty(size)
     w = winner[painted]
     seg_start = bounds[painted]
     seg_end = bounds[painted + 1]
@@ -300,12 +336,7 @@ def _paint(start, end, src, src_off, stamp, minor, size) -> FlatMap:
         )
         keep[1:] = ~contiguous
     idx = np.nonzero(keep)[0]
-    merged_start = seg_start[idx]
-    merged_src = seg_src[idx]
-    merged_off = seg_off[idx]
-    merged_end = np.empty_like(merged_start)
-    merged_end[:-1] = seg_start[idx[1:]]  # placeholder, fixed below
     # End of each merged run = end of the slot just before the next kept one.
     run_last = np.append(idx[1:] - 1, len(painted) - 1)
-    merged_end = seg_end[run_last]
-    return FlatMap(merged_start, merged_end, merged_src, merged_off, size)
+    return FlatMap(_gather(seg_start, idx), _gather(seg_end, run_last),
+                   _gather(seg_src, idx), _gather(seg_off, idx), size)

@@ -303,7 +303,8 @@ class Volume:
         self.ns.rename(old, new)
 
     # -- batched paths -------------------------------------------------------
-    def bulk_read_files(self, client: Client, paths: Sequence[str]) -> Generator:
+    def bulk_read_files(self, client: Client, paths: Sequence[str],
+                        contents: bool = True) -> Generator:
         """Open, fully read, and close many small files as one charged batch.
 
         This models a client slurping k files (the Original-PLFS index read:
@@ -311,7 +312,8 @@ class Volume:
         aggregate — k opens+closes at the MDS, total bytes plus one
         seek-equivalent per file spread over the OSD pool — producing the
         same contention as k individual requests at a tiny fraction of the
-        event count.  Returns the file contents in order.
+        event count.  Returns the file contents in order, or None with
+        *contents* false (the same charges, no views built).
         """
         k = len(paths)
         if k == 0:
@@ -406,6 +408,8 @@ class Volume:
         if coalesced:
             yield self.env.all_of(coalesced)
         yield from self.mds.op("close", count=k)
+        if not contents:
+            return None
         return [n.data.read(0, n.data.size) for n in inodes]
 
     def bulk_stat(self, client: Client, count: int) -> Generator:

@@ -115,12 +115,14 @@ def _fingerprint(entries: List[IndexLogEntry]) -> Tuple:
 
 
 def read_index_logs(client: Client, entries: List[IndexLogEntry],
-                    retry: RetryPolicy = None) -> Generator:
+                    retry: RetryPolicy = None, contents: bool = True) -> Generator:
     """Bulk-read index logs, one batch per volume.
 
     Returns ``(logs, unreachable)``: an :data:`IndexLog` per log read, and
     the writers whose batch stayed unreachable under *retry* (skipped, as
     in :func:`list_index_logs`; without *retry* the error propagates).
+    With *contents* false the batches are charged the same but no views
+    are built, and *logs* is empty (a memo hit has nothing to parse).
     """
     # Grouped by volume *name* (stable identity — id() is a memory address
     # and differs across runs); iterated in first-seen entry order, which
@@ -135,14 +137,16 @@ def read_index_logs(client: Client, entries: List[IndexLogEntry],
         paths = [path for _, path, _, _ in group]
         try:
             views = yield from retrying(
-                vol.env, retry, lambda v=vol, p=paths: v.bulk_read_files(client, p))
+                vol.env, retry,
+                lambda v=vol, p=paths: v.bulk_read_files(client, p, contents))
         except TransientIOError:
             if retry is None:
                 raise
             unreachable.extend(writer_id for _, _, writer_id, _ in group)
             continue
-        logs.extend((writer_id, node_id, view)
-                    for (_, _, writer_id, node_id), view in zip(group, views))
+        if contents:
+            logs.extend((writer_id, node_id, view)
+                        for (_, _, writer_id, node_id), view in zip(group, views))
     return logs, unreachable
 
 
@@ -163,9 +167,9 @@ def aggregate_original(layout: ContainerLayout, client: Client,
     index logs — that is the point of this strategy — but ranks provably
     construct identical Python objects, so the memoization is
     *single-flight*: the first arrival parses; later arrivals read the same
-    batches (same simulated cost), skip only the parse and adopt its
-    object.  Without this, a 2,048-rank read job would material­ize 2,048
-    copies of a ~100 MB global index in host memory.
+    batches (same simulated cost) but build no views of them, skip the
+    parse and adopt its object.  Without this, a 2,048-rank read job would
+    material­ize 2,048 copies of a ~100 MB global index in host memory.
 
     With *retry* set (independent opens only: one rank's exception would
     strand the others at the next collective), reads are retried and
@@ -184,9 +188,10 @@ def aggregate_original(layout: ContainerLayout, client: Client,
         if hit is None:
             done = env.event()
             cache[key] = ("pending", done)
-    logs, lost_writers = yield from read_index_logs(client, entries, retry)
+    logs, lost_writers = yield from read_index_logs(client, entries, retry,
+                                                    contents=hit is None)
     merged = merge_index_logs(logs) if hit is None else hit
-    del logs  # host memory: a waiting hit must not pin its views
+    del logs  # host memory: the views are dead once parsed
     if isinstance(merged, tuple):  # ('pending', event): parse in flight
         yield merged[1]
         merged = cache[key]

@@ -41,18 +41,16 @@ class PlfsReadHandle:
     def size(self) -> int:
         return self.global_index.logical_size
 
-    def _log_handle(self, writer_id: int) -> Generator:
-        fh = self._logs.get(writer_id)
-        if fh is None:
-            node_id = self.global_index.writers.get(writer_id)
-            if node_id is None:
-                raise PLFSError(f"index references unknown writer {writer_id}")
-            s = self.layout.subdir_for_writer(node_id)
-            vol = self.layout.subdir_volume(s)
-            path = self.layout.data_log_path(node_id, writer_id)
-            fh = yield from retrying(vol.env, self.retry,
-                                     lambda: vol.open(self.client, path, "r"))
-            self._logs[writer_id] = fh
+    def _open_log(self, writer_id: int) -> Generator:
+        node_id = self.global_index.writers.get(writer_id)
+        if node_id is None:
+            raise PLFSError(f"index references unknown writer {writer_id}")
+        s = self.layout.subdir_for_writer(node_id)
+        vol = self.layout.subdir_volume(s)
+        path = self.layout.data_log_path(node_id, writer_id)
+        fh = yield from retrying(vol.env, self.retry,
+                                 lambda: vol.open(self.client, path, "r"))
+        self._logs[writer_id] = fh
         return fh
 
     def read(self, offset: int, length: int) -> Generator:
@@ -65,14 +63,20 @@ class PlfsReadHandle:
         if length == 0:
             return DataView([])
         pieces = []
+        retry = self.retry
         for seg_start, seg_end, writer, phys in self.global_index.flatten().query(offset, length):
             n = seg_end - seg_start
             if writer == HOLE:
                 pieces.append(ZeroData(n))
                 continue
-            fh = yield from self._log_handle(writer)
-            view = yield from retrying(fh.volume.env, self.retry,
-                                       lambda: fh.read(phys, n))
+            fh = self._logs.get(writer)
+            if fh is None:
+                fh = yield from self._open_log(writer)
+            if retry is None:
+                view = yield from fh.read(phys, n)
+            else:
+                view = yield from retrying(fh.volume.env, retry,
+                                           lambda: fh.read(phys, n))
             if view.length != n:
                 raise PLFSError(
                     f"data log for writer {writer} shorter than its index "

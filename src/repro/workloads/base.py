@@ -108,7 +108,8 @@ class Workload:
         return self.write_rounds(rank)
 
     def bytes_per_rank(self, rank: int) -> int:
-        """Bytes this rank writes over the whole plan."""
+        """Bytes this rank writes over the whole plan (walks every round;
+        workloads with a closed form override it)."""
         return sum(ln for rnd in self.write_rounds(rank) for _, ln in rnd)
 
     @property
@@ -248,10 +249,11 @@ def run_workload(world: World, workload: Workload, stack: IOStack, *,
     """
     result = WorkloadResult(workload=workload.name, stack=stack.name,
                             nprocs=workload.nprocs)
+    total = workload.total_bytes
     if do_write:
         job = run_job(world.env, world.cluster, workload.nprocs,
                       _writer_fn(workload, stack),
-                      bytes_total=workload.total_bytes,
+                      bytes_total=total,
                       name=f"{workload.name}-write")
         result.write = _phase_result("write", job.metrics, None)
     if do_read:
@@ -259,7 +261,7 @@ def run_workload(world: World, workload: Workload, stack: IOStack, *,
             world.drop_caches()
         job = run_job(world.env, world.cluster, workload.nprocs,
                       _reader_fn(workload, stack, verify),
-                      bytes_total=workload.total_bytes,
+                      bytes_total=total,
                       name=f"{workload.name}-read",
                       client_id_base=1_000_000)
         verified = all(job.results) if verify else None

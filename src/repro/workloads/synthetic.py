@@ -56,6 +56,10 @@ class MPIIOTest(Workload):
             written += ln
             i += 1
 
+    def bytes_per_rank(self, rank: int) -> int:
+        """Closed form of the round sum: the plan writes size_per_proc bytes."""
+        return self.size_per_proc
+
 
 class IOR(Workload):
     """IOR [16] as the paper ran it: N-1 segmented, 50 MB per proc, 1 MB ops."""
@@ -77,3 +81,7 @@ class IOR(Workload):
             ln = min(self.transfer, self.size_per_proc - written)
             yield [(base + written, ln)]
             written += ln
+
+    def bytes_per_rank(self, rank: int) -> int:
+        """Closed form of the round sum: the plan writes size_per_proc bytes."""
+        return self.size_per_proc

@@ -6,6 +6,7 @@ from repro.cluster import Cluster, ClusterSpec, NodeSpec
 from repro.mpi import run_job
 from repro.pfs import Client, Volume, panfs
 from repro.pfs.data import PatternData
+from repro.pfs.namespace import FileData
 from repro.plfs.aggregation import (
     aggregate_original,
     aggregate_parallel,
@@ -18,6 +19,11 @@ from repro.units import MiB
 from tests.conftest import make_world
 
 KB = 1000
+
+# Simulated duration of the memo-hit open in
+# test_memoization_charges_but_skips_parse, as charged while hits still
+# built (and discarded) a view of every index log.
+MEMO_HIT_S = 0.001271445333333343
 
 
 def write_n1(world, path="/f", nprocs=8, per_proc=20 * KB, rec=5 * KB):
@@ -79,6 +85,51 @@ class TestOriginal:
                                  client_id_base=100).results[0]
         assert g2 is g1            # memoized object
         assert d2 > 0              # but simulated time still charged
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_memo_hit_builds_no_index_log_views(self, world, monkeypatch,
+                                                concurrent):
+        """A hit reads no index log's content, whether it finds a finished
+        entry or the parse still in flight; a sequential hit is charged
+        exactly what it was when it still built the views."""
+        write_n1(world, nprocs=8)
+        layout = world.mount.layout("/f")
+        index_logs = set()
+        for s in range(layout.cfg.n_subdirs):
+            subdir = layout.subdir_volume(s).ns.try_resolve(layout.subdir_path(s))
+            if subdir is not None:
+                index_logs.update(id(node.data) for name, node in subdir.children.items()
+                                  if name.startswith("dropping.index."))
+        assert len(index_logs) == 8
+        reads = []
+        file_read = FileData.read
+
+        def spy(data, offset, length):
+            if id(data) in index_logs:
+                reads.append(id(data))
+            return file_read(data, offset, length)
+
+        monkeypatch.setattr(FileData, "read", spy)
+        cache = {}
+
+        def agg(ctx):
+            t0 = ctx.env.now
+            gi = yield from aggregate_original(layout, ctx.client, cache)
+            return gi, ctx.env.now - t0
+
+        if concurrent:
+            (g1, _), (g2, _) = run_job(world.env, world.cluster, 2, agg,
+                                       client_id_base=100).results
+        else:
+            g1, _ = run_job(world.env, world.cluster, 1, agg,
+                            client_id_base=100).results[0]
+            del reads[:]
+            g2, d2 = run_job(world.env, world.cluster, 1, agg,
+                             client_id_base=100).results[0]
+            assert d2 == MEMO_HIT_S
+        assert g2 is g1
+        # Only the miss read the logs: one view each, none for the hit.
+        assert sorted(reads) == (sorted(index_logs) if concurrent else [])
 
     @pytest.mark.parametrize("concurrent", [
         False,

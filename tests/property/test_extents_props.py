@@ -6,7 +6,7 @@ per-byte reference model under arbitrary record streams.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.pfs.extents import HOLE, ExtentJournal
@@ -94,6 +94,44 @@ def test_query_tiles_exactly(recs, offset, length):
         assert e > s
         pos = e
     assert pos == offset + length or (length == 0 and not segs)
+
+
+@given(distinct_priority_records(),
+       st.integers(min_value=0, max_value=MAX_POS + 400),
+       st.integers(min_value=0, max_value=500))
+@example([], 0, 100)                                            # empty map
+@example([(0, 10, 1, 0, 0.0, 0)], 5, 0)                         # zero length
+@example([(0, 10, 1, 0, 0.0, 0)], 4, 30)                        # runs past EOF
+@example([(0, 10, 1, 0, 0.0, 0)], 50, 10)                       # starts past EOF
+@example([(10, 10, 1, 0, 0.0, 0)], 0, 15)                       # leading hole
+@example([(0, 100, 3, 7, 0.0, 0)], 40, 20)                      # inside one row
+@example([(0, 10, 1, 0, 0.0, 0), (5, 10, 2, 100, 1.0, 1)], 0, 20)    # overlap
+@example([(0, 30, 1, 0, 1.0, 0), (10, 5, 2, 100, 0.0, 1)], 8, 10)    # hidden
+@settings(max_examples=300, deadline=None)
+def test_query_sources_match_reference(recs, offset, length):
+    """Every byte of a query maps where the per-byte model says: to the
+    winning record's source at its own offset, or to HOLE if unwritten."""
+    segs = build(recs).flatten().query(offset, length)
+    ref = reference_model(recs)
+    owner = np.full(offset + length, -1, dtype=np.int64)
+    owner[:min(len(ref), len(owner))] = ref[:len(owner)]
+    rec_start = np.array([r[0] for r in recs] + [0], dtype=np.int64)
+    rec_src = np.array([r[2] for r in recs] + [HOLE], dtype=np.int64)
+    rec_off = np.array([r[3] for r in recs] + [0], dtype=np.int64)
+    pos = offset
+    for s, e, src, src_off in segs:
+        assert s == pos, "gap or overlap in query tiling"
+        assert e > s
+        w = owner[s:e]  # -1 indexes the HOLE sentinel row
+        byte = np.arange(s, e)
+        assert (rec_src[w] == src).all()
+        if src == HOLE:
+            assert (w == -1).all() and src_off == 0
+        else:
+            assert np.array_equal(rec_off[w] + (byte - rec_start[w]),
+                                  src_off + (byte - s))
+        pos = e
+    assert pos == offset + length
 
 
 @given(distinct_priority_records())

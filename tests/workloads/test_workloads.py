@@ -66,6 +66,20 @@ class TestPlans:
         assert wl.total_bytes == 32 * KB
         assert wl.bytes_per_rank(0) == 8 * KB
 
+    @pytest.mark.parametrize("kind", ["strided", "segmented", "nn", "ior"])
+    @pytest.mark.parametrize("size,xfer", [(8 * KB, 2 * KB), (8 * KB, 3 * KB),
+                                           (KB, 5 * KB)])
+    def test_closed_form_bytes_per_rank_equals_the_round_sum(self, kind, size, xfer):
+        """The MPIIOTest/IOR override agrees with the base class's walk of
+        every round, also when the transfer does not divide the size."""
+        if kind == "ior":
+            wl = IOR(3, size_per_proc=size, transfer=xfer)
+        else:
+            wl = MPIIOTest(3, size_per_proc=size, transfer=xfer, layout=kind)
+        for rank in range(wl.nprocs):
+            walked = sum(ln for _, ln in flat_extents(wl, rank))
+            assert wl.bytes_per_rank(rank) == walked == wl.size_per_proc
+
     def test_lanl3_rounds_are_collective(self):
         wl = LANL3(8, total_bytes=16 * MiB, round_bytes=8 * MiB)
         assert wl.collective_write
