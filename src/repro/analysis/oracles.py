@@ -40,8 +40,9 @@ from ..plfs.aggregation import (
     aggregate_parallel,
     read_flattened_index,
 )
-from ..plfs.container import parse_meta_dropping
-from ..plfs.index import RECORD_DTYPE, GlobalIndex
+from ..pfs.extents import RECORD_BYTES
+from ..plfs.container import parse_log_name, parse_meta_dropping
+from ..plfs.index import GlobalIndex
 from ..plfs.reader import PlfsReadHandle
 from ..plfs.writer import host_refs_snapshot
 
@@ -53,8 +54,6 @@ __all__ = [
     "quick_invariants",
     "read_back",
 ]
-
-_RECORD_BYTES = RECORD_DTYPE.itemsize
 
 
 # -- quick invariants (every quiescent point) ------------------------------
@@ -144,17 +143,17 @@ def check_namespace(world: Any, path: str) -> List[str]:
             datas, indexes = set(), set()
             for name in sorted(sd.children or {}):
                 child = (sd.children or {})[name]
-                parts = name.split(".")
-                if name.startswith("dropping.data."):
-                    datas.add((int(parts[2]), int(parts[3])))
-                elif name.startswith("dropping.index."):
-                    indexes.add((int(parts[2]), int(parts[3])))
-                    index_records += (child.data.size if child.data else 0) \
-                        // _RECORD_BYTES
-                else:
+                parsed = parse_log_name(name)
+                if parsed is None:
                     out.append(f"unexpected dropping {name!r} in subdir {s}")
                     continue
-                node_id = int(parts[2])
+                kind, node_id, writer = parsed
+                if kind == "data":
+                    datas.add((node_id, writer))
+                else:
+                    indexes.add((node_id, writer))
+                    index_records += (child.data.size if child.data else 0) \
+                        // RECORD_BYTES
                 if layout.subdir_for_writer(node_id) != s:
                     out.append(
                         f"dropping {name!r} of node {node_id} landed in "
@@ -183,14 +182,13 @@ def check_conservation(world: Any, path: str, gi: GlobalIndex) -> List[str]:
     The merged journal's flatten already guarantees *at most one* extent
     per byte; what a lost metadata update breaks is *liveness* — a
     record pointing into a data log that was clobbered or never grew to
-    the promised length.  Walks the journal columns and checks each
+    the promised length.  Walks the journal records and checks each
     referenced extent against the actual data-log inode.
     """
     layout = world.mount.layout(path)
     out: List[str] = []
-    start, length, src, src_off, _stamp, _minor = gi.journal.columns()
-    for i in range(len(start)):
-        writer_id = int(src[i])
+    records = gi.journal.records().tolist()
+    for i, (start, length, src_off, _stamp, writer_id, _pad) in enumerate(records):
         node_id = gi.writers.get(writer_id)
         if node_id is None:
             out.append(
@@ -201,11 +199,10 @@ def check_conservation(world: Any, path: str, gi: GlobalIndex) -> List[str]:
         inode = vol.ns.try_resolve(log_path)
         if inode is None or inode.data is None:
             out.append(
-                f"index record {i} (logical [{int(start[i])}, "
-                f"{int(start[i]) + int(length[i])})) points at missing "
-                f"data log {log_path!r}")
+                f"index record {i} (logical [{start}, {start + length})) "
+                f"points at missing data log {log_path!r}")
             continue
-        end = int(src_off[i]) + int(length[i])
+        end = src_off + length
         if inode.data.size < end:
             out.append(
                 f"index record {i} needs {end} bytes of {log_path!r}, "

@@ -13,7 +13,9 @@ from typing import List
 
 from ...cluster import lanl64
 from ...pfs import panfs
+from ...pfs.extents import RECORD_BYTES
 from ...plfs import PlfsConfig
+from ...plfs.container import parse_log_name
 from ...units import KB, KiB, MB
 from ...workloads import (
     MPIIOTest,
@@ -53,7 +55,7 @@ def run_threshold_point(threshold: int, scale: Scale):
 def ablate_threshold(scale: Scale, jobs: int = 1) -> Table:
     """Index Flatten threshold: too low and flatten never engages."""
     n = max(scale.fig4_streams)
-    per_writer_index = (scale.fig4_size_per_proc // scale.fig4_transfer) * 48
+    per_writer_index = (scale.fig4_size_per_proc // scale.fig4_transfer) * RECORD_BYTES
     table = Table(
         id="ablate-threshold",
         title=f"Index Flatten threshold sweep ({n} streams; per-writer index "
@@ -199,9 +201,10 @@ def _count_index_records(world, workload) -> int:
         if not vol.ns.exists(path):
             continue
         for name in vol.ns.readdir(path):
-            if name.startswith("dropping.index."):
+            parsed = parse_log_name(name)
+            if parsed is not None and parsed[0] == "index":
                 node = vol.ns.resolve(f"{path}/{name}")
-                total += node.data.size // 48
+                total += node.data.size // RECORD_BYTES
     return total
 
 

@@ -103,16 +103,6 @@ class Comm:
             del shared._mail[key]
         return payload
 
-    # -- non-blocking flavours -------------------------------------------------
-    def isend(self, dst: int, payload: Any, nbytes: int = 0, tag: Any = 0):
-        """Start a send; returns a process to ``yield`` on (like MPI_Isend +
-        MPI_Wait), letting communication overlap other work."""
-        return self.env.process(self.send(dst, payload, nbytes, tag))
-
-    def irecv(self, src: int, tag: Any = 0):
-        """Start a receive; ``yield`` the returned process for the payload."""
-        return self.env.process(self.recv(src, tag))
-
     # -- collectives -----------------------------------------------------------
     def _next_tag(self) -> Tuple[str, int]:
         self._coll_seq += 1

@@ -26,7 +26,7 @@ from typing import Dict
 from ..errors import ConfigError
 from ..units import KiB, MiB
 
-__all__ = ["PfsConfig", "DEFAULT_OP_COSTS"]
+__all__ = ["PfsConfig", "DEFAULT_OP_COSTS", "MD_CACHE_HIT_FACTOR"]
 
 # Relative metadata-op weights, in "op units"; an MDS rated at R ops/s
 # retires R units per second.  Creates dominate (allocation + journaling),
@@ -43,6 +43,9 @@ DEFAULT_OP_COSTS: Dict[str, float] = {
     "rename": 0.9,
     "utime": 0.2,
 }
+
+# Fraction of a full open that a client metadata-cache hit costs.
+MD_CACHE_HIT_FACTOR = 0.08
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,7 @@ class PfsConfig:
     dir_degradation_entries: int = 8000
 
     # --- client behaviour ---
-    client_cache: bool = True        # use node page caches
-    cache_fill_on_read: bool = True  # read misses populate the cache
+    # Node page caches always serve hits, and read misses fill them.
     # Write-back buffering for sole-writer append streams: tiny sequential
     # writes (PLFS data logs, N-N files) absorb into the client cache and
     # flush to storage in chunks of this size.  Multi-writer shared files
@@ -96,12 +98,11 @@ class PfsConfig:
     # which is precisely the N-1 penalty (§II).  0 disables.
     writeback_bytes: int = 4 * MiB
     # Client metadata caching: re-opening a file some rank on the same node
-    # already opened costs this fraction of a full open (attribute caches
-    # in PanFS/Lustre/GPFS clients all behave this way).  It is what keeps
-    # the Original index-read design merely ~4x slower at scale (Fig. 4a)
-    # instead of catastrophically N^2.
+    # already opened costs MD_CACHE_HIT_FACTOR of a full open (attribute
+    # caches in PanFS/Lustre/GPFS clients all behave this way).  It is what
+    # keeps the Original index-read design merely ~4x slower at scale
+    # (Fig. 4a) instead of catastrophically N^2.
     md_client_cache: bool = True
-    md_cache_hit_factor: float = 0.08
 
     op_costs: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_OP_COSTS))
 

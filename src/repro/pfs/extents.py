@@ -7,21 +7,25 @@ resolved into a flat, non-overlapping extent map for reads.  The paper's
 PLFS defers exactly this work from write time to read time (§II), so the
 resolution code is a first-class, shared component.
 
-:class:`ExtentJournal` is the append-only record log (compact
-``array``-backed columns — a 65,536-rank checkpoint can easily produce
-millions of records).  :meth:`ExtentJournal.flatten` resolves it:
+:class:`ExtentJournal` is the append-only record log.  It keeps its records
+in one ``bytearray``, packed in the on-media index-record layout
+(:data:`RECORD_DTYPE`), so a PLFS index log serializes and parses by
+slicing, and a one-record journal costs about 200 bytes of host memory
+(a 65,536-rank job holds a quarter of a million journals).
+:meth:`ExtentJournal.flatten` resolves it:
 
 * fast path — when records don't overlap (the overwhelmingly common
   checkpoint case, which the paper's footnote 1 also leans on), flattening
   is a single numpy sort;
 * slow path — genuine overlaps resolve *last-writer-wins by timestamp*
-  (ties broken by a minor stamp, e.g. writer id) using elementary-interval
-  painting with a union-find "next unpainted slot" walk, O(n α n) after the
-  sort.
+  (ties broken by the larger source, e.g. writer id) using
+  elementary-interval painting with a union-find "next unpainted slot"
+  walk, O(n α n) after the sort.
 """
 
 from __future__ import annotations
 
+import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import Iterator, List, Optional, Tuple
@@ -30,32 +34,44 @@ import numpy as np
 
 from ..errors import InvalidArgument
 
-__all__ = ["ExtentJournal", "FlatMap", "Segment", "HOLE"]
+__all__ = ["ExtentJournal", "FlatMap", "Segment", "HOLE", "RECORD_DTYPE",
+           "RECORD_BYTES"]
 
 HOLE = -1  # src value marking an unwritten gap in query results
 
 # A resolved segment: [start, end) maps to source `src` at `src_off`.
 Segment = Tuple[int, int, int, int]
 
+# One record, in memory and on media: PLFS's C index entry (logical offset,
+# length, physical offset, timestamp, writer id) padded to the weight of
+# the real struct.  In a PLFS index, src is the writer and src_off the
+# offset in its data log.
+RECORD_DTYPE = np.dtype([
+    ("start", "<i8"),
+    ("length", "<i8"),
+    ("src_off", "<i8"),
+    ("stamp", "<f8"),
+    ("src", "<i8"),
+    ("pad", "<i8"),
+])
+RECORD_BYTES = RECORD_DTYPE.itemsize
+# The same layout for one record at a time (``append`` is per write).
+_RECORD = struct.Struct("<qqqdqq")
+_HEAD = struct.Struct("<qq")  # a record's (start, length)
+
 
 class ExtentJournal:
     """Append-only log of extent records with last-writer-wins resolution."""
 
-    __slots__ = ("_start", "_length", "_src", "_src_off", "_stamp", "_minor",
-                 "_size", "_flat")
+    __slots__ = ("_buf", "_size", "_flat")
 
     def __init__(self) -> None:
-        self._start = array("q")
-        self._length = array("q")
-        self._src = array("q")
-        self._src_off = array("q")
-        self._stamp = array("d")
-        self._minor = array("q")
+        self._buf = bytearray()
         self._size = 0
         self._flat: Optional[FlatMap] = None
 
     def __len__(self) -> int:
-        return len(self._start)
+        return len(self._buf) // RECORD_BYTES
 
     @property
     def size(self) -> int:
@@ -63,61 +79,40 @@ class ExtentJournal:
         return self._size
 
     def append(self, start: int, length: int, src: int, src_off: int,
-               stamp: float = 0.0, minor: int = 0) -> None:
+               stamp: float = 0.0) -> None:
         """Record that [start, start+length) now maps to (src, src_off).
 
-        *stamp* orders conflicting records (larger wins); *minor* breaks
-        stamp ties deterministically (larger wins), e.g. the writer id.
+        *stamp* orders conflicting records (larger wins); equal stamps
+        resolve to the larger *src*.
         """
         if start < 0 or length < 0 or src_off < 0:
             raise InvalidArgument(message=f"bad extent record ({start}, {length}, {src}, {src_off})")
         if length == 0:
             return
-        self._start.append(start)
-        self._length.append(length)
-        self._src.append(src)
-        self._src_off.append(src_off)
-        self._stamp.append(stamp)
-        self._minor.append(minor)
+        self._buf += _RECORD.pack(start, length, src_off, stamp, src, 0)
         end = start + length
         if end > self._size:
             self._size = end
         self._flat = None
 
-    def extend_arrays(self, start, length, src, src_off, stamp, minor) -> None:
-        """Vectorized bulk append of parallel record arrays.
+    def extend_records(self, recs: np.ndarray, src: Optional[int] = None) -> None:
+        """Bulk-append records given as a :data:`RECORD_DTYPE` array.
 
-        Zero-length records are dropped (as in :meth:`append`); negative
-        offsets/lengths are rejected.  All arrays must be equal length;
-        scalar ``src``/``stamp``/``minor`` broadcast.
+        Negative starts, lengths or source offsets are rejected and
+        zero-length records are dropped (as in :meth:`append`).  Given
+        *src*, every appended record is attributed to that source.
         """
-        start = np.ascontiguousarray(start, dtype=np.int64)
-        length = np.ascontiguousarray(length, dtype=np.int64)
-        n = len(start)
-        src = np.broadcast_to(np.asarray(src, dtype=np.int64), (n,))
-        src_off = np.ascontiguousarray(src_off, dtype=np.int64)
-        stamp = np.broadcast_to(np.asarray(stamp, dtype=np.float64), (n,))
-        minor = np.broadcast_to(np.asarray(minor, dtype=np.int64), (n,))
-        if not (len(length) == len(src_off) == n and len(stamp) == len(minor) == n):
-            raise InvalidArgument(message="extend_arrays: column length mismatch")
-        if n == 0:
+        if (recs["start"] < 0).any() or (recs["length"] < 0).any() \
+                or (recs["src_off"] < 0).any():
+            raise InvalidArgument(message="negative field in extent records")
+        recs = recs[recs["length"] > 0]
+        if not len(recs):
             return
-        if (start < 0).any() or (length < 0).any() or (src_off < 0).any():
-            raise InvalidArgument(message="extend_arrays: negative field")
-        keep = length > 0
-        if not keep.all():
-            start, length = start[keep], length[keep]
-            src, src_off = np.ascontiguousarray(src[keep]), src_off[keep]
-            stamp, minor = np.ascontiguousarray(stamp[keep]), np.ascontiguousarray(minor[keep])
-            if len(start) == 0:
-                return
-        self._start.frombytes(start.tobytes())
-        self._length.frombytes(length.tobytes())
-        self._src.frombytes(np.ascontiguousarray(src).tobytes())
-        self._src_off.frombytes(src_off.tobytes())
-        self._stamp.frombytes(np.ascontiguousarray(stamp).tobytes())
-        self._minor.frombytes(np.ascontiguousarray(minor).tobytes())
-        self._size = max(self._size, int((start + length).max()))
+        at = len(self._buf)
+        self._buf.extend(recs.view(np.uint8))
+        if src is not None:
+            np.frombuffer(self._buf, dtype=RECORD_DTYPE, offset=at)["src"] = src
+        self._size = max(self._size, int((recs["start"] + recs["length"]).max()))
         self._flat = None
 
     def grow_last(self, extra: int) -> None:
@@ -127,53 +122,49 @@ class ExtentJournal:
         whose logical and physical ranges both extend the previous one).
         The caller asserts contiguity; this just maintains invariants.
         """
-        if not len(self):
+        if not self._buf:
             raise InvalidArgument(message="grow_last on empty journal")
         if extra <= 0:
             raise InvalidArgument(message=f"grow_last needs extra > 0, got {extra}")
-        self._length[-1] += extra
-        end = self._start[-1] + self._length[-1]
-        if end > self._size:
-            self._size = end
+        at = len(self._buf) - RECORD_BYTES
+        start, length = _HEAD.unpack_from(self._buf, at)
+        length += extra
+        _HEAD.pack_into(self._buf, at, start, length)
+        if start + length > self._size:
+            self._size = start + length
         self._flat = None
 
     def extend(self, other: "ExtentJournal") -> None:
         """Append every record of *other* (index aggregation uses this)."""
-        self._start.extend(other._start)
-        self._length.extend(other._length)
-        self._src.extend(other._src)
-        self._src_off.extend(other._src_off)
-        self._stamp.extend(other._stamp)
-        self._minor.extend(other._minor)
+        self._buf += other._buf
         self._size = max(self._size, other._size)
         self._flat = None
 
-    def columns(self) -> Tuple[np.ndarray, ...]:
-        """Zero-copy numpy views of the record columns (start, length, src, src_off, stamp, minor)."""
-        return (
-            np.frombuffer(self._start, dtype=np.int64),
-            np.frombuffer(self._length, dtype=np.int64),
-            np.frombuffer(self._src, dtype=np.int64),
-            np.frombuffer(self._src_off, dtype=np.int64),
-            np.frombuffer(self._stamp, dtype=np.float64),
-            np.frombuffer(self._minor, dtype=np.int64),
-        )
+    def records(self) -> np.ndarray:
+        """Zero-copy :data:`RECORD_DTYPE` view of the records.
+
+        The journal cannot grow while the view is alive, so drop it before
+        the next append.
+        """
+        return np.frombuffer(self._buf, dtype=RECORD_DTYPE)
+
+    def tobytes(self, lo: int = 0, hi: Optional[int] = None) -> bytes:
+        """On-media bytes of records [lo, hi) (all records by default)."""
+        stop = len(self._buf) if hi is None else hi * RECORD_BYTES
+        return bytes(self._buf[lo * RECORD_BYTES:stop])
 
     @property
     def nbytes(self) -> int:
         """Serialized footprint of the journal (what index files weigh)."""
-        return len(self) * RECORD_BYTES
+        return len(self._buf)
 
     def flatten(self) -> "FlatMap":
         """Resolve to a non-overlapping map; cached until the next append."""
         if self._flat is None:
-            self._flat = _flatten(*self.columns(), size=self._size)
+            recs = self.records()
+            self._flat = _flatten(recs["start"], recs["length"], recs["src"],
+                                  recs["src_off"], recs["stamp"], self._size)
         return self._flat
-
-
-# On-media size of one index record; PLFS's C struct (logical offset,
-# length, physical offset, timestamps, id) is ~48 bytes and ours matches.
-RECORD_BYTES = 48
 
 
 class FlatMap:
@@ -183,8 +174,7 @@ class FlatMap:
     ``array('q')``.  :meth:`query` is the per-read hot path: a read of a
     small transfer touches one or two rows, so it bisects the start column
     and walks those rows as Python ints, with no numpy call per query.
-    ``starts``/``ends``/``srcs``/``src_offs`` are zero-copy numpy views of
-    the columns for vector consumers.
+    :meth:`segments` yields every row.
     """
 
     __slots__ = ("_starts", "_ends", "_srcs", "_src_offs", "size")
@@ -196,22 +186,6 @@ class FlatMap:
         self._srcs = srcs
         self._src_offs = src_offs
         self.size = size
-
-    @property
-    def starts(self) -> np.ndarray:
-        return np.frombuffer(self._starts, dtype=np.int64)
-
-    @property
-    def ends(self) -> np.ndarray:
-        return np.frombuffer(self._ends, dtype=np.int64)
-
-    @property
-    def srcs(self) -> np.ndarray:
-        return np.frombuffer(self._srcs, dtype=np.int64)
-
-    @property
-    def src_offs(self) -> np.ndarray:
-        return np.frombuffer(self._src_offs, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self._starts)
@@ -271,22 +245,21 @@ def _empty(size: int) -> FlatMap:
 
 
 def _flatten(start: np.ndarray, length: np.ndarray, src: np.ndarray,
-             src_off: np.ndarray, stamp: np.ndarray, minor: np.ndarray,
-             size: int) -> FlatMap:
+             src_off: np.ndarray, stamp: np.ndarray, size: int) -> FlatMap:
     n = len(start)
     if n == 0:
         return _empty(0)
     end = start + length
-    order = np.lexsort((minor, stamp, start))
+    order = np.lexsort((src, stamp, start))
     s, e = _gather(start, order), _gather(end, order)
     sv, ev = np.frombuffer(s, dtype=np.int64), np.frombuffer(e, dtype=np.int64)
     if np.all(ev[:-1] <= sv[1:]):
         # Fast path: already disjoint once sorted by start.
         return FlatMap(s, e, _gather(src, order), _gather(src_off, order), size)
-    return _paint(start, end, src, src_off, stamp, minor, size)
+    return _paint(start, end, src, src_off, stamp, size)
 
 
-def _paint(start, end, src, src_off, stamp, minor, size) -> FlatMap:
+def _paint(start, end, src, src_off, stamp, size) -> FlatMap:
     """Last-writer-wins resolution of overlapping records.
 
     Elementary-interval painting: split the axis at every record boundary,
@@ -308,8 +281,8 @@ def _paint(start, end, src, src_off, stamp, minor, size) -> FlatMap:
             nxt[i], i = root, nxt[i]
         return root
 
-    # Newest first: descending (stamp, minor), ties broken arbitrarily after.
-    order = np.lexsort((minor, stamp))[::-1]
+    # Newest first: descending (stamp, src), ties broken arbitrarily after.
+    order = np.lexsort((src, stamp))[::-1]
     for rec in order:
         rec = int(rec)
         j = find(slot_of[int(start[rec])])

@@ -84,7 +84,7 @@ class Osd:
                 f"osd{self.index}", f"OSD {self.index} is down")
 
     def io(self, obj_uid: int, offset: int, nbytes: int,
-           join: Optional[Join] = None, *, ops: int = 1,
+           join: Optional[Join] = None, *,
            inflate: float = 1.0, seek_mult: float = 1.0,
            client_id: int = None, is_read: bool = False) -> Event:
         """Submit one request; returns the device completion event.
@@ -93,18 +93,15 @@ class Osd:
         returned instead.  *inflate* multiplies the payload demand
         (read-modify-write: the old data and parity move too); *seek_mult*
         multiplies the positioning charge (an RMW's component I/Os each
-        seek); *ops* counts how many client requests this merged
-        submission stands for (batched paths), each paying the per-request
-        overhead.  *client_id*/*is_read* feed the readahead-pollution
-        model.
+        seek).  *client_id*/*is_read* feed the readahead-pollution model.
         """
         if nbytes < 0:
             raise ConfigError(f"bad OSD request length {nbytes}")
         return _charge(self.cfg, ((self, obj_uid, offset, nbytes),), join,
-                       ops, inflate, seek_mult, client_id, is_read)
+                       inflate, seek_mult, client_id, is_read)
 
     def io_many(self, requests: List[Tuple[int, int, int]], join: Join, *,
-                ops: int = 1, inflate: float = 1.0, seek_mult: float = 1.0,
+                inflate: float = 1.0, seek_mult: float = 1.0,
                 client_id: int = None, is_read: bool = False) -> None:
         """Submit several same-instant requests, each counted toward *join*.
 
@@ -119,12 +116,12 @@ class Osd:
             raise ConfigError(f"bad OSD request lengths {requests}")
         demands: List[float] = []
         _charge(self.cfg, [(self, *req) for req in requests], join,
-                ops, inflate, seek_mult, client_id, is_read, demands)
+                inflate, seek_mult, client_id, is_read, demands)
         self.server.serve_many(demands, join)
 
 
 def _charge(cfg: PfsConfig, requests: Sequence[Tuple[Osd, int, int, int]],
-            join: Optional[Join], ops: int, inflate: float, seek_mult: float,
+            join: Optional[Join], inflate: float, seek_mult: float,
             client_id: Optional[int], is_read: bool,
             batch: Optional[List[float]] = None) -> Optional[Event]:
     """Charge ``(osd, obj_uid, offset, nbytes)`` requests in order, and serve
@@ -133,15 +130,15 @@ def _charge(cfg: PfsConfig, requests: Sequence[Tuple[Osd, int, int, int]],
     demands go there instead, for the caller's one ``serve_many``.
 
     A request's device-time demand, in byte-equivalents: its payload, plus
-    *ops* per-request overheads, plus *seek_mult* seeks when it does not
+    the per-request overhead, plus *seek_mult* seeks when it does not
     continue the object's previous access, plus the readahead window a read
     trashes when it breaks another client's stream, plus the payload again
     ``inflate - 1`` times.  Every OSD request is charged here; the
     constants are computed once per call, not once per lane.
     """
-    if ops < 1 or inflate < 1.0 or seek_mult < 1.0:
-        raise ConfigError(f"bad OSD request ({ops}, {inflate}, {seek_mult})")
-    per_op = ops * cfg.osd_op_overhead * cfg.osd_bw
+    if inflate < 1.0 or seek_mult < 1.0:
+        raise ConfigError(f"bad OSD request ({inflate}, {seek_mult})")
+    per_op = cfg.osd_op_overhead * cfg.osd_bw
     seek = seek_mult * cfg.osd_seek_time * cfg.osd_bw
     # A different client breaking the stream also trashes the object's
     # readahead window (§IV-D: interleaved shared-file readers defeat
@@ -163,7 +160,7 @@ def _charge(cfg: PfsConfig, requests: Sequence[Tuple[Osd, int, int, int]],
         if client_id is not None:
             osd._last_client[obj_uid] = client_id
         last_end[obj_uid] = offset + nbytes
-        osd.requests += ops
+        osd.requests += 1
         osd.bytes_moved += nbytes
         if batch is None:
             done = osd.server.serve(demand + extra * nbytes, join)
@@ -221,7 +218,7 @@ class OsdPool:
         return self.osds[(file_uid + lane) % self.cfg.n_osds]
 
     def io_events(self, file_uid: int, offset: int, length: int, join: Join,
-                  *, ops_per_lane: int = 1, inflate: float = 1.0,
+                  *, inflate: float = 1.0,
                   seek_mult: float = 1.0, client_id: int = None,
                   is_read: bool = False) -> None:
         """Device service for a file byte-range I/O, one job per lane
@@ -243,7 +240,7 @@ class OsdPool:
             # Common case: every lane of one I/O lives on its own OSD.
             _charge(cfg, [(osds[(file_uid + lane) % n_osds], base + lane, obj_off, nbytes)
                           for lane, obj_off, nbytes in lanes],
-                    join, ops_per_lane, inflate, seek_mult, client_id, is_read)
+                    join, inflate, seek_mult, client_id, is_read)
             return
         # Wide stripe: group each OSD's lanes (submission-order preserving,
         # so per-object seek accounting is unchanged) and batch per device.
@@ -253,9 +250,8 @@ class OsdPool:
             by_osd.setdefault((file_uid + lane) % n_osds, []).append(
                 (base + lane, obj_off, nbytes))
         for osd_index, reqs in by_osd.items():  # repro: noqa[REP004] -- insertion order follows the lane walk above, deterministically
-            osds[osd_index].io_many(reqs, join, ops=ops_per_lane, inflate=inflate,
-                                    seek_mult=seek_mult, client_id=client_id,
-                                    is_read=is_read)
+            osds[osd_index].io_many(reqs, join, inflate=inflate, seek_mult=seek_mult,
+                                    client_id=client_id, is_read=is_read)
 
     @property
     def total_bytes_moved(self) -> int:

@@ -20,7 +20,7 @@ from ..cluster import Cluster, Node
 from ..errors import (BadFileHandle, FileNotFound, InvalidArgument,
                       PermissionDenied, StorageUnavailable)
 from ..sim import Engine, Join
-from .config import PfsConfig
+from .config import MD_CACHE_HIT_FACTOR, PfsConfig
 from .data import DataSpec, DataView
 from .locks import RangeLockManager
 from .mds import MetadataServer
@@ -110,8 +110,7 @@ class FileHandle:
     def _apply(self, offset: int, spec: DataSpec) -> None:
         self.inode.data.write(offset, spec)
         self.bytes_written += spec.length
-        if self.volume.cfg.client_cache:
-            self.client.node.page_cache.insert(self.inode.uid, offset, spec.length)
+        self.client.node.page_cache.insert(self.inode.uid, offset, spec.length)
 
     def _charge_write_through(self, offset: int, length: int) -> Generator:
         """Charge the full storage path for one write-through request."""
@@ -154,13 +153,14 @@ class FileHandle:
         self._check("r")
         if offset < 0 or length < 0:
             raise InvalidArgument(self.path, f"bad read ({offset}, {length})")
-        vol, cfg = self.volume, self.volume.cfg
+        vol = self.volume
         uid = self.inode.uid
         length = max(0, min(length, self.inode.data.size - offset))
         if length == 0:
             return DataView([])
-        cache = self.client.node.page_cache if cfg.client_cache else None
-        hit = cache.hit_bytes(uid, offset, length) if cache else 0
+        cache = self.client.node.page_cache
+        # An empty cache is not consulted, so it counts no miss.
+        hit = cache.hit_bytes(uid, offset, length) if len(cache) else 0
         miss = length - hit
         if hit:
             yield vol.env.timeout(hit / self.client.node.spec.mem_bw)
@@ -173,8 +173,7 @@ class FileHandle:
             vol.storage_net.path_events(self.client.node, miss, join)
             if join.pending:
                 yield join
-            if cache is not None and cfg.cache_fill_on_read:
-                cache.insert(uid, offset, length, full_blocks_only=True)
+            cache.insert(uid, offset, length, full_blocks_only=True)
         self.bytes_read += length
         return self.inode.data.read(offset, length)
 
@@ -222,7 +221,7 @@ class Volume:
             return 1.0
         key = (node_id, uid)
         if key in self._md_cache:
-            return self.cfg.md_cache_hit_factor
+            return MD_CACHE_HIT_FACTOR
         self._md_cache.add(key)
         return 1.0
 
@@ -336,7 +335,7 @@ class Volume:
         # Partition into page-cache hits, fetches already in flight from
         # this node (read coalescing), and genuine misses — registered
         # before any time is charged so concurrent callers see each other.
-        cache = client.node.page_cache if cfg.client_cache else None
+        cache = client.node.page_cache
         misses = []
         coalesced = []
         hit_bytes = 0
@@ -344,16 +343,16 @@ class Volume:
             size = n.data.size
             if size == 0:
                 continue
-            if cache is not None and cache.hit_bytes(n.uid, 0, size) >= size:
+            if cache.hit_bytes(n.uid, 0, size) >= size:
                 hit_bytes += size
                 continue
             inflight = self._inflight.get((client.node.id, n.uid))
-            if cache is not None and inflight is not None:
+            if inflight is not None:
                 coalesced.append(inflight)
             else:
                 misses.append(n)
         done = None
-        if misses and cache is not None:
+        if misses:
             done = self.env.event()
             for n in misses:
                 self._inflight[(client.node.id, n.uid)] = done
@@ -396,11 +395,10 @@ class Volume:
                     self.pool.osds[i].server.serve(d, join)
             self.storage_net.path_events(client.node, total, join)
             yield join
-            if cache is not None and cfg.cache_fill_on_read:
-                for n in misses:
-                    # Whole-file slurps really did move every byte, so the
-                    # trailing partial block is legitimately resident.
-                    cache.insert(n.uid, 0, n.data.size)
+            for n in misses:
+                # Whole-file slurps really did move every byte, so the
+                # trailing partial block is legitimately resident.
+                cache.insert(n.uid, 0, n.data.size)
         if done is not None:
             for n in misses:
                 self._inflight.pop((client.node.id, n.uid), None)
@@ -411,10 +409,6 @@ class Volume:
         if not contents:
             return None
         return [n.data.read(0, n.data.size) for n in inodes]
-
-    def bulk_stat(self, client: Client, count: int) -> Generator:
-        """Charge *count* stat calls as one batch (no state effect)."""
-        yield from self.mds.op("stat", count=count)
 
     # -- helpers ---------------------------------------------------------------
     def write_file(self, client: Client, path: str, spec: DataSpec) -> Generator:

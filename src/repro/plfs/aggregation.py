@@ -39,7 +39,7 @@ from ..faults.policies import RetryPolicy, retrying
 from ..pfs.data import DataView
 from ..pfs.volume import Client, Volume
 from .config import PlfsConfig
-from .container import ContainerLayout
+from .container import ContainerLayout, parse_log_name
 from .index import GlobalIndex, WriterIndex
 
 __all__ = [
@@ -59,17 +59,6 @@ MERGE_COST_PER_RECORD = 60e-9
 
 IndexLogEntry = Tuple[Volume, str, int, int]  # (volume, path, writer_id, node_id)
 IndexLog = Tuple[int, int, DataView]  # (writer_id, node_id, on-media bytes)
-
-
-def _parse_index_log_name(name: str) -> Optional[Tuple[int, int]]:
-    """(node_id, writer_id) from 'dropping.index.<node>.<writer>', else None."""
-    parts = name.split(".")
-    if len(parts) == 4 and parts[0] == "dropping" and parts[1] == "index":
-        try:
-            return int(parts[2]), int(parts[3])
-        except ValueError:
-            return None
-    return None
 
 
 def list_index_logs(layout: ContainerLayout, client: Client,
@@ -98,9 +87,9 @@ def list_index_logs(layout: ContainerLayout, client: Client,
             unreachable.append(s)
             continue
         for name in names:
-            parsed = _parse_index_log_name(name)
-            if parsed is not None:
-                node_id, writer_id = parsed
+            parsed = parse_log_name(name)
+            if parsed is not None and parsed[0] == "index":
+                _, node_id, writer_id = parsed
                 entries.append((vol, f"{path}/{name}", writer_id, node_id))
     return entries, unreachable
 

@@ -24,7 +24,7 @@ simplification in DESIGN.md.
 from __future__ import annotations
 
 import zlib
-from typing import Generator, List, Tuple
+from typing import Generator, List, Optional, Tuple
 
 from ..errors import FileExists, FileNotFound, PLFSError
 from ..pfs.namespace import normalize
@@ -33,7 +33,7 @@ from .config import PlfsConfig
 
 __all__ = ["ContainerLayout", "ACCESS_NAME", "META_DIR", "OPENHOSTS_DIR",
            "GLOBAL_INDEX_NAME", "subdir_name", "data_log_name", "index_log_name",
-           "meta_dropping_name", "parse_meta_dropping", "openhost_name"]
+           "parse_log_name", "meta_dropping_name", "parse_meta_dropping", "openhost_name"]
 
 ACCESS_NAME = ".plfsaccess113918400"  # real PLFS's magic access-file name
 META_DIR = "meta"
@@ -54,6 +54,18 @@ def data_log_name(node_id: int, writer_id: int) -> str:
 def index_log_name(node_id: int, writer_id: int) -> str:
     """One writer's index-log dropping name."""
     return f"dropping.index.{node_id}.{writer_id}"
+
+
+def parse_log_name(name: str) -> Optional[Tuple[str, int, int]]:
+    """``(kind, node_id, writer_id)`` from a data- or index-log dropping
+    name (*kind* is ``"data"`` or ``"index"``), else None."""
+    parts = name.split(".")
+    if len(parts) != 4 or parts[0] != "dropping" or parts[1] not in ("data", "index"):
+        return None
+    try:
+        return parts[1], int(parts[2]), int(parts[3])
+    except ValueError:
+        return None
 
 
 def openhost_name(node_id: int) -> str:

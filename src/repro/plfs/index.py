@@ -8,32 +8,26 @@ footnote 1 — synchronized clocks, and HPC checkpoints rarely overwrite
 anyway).  Resolution reuses :class:`repro.pfs.extents.ExtentJournal`, the
 same machinery the simulated PFS uses for file contents.
 
-Index logs are real files on the backing store with a fixed 48-byte
-on-media record (matching the C struct's weight), so aggregation
-strategies move and pay for real bytes.
+Index logs are real files on the backing store, and their records are the
+journal's own packed records (:data:`repro.pfs.extents.RECORD_DTYPE`, the
+weight of the C struct), so aggregation strategies move and pay for real
+bytes, and a log serializes and parses by slicing.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
 from ..errors import PLFSError
 from ..pfs.data import DataView, LiteralData
-from ..pfs.extents import RECORD_BYTES, ExtentJournal, FlatMap
+from ..pfs.extents import RECORD_BYTES, RECORD_DTYPE, ExtentJournal, FlatMap
 
-__all__ = ["RECORD_DTYPE", "WriterIndex", "GlobalIndex"]
+__all__ = ["WriterIndex", "GlobalIndex"]
 
-RECORD_DTYPE = np.dtype([
-    ("logical", "<i8"),
-    ("length", "<i8"),
-    ("physical", "<i8"),
-    ("stamp", "<f8"),
-    ("writer", "<i8"),
-    ("_pad", "<i8"),
-])
-assert RECORD_DTYPE.itemsize == RECORD_BYTES
+_HEADER = struct.Struct("<qq")  # global.index: (records, writers)
 
 
 class WriterIndex:
@@ -66,7 +60,7 @@ class WriterIndex:
             self.journal.grow_last(length)
         else:
             self.journal.append(logical, length, src=self.writer_id, src_off=physical,
-                                stamp=stamp, minor=self.writer_id)
+                                stamp=stamp)
         self._last_ends = (logical + length, physical + length)
 
     def seal(self) -> None:
@@ -80,27 +74,20 @@ class WriterIndex:
 
     def serialize_range(self, lo: int, hi: int) -> LiteralData:
         """On-media bytes of records [lo, hi) — used by periodic spills."""
-        start, length, _src, src_off, stamp, _minor = self.journal.columns()
-        n = hi - lo
-        arr = np.empty(n, dtype=RECORD_DTYPE)
-        arr["logical"] = start[lo:hi]
-        arr["length"] = length[lo:hi]
-        arr["physical"] = src_off[lo:hi]
-        arr["stamp"] = stamp[lo:hi]
-        arr["writer"] = self.writer_id
-        arr["_pad"] = 0
-        return LiteralData(arr.view(np.uint8).reshape(-1))
+        return LiteralData(self.journal.tobytes(lo, hi))
 
     @staticmethod
     def parse(view: DataView, writer_id: int, node_id: int) -> "GlobalIndex":
-        """Parse one index log's bytes into a single-writer GlobalIndex."""
+        """Parse one index log's bytes into a single-writer GlobalIndex.
+
+        Every record is attributed to *writer_id*, the writer the log's
+        name gives.
+        """
         raw = view.materialize()
         if raw.size % RECORD_BYTES:
             raise PLFSError(f"index log size {raw.size} not a record multiple")
-        arr = raw.view(RECORD_DTYPE)
         gi = GlobalIndex()
-        gi.add_records(arr["logical"], arr["length"], arr["physical"],
-                       arr["stamp"], writer_id)
+        gi.journal.extend_records(raw.view(RECORD_DTYPE), src=writer_id)
         gi.writers[writer_id] = node_id
         return gi
 
@@ -124,12 +111,6 @@ class GlobalIndex:
     def logical_size(self) -> int:
         """Logical EOF implied by the records."""
         return self.journal.size
-
-    def add_records(self, logical, length, physical, stamp, writer_id: int) -> None:
-        """Bulk-append parsed record arrays for one writer."""
-        wid = int(writer_id)
-        self.journal.extend_arrays(logical, length, src=wid, src_off=physical,
-                                   stamp=stamp, minor=wid)
 
     def merge_writer(self, widx: WriterIndex) -> None:
         """Absorb a writer's in-memory index (gather-side aggregation)."""
@@ -155,40 +136,23 @@ class GlobalIndex:
 
     # -- media form (the flatten strategy's global.index file) ----------------
     def serialize(self) -> LiteralData:
-        start, length, src, src_off, stamp, _minor = self.journal.columns()
-        n = len(start)
-        w = len(self.writers)
-        header = np.array([n, w], dtype=np.int64)
-        recs = np.empty(n, dtype=RECORD_DTYPE)
-        recs["logical"] = start
-        recs["length"] = length
-        recs["physical"] = src_off
-        recs["stamp"] = stamp
-        recs["writer"] = src
-        recs["_pad"] = 0
-        wtab = np.array(sorted(self.writers.items()), dtype=np.int64).reshape(w, 2)
-        blob = np.concatenate([
-            header.view(np.uint8),
-            recs.view(np.uint8).reshape(-1),
-            wtab.view(np.uint8).reshape(-1),
-        ])
-        return LiteralData(blob)
+        """Header (record and writer counts), records, then writer table."""
+        wtab = np.array(sorted(self.writers.items()), dtype="<i8")
+        return LiteralData(_HEADER.pack(len(self.journal), len(self.writers))
+                           + self.journal.tobytes() + wtab.tobytes())
 
     @classmethod
     def deserialize(cls, view: DataView) -> "GlobalIndex":
         raw = view.materialize()
-        if raw.size < 16:
+        if raw.size < _HEADER.size:
             raise PLFSError("global index blob too short")
-        n, w = (int(x) for x in raw[:16].view(np.int64))
-        need = 16 + n * RECORD_BYTES + w * 16
-        if raw.size != need:
+        n, w = _HEADER.unpack_from(raw)
+        body = _HEADER.size + n * RECORD_BYTES
+        need = body + w * 16
+        if n < 0 or w < 0 or raw.size != need:
             raise PLFSError(f"global index blob size {raw.size} != expected {need}")
-        recs = raw[16:16 + n * RECORD_BYTES].view(RECORD_DTYPE)
         gi = cls()
-        if n:
-            gi.journal.extend_arrays(recs["logical"], recs["length"],
-                                     src=recs["writer"], src_off=recs["physical"],
-                                     stamp=recs["stamp"], minor=recs["writer"])
-        wtab = raw[16 + n * RECORD_BYTES:].view(np.int64).reshape(w, 2)
+        gi.journal.extend_records(raw[_HEADER.size:body].view(RECORD_DTYPE))
+        wtab = raw[body:].view("<i8").reshape(w, 2)
         gi.writers = {int(a): int(b) for a, b in wtab}
         return gi

@@ -91,11 +91,8 @@ def plfs_check(layout: ContainerLayout, client: Client) -> Generator:
 
     # Per-writer: compare indexed coverage against the data log's size.
     per_writer_end = {}
-    starts, lengths, srcs, offs, _, _ = gi.journal.columns()
-    for i in range(len(gi.journal)):
-        w = int(srcs[i])
-        end = int(offs[i]) + int(lengths[i])
-        per_writer_end[w] = max(per_writer_end.get(w, 0), end)
+    for _start, length, src_off, _stamp, w, _pad in gi.journal.records().tolist():
+        per_writer_end[w] = max(per_writer_end.get(w, 0), src_off + length)
     for writer, node_id in sorted(gi.writers.items()):
         vol = layout.subdir_volume(layout.subdir_for_writer(node_id))
         log = vol.ns.try_resolve(layout.data_log_path(node_id, writer))

@@ -4,7 +4,7 @@ from .engine import (AllOf, Engine, Event, Process, Timeout,
                      blocked_report, describe_event)
 from .probes import BandwidthProbe, summarize_probe
 from .resources import FairShareServer, Join, Mutex, Store
-from .stats import JobMetrics, PhaseClock, Summary, summarize
+from .stats import JobMetrics, PhaseClock
 
 __all__ = [
     "AllOf",
@@ -22,6 +22,4 @@ __all__ = [
     "Store",
     "JobMetrics",
     "PhaseClock",
-    "Summary",
-    "summarize",
 ]

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-__all__ = ["PhaseClock", "JobMetrics", "summarize", "Summary"]
+__all__ = ["PhaseClock", "JobMetrics"]
 
 
 class PhaseClock:
@@ -108,26 +108,3 @@ class JobMetrics:
         """Bytes per second over the full open..close interval (paper's metric)."""
         wt = self.wall_time
         return self.bytes_total / wt if wt > 0 else 0.0
-
-
-@dataclass
-class Summary:
-    """Mean / standard deviation over repeated runs (paper: 10-run averages)."""
-
-    mean: float
-    std: float
-    n: int
-
-    def __format__(self, spec: str) -> str:
-        spec = spec or ".4g"
-        return f"{self.mean:{spec}} ± {self.std:{spec}}"
-
-
-def summarize(values: List[float]) -> Summary:
-    """Mean and population standard deviation of *values*."""
-    if not values:
-        raise ValueError("summarize() of empty list")
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
-    return Summary(mean=mean, std=math.sqrt(var), n=n)

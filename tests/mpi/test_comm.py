@@ -223,8 +223,8 @@ class TestAlltoallAndSplit:
 
 class TestMailboxes:
     def test_mailboxes_are_dropped_once_drained(self):
-        """recv drops a box it leaves idle: after collectives, a split, an
-        irecv posted before its send and two queued same-tag sends, no
+        """recv drops a box it leaves idle: after collectives, a split, a
+        recv posted before its send and two queued same-tag sends, no
         communicator keeps a mailbox, and every payload arrived in order."""
         comms = {}
 
@@ -238,7 +238,7 @@ class TestMailboxes:
             comms[id(sub._shared)] = sub._shared
             got.append((yield from sub.allgather(rank)))
             if rank == 0:
-                early = comm.irecv(1, tag="early")  # posted before the send
+                early = ctx.env.process(comm.recv(1, tag="early"))  # posted before the send
                 yield ctx.env.timeout(1e-2)  # both "q" sends are queued by now
                 got.append((yield from comm.recv(1, tag="q")))
                 got.append((yield from comm.recv(1, tag="q")))
@@ -310,16 +310,19 @@ class TestScaling:
 
 
 class TestNonBlocking:
+    """A send or receive started as its own process is MPI_Isend/MPI_Irecv:
+    yielding the process is MPI_Wait."""
+
     def test_isend_irecv_overlap_compute(self):
         """Communication runs while the ranks 'compute' (timeout)."""
         def fn(ctx):
             if ctx.rank == 0:
-                req = ctx.comm.isend(1, "bulk", nbytes=320_000_000)  # ~100ms
+                req = ctx.env.process(ctx.comm.send(1, "bulk", nbytes=320_000_000))  # ~100ms
                 yield ctx.env.timeout(0.1)  # compute concurrently
                 yield req
                 return ctx.env.now
             elif ctx.rank == 1:
-                req = ctx.comm.irecv(0)
+                req = ctx.env.process(ctx.comm.recv(0))
                 yield ctx.env.timeout(0.1)
                 msg = yield req
                 assert msg == "bulk"
@@ -334,7 +337,7 @@ class TestNonBlocking:
     def test_irecv_before_matching_send(self):
         def fn(ctx):
             if ctx.rank == 1:
-                req = ctx.comm.irecv(0, tag="x")
+                req = ctx.env.process(ctx.comm.recv(0, tag="x"))
                 yield ctx.env.timeout(1.0)
                 got = yield req
                 return got

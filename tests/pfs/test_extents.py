@@ -75,11 +75,13 @@ class TestLastWriterWins:
         j.append(0, 10, src=1, src_off=0, stamp=1.0)  # stale record arrives late
         assert segs(j.flatten()) == [(0, 10, 2, 0)]
 
-    def test_minor_stamp_breaks_ties(self):
-        j = ExtentJournal()
-        j.append(0, 10, src=1, src_off=0, stamp=1.0, minor=3)
-        j.append(0, 10, src=2, src_off=0, stamp=1.0, minor=7)
-        assert segs(j.flatten()) == [(0, 10, 2, 0)]
+    def test_src_breaks_stamp_ties(self):
+        for order in ((1, 2), (2, 1)):
+            j = ExtentJournal()
+            for src in order:
+                j.append(0, 10, src=src, src_off=src * 100, stamp=1.0)
+            j.append(5, 10, src=0, src_off=0, stamp=1.0)  # overlaps, loses
+            assert segs(j.flatten()) == [(0, 10, 2, 200), (10, 15, 0, 5)]
 
     def test_overlapping_chain(self):
         j = ExtentJournal()
@@ -171,5 +173,5 @@ class TestScale:
             j.append(int(s), 10, src=int(s) % 7, src_off=0)
         flat = j.flatten()
         assert len(flat) == 1000
-        ends = flat.ends
-        assert np.all(flat.starts[1:] >= ends[:-1])
+        rows = segs(flat)
+        assert all(e <= s for (_, e, _, _), (s, _, _, _) in zip(rows, rows[1:]))

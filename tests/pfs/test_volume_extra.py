@@ -1,4 +1,4 @@
-"""Additional Volume coverage: bulk_stat, md cache, write-back edges."""
+"""Additional Volume coverage: md cache, write-back edges."""
 
 import pytest
 
@@ -11,23 +11,6 @@ from tests.conftest import make_world
 def world_client():
     w = make_world()
     return w, w.volume, Client(node=w.cluster.nodes[0], client_id=0)
-
-
-class TestBulkStat:
-    def test_charges_linear_time(self):
-        w, vol, client = world_client()
-
-        def proc(env):
-            t0 = env.now
-            yield from vol.bulk_stat(client, 10)
-            small = env.now - t0
-            t0 = env.now
-            yield from vol.bulk_stat(client, 1000)
-            big = env.now - t0
-            return small, big
-
-        small, big = w.env.run_process(proc(w.env))
-        assert big > 10 * small
 
 
 class TestClientMetadataCache:

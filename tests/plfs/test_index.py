@@ -3,9 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.errors import PLFSError
+from repro.errors import InvalidArgument, PLFSError
 from repro.pfs.data import DataView, LiteralData
-from repro.plfs.index import RECORD_DTYPE, GlobalIndex, WriterIndex
+from repro.pfs.extents import RECORD_BYTES, RECORD_DTYPE
+from repro.plfs.index import GlobalIndex, WriterIndex
+
+
+def media(*rows):
+    """On-media bytes of index records (start, length, src_off, stamp, src, pad)."""
+    return DataView.of(LiteralData(np.array(list(rows), dtype=RECORD_DTYPE).view(np.uint8)))
+
+
+def global_blob(records, writers):
+    """A global.index file: (records, writers) header, records, writer table."""
+    head = np.array([len(records), len(writers)], dtype="<i8").view(np.uint8)
+    recs = np.array(records, dtype=RECORD_DTYPE).view(np.uint8)
+    wtab = np.array(sorted(writers.items()), dtype="<i8").reshape(-1, 2).view(np.uint8).ravel()
+    return DataView.of(LiteralData(np.concatenate([head, recs, wtab])))
 
 
 class TestWriterIndex:
@@ -22,7 +36,7 @@ class TestWriterIndex:
         for i in range(10):
             w.record(i * 1000, 500, physical=i * 500, stamp=float(i))
         blob = w.serialize()
-        assert blob.length == 10 * RECORD_DTYPE.itemsize
+        assert blob.length == 10 * RECORD_BYTES
         gi = WriterIndex.parse(DataView.of(blob), writer_id=7, node_id=2)
         assert len(gi) == 10
         assert gi.writers == {7: 2}
@@ -33,11 +47,55 @@ class TestWriterIndex:
     def test_parse_rejects_misaligned(self):
         with pytest.raises(PLFSError):
             WriterIndex.parse(DataView.of(LiteralData(b"x" * 47)), 0, 0)
+        whole = media((0, 10, 0, 1.0, 1, 0), (10, 10, 10, 1.0, 1, 0)).materialize()
+        with pytest.raises(PLFSError):
+            WriterIndex.parse(DataView.of(LiteralData(whole[:-1])), 1, 0)
 
     def test_empty_serialize(self):
         w = WriterIndex(writer_id=1, node_id=0)
         gi = WriterIndex.parse(DataView.of(w.serialize()), 1, 0)
         assert len(gi) == 0
+
+    def test_serialize_is_the_journal_records(self):
+        w = WriterIndex(writer_id=4, node_id=1, merge=True)
+        w.record(0, 10, physical=0, stamp=1.0)
+        w.record(10, 10, physical=10, stamp=2.0)   # coalesces into record 0
+        w.record(100, 5, physical=20, stamp=3.0)
+        blob = w.serialize().materialize()
+        assert blob.tobytes() == w.journal.tobytes()
+        assert blob.view(RECORD_DTYPE).tolist() == [(0, 20, 0, 1.0, 4, 0),
+                                                     (100, 5, 20, 3.0, 4, 0)]
+        gi = WriterIndex.parse(DataView.of(w.serialize()), writer_id=4, node_id=1)
+        assert list(gi.flatten().segments()) == list(w.journal.flatten().segments())
+        assert gi.journal.tobytes() == w.journal.tobytes()
+
+    def test_spilled_ranges_are_slices_of_the_whole(self):
+        w = WriterIndex(writer_id=2, node_id=0)
+        for i in range(7):
+            w.record(i * 100, 50, physical=i * 50, stamp=float(i))
+        whole = w.serialize().materialize().tobytes()
+        spills = [w.serialize_range(lo, hi).materialize().tobytes()
+                  for lo, hi in ((0, 3), (3, 4), (4, 7))]
+        assert spills[1] == whole[3 * RECORD_BYTES:4 * RECORD_BYTES]
+        assert b"".join(spills) == whole
+
+    def test_parse_attributes_records_to_the_named_writer(self):
+        gi = WriterIndex.parse(media((0, 10, 5, 1.0, 99, 0)), writer_id=3, node_id=1)
+        assert gi.writers == {3: 1}
+        assert list(gi.flatten().segments()) == [(0, 10, 3, 5)]
+
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_parse_rejects_a_negative_field(self, field):
+        row = [0, 10, 0, 1.0, 1, 0]
+        row[field] = -1
+        with pytest.raises(InvalidArgument):
+            WriterIndex.parse(media(tuple(row)), 1, 0)
+
+    def test_parse_drops_zero_length_records(self):
+        gi = WriterIndex.parse(media((0, 0, 0, 1.0, 1, 0), (5, 10, 0, 1.0, 1, 0),
+                                     (50, 0, 10, 2.0, 1, 0)), 1, 0)
+        assert len(gi) == 1
+        assert gi.logical_size == 15
 
 
 class TestGlobalIndex:
@@ -77,9 +135,43 @@ class TestGlobalIndex:
 
     def test_serialize_deserialize_roundtrip(self):
         gi = self.build()
-        gi2 = GlobalIndex.deserialize(DataView.of(gi.serialize()))
+        w3 = WriterIndex(writer_id=3, node_id=2)
+        w3.record(50, 100, physical=0, stamp=2.0)
+        gi.merge_writer(w3)
+        blob = gi.serialize()
+        assert blob.length == 16 + gi.nbytes
+        gi2 = GlobalIndex.deserialize(DataView.of(blob))
         assert gi2.writers == gi.writers
+        assert gi2.journal.tobytes() == gi.journal.tobytes()
+        assert gi2.logical_size == gi.logical_size
         assert list(gi2.flatten().segments()) == list(gi.flatten().segments())
+        assert np.array_equal(gi2.serialize().materialize(), blob.materialize())
+
+    def test_empty_serialize_deserialize(self):
+        gi = GlobalIndex.deserialize(DataView.of(GlobalIndex().serialize()))
+        assert len(gi) == 0 and gi.writers == {}
+
+    def test_deserialize_rejects_a_partial_record(self):
+        good = global_blob([(0, 10, 0, 1.0, 1, 0)], {1: 0}).materialize()
+        head = np.array([1, 0], dtype="<i8").view(np.uint8)
+        with pytest.raises(PLFSError):
+            GlobalIndex.deserialize(DataView.of(LiteralData(
+                np.concatenate([head, good[16:16 + RECORD_BYTES - 1]]))))
+
+    @pytest.mark.parametrize("field", ["start", "length", "src_off"])
+    def test_deserialize_rejects_a_negative_field(self, field):
+        row = dict(start=0, length=10, src_off=0)
+        row[field] = -1
+        blob = global_blob([(row["start"], row["length"], row["src_off"], 1.0, 1, 0)],
+                           {1: 0})
+        with pytest.raises(InvalidArgument):
+            GlobalIndex.deserialize(blob)
+
+    def test_deserialize_drops_zero_length_records(self):
+        gi = GlobalIndex.deserialize(global_blob(
+            [(0, 0, 0, 1.0, 1, 0), (5, 10, 0, 1.0, 2, 0)], {1: 0, 2: 0}))
+        assert len(gi) == 1
+        assert list(gi.flatten().segments()) == [(5, 15, 2, 0)]
 
     def test_deserialize_rejects_garbage(self):
         with pytest.raises(PLFSError):
@@ -88,6 +180,9 @@ class TestGlobalIndex:
         bad = LiteralData(good.materialize()[:-8])
         with pytest.raises(PLFSError):
             GlobalIndex.deserialize(DataView.of(bad))
+        negative = np.array([-1, 3], dtype="<i8").view(np.uint8)  # sizes add up to 16
+        with pytest.raises(PLFSError):
+            GlobalIndex.deserialize(DataView.of(LiteralData(negative)))
 
     def test_merged_classmethod(self):
         parts = []
@@ -119,6 +214,4 @@ class TestGlobalIndex:
         blob = gi.serialize()
         gi2 = GlobalIndex.deserialize(DataView.of(blob))
         assert len(gi2) == 1600
-        f1, f2 = gi.flatten(), gi2.flatten()
-        assert np.array_equal(f1.starts, f2.starts)
-        assert np.array_equal(f1.srcs, f2.srcs)
+        assert list(gi2.flatten().segments()) == list(gi.flatten().segments())

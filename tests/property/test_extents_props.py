@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.pfs.extents import HOLE, ExtentJournal
+from repro.pfs.extents import HOLE, RECORD_DTYPE, ExtentJournal
 
 MAX_POS = 2000
 
@@ -20,7 +20,6 @@ records = st.lists(
         st.integers(min_value=0, max_value=9),             # src
         st.integers(min_value=0, max_value=10_000),        # src_off
         st.floats(min_value=0, max_value=100, allow_nan=False),  # stamp
-        st.integers(min_value=0, max_value=7),             # minor
     ),
     max_size=40,
 )
@@ -30,8 +29,8 @@ def reference_model(recs):
     """Per-byte last-writer-wins resolution: (owner index or -1) per byte."""
     size = max((s + ln for s, ln, *_ in recs), default=0)
     owner = np.full(size, -1, dtype=np.int64)
-    # Stable sort by (stamp, minor, arrival): later wins.
-    order = sorted(range(len(recs)), key=lambda i: (recs[i][4], recs[i][5], 0))
+    # Stable sort by (stamp, src, arrival): later wins.
+    order = sorted(range(len(recs)), key=lambda i: (recs[i][4], recs[i][2], 0))
     for i in order:
         s, ln, *_ = recs[i]
         owner[s:s + ln] = i
@@ -40,18 +39,22 @@ def reference_model(recs):
 
 def build(recs):
     j = ExtentJournal()
-    for s, ln, src, soff, stamp, minor in recs:
-        j.append(s, ln, src, soff, stamp=stamp, minor=minor)
+    for s, ln, src, soff, stamp in recs:
+        j.append(s, ln, src, soff, stamp=stamp)
     return j
 
 
 @st.composite
 def distinct_priority_records(draw):
-    """Records whose (stamp, minor) pairs are unique — resolution is total."""
+    """Records whose (stamp, src) pairs are unique — resolution is total.
+
+    Records i and i + 11 share a stamp; their sources differ mod 4, and
+    the drawn part decides which of them wins the tie.
+    """
     recs = draw(records)
     out = []
-    for i, (s, ln, src, soff, _stamp, _minor) in enumerate(recs):
-        out.append((s, ln, src, soff, float(i % 11), i))
+    for i, (s, ln, src, soff, _stamp) in enumerate(recs):
+        out.append((s, ln, 4 * src + i // 11, soff, float(i % 11)))
     return out
 
 
@@ -100,13 +103,14 @@ def test_query_tiles_exactly(recs, offset, length):
        st.integers(min_value=0, max_value=MAX_POS + 400),
        st.integers(min_value=0, max_value=500))
 @example([], 0, 100)                                            # empty map
-@example([(0, 10, 1, 0, 0.0, 0)], 5, 0)                         # zero length
-@example([(0, 10, 1, 0, 0.0, 0)], 4, 30)                        # runs past EOF
-@example([(0, 10, 1, 0, 0.0, 0)], 50, 10)                       # starts past EOF
-@example([(10, 10, 1, 0, 0.0, 0)], 0, 15)                       # leading hole
-@example([(0, 100, 3, 7, 0.0, 0)], 40, 20)                      # inside one row
-@example([(0, 10, 1, 0, 0.0, 0), (5, 10, 2, 100, 1.0, 1)], 0, 20)    # overlap
-@example([(0, 30, 1, 0, 1.0, 0), (10, 5, 2, 100, 0.0, 1)], 8, 10)    # hidden
+@example([(0, 10, 1, 0, 0.0)], 5, 0)                            # zero length
+@example([(0, 10, 1, 0, 0.0)], 4, 30)                           # runs past EOF
+@example([(0, 10, 1, 0, 0.0)], 50, 10)                          # starts past EOF
+@example([(10, 10, 1, 0, 0.0)], 0, 15)                          # leading hole
+@example([(0, 100, 3, 7, 0.0)], 40, 20)                         # inside one row
+@example([(0, 10, 1, 0, 0.0), (5, 10, 2, 100, 1.0)], 0, 20)     # overlap
+@example([(0, 30, 1, 0, 1.0), (10, 5, 2, 100, 0.0)], 8, 10)     # hidden
+@example([(0, 10, 2, 0, 1.0), (5, 10, 1, 100, 1.0)], 0, 20)     # stamp tie: src 2 wins
 @settings(max_examples=300, deadline=None)
 def test_query_sources_match_reference(recs, offset, length):
     """Every byte of a query maps where the per-byte model says: to the
@@ -151,9 +155,9 @@ def test_size_equals_max_extent_end(recs):
     j = build(recs)
     expect = max((s + ln for s, ln, *_ in recs), default=0)
     assert j.size == expect
-    flat = j.flatten()
-    if len(flat):
-        assert int(flat.ends.max()) == expect
+    ends = [e for _, e, _, _ in j.flatten().segments()]
+    if ends:
+        assert max(ends) == expect
 
 
 @given(distinct_priority_records(), st.integers(min_value=1, max_value=5))
@@ -162,9 +166,9 @@ def test_extend_equivalent_to_interleaved_append(recs, split):
     """Merging k sub-journals == appending everything to one journal."""
     parts = [ExtentJournal() for _ in range(split)]
     whole = ExtentJournal()
-    for i, (s, ln, src, soff, stamp, minor) in enumerate(recs):
-        parts[i % split].append(s, ln, src, soff, stamp=stamp, minor=minor)
-        whole.append(s, ln, src, soff, stamp=stamp, minor=minor)
+    for i, (s, ln, src, soff, stamp) in enumerate(recs):
+        parts[i % split].append(s, ln, src, soff, stamp=stamp)
+        whole.append(s, ln, src, soff, stamp=stamp)
     merged = ExtentJournal()
     for p in parts:
         merged.extend(p)
@@ -173,11 +177,11 @@ def test_extend_equivalent_to_interleaved_append(recs, split):
 
 @given(distinct_priority_records())
 @settings(max_examples=60, deadline=None)
-def test_extend_arrays_equivalent_to_append(recs):
+def test_extend_records_equivalent_to_append(recs):
     j1 = build(recs)
     j2 = ExtentJournal()
-    if recs:
-        cols = list(zip(*recs))
-        j2.extend_arrays(np.array(cols[0]), np.array(cols[1]), np.array(cols[2]),
-                         np.array(cols[3]), np.array(cols[4]), np.array(cols[5]))
+    j2.extend_records(np.array([(s, ln, soff, stamp, src, 0)
+                                for s, ln, src, soff, stamp in recs], dtype=RECORD_DTYPE))
+    assert j2.tobytes() == j1.tobytes()
+    assert j2.size == j1.size
     assert list(j2.flatten().segments()) == list(j1.flatten().segments())

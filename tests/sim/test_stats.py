@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import JobMetrics, PhaseClock, summarize
+from repro.sim import JobMetrics, PhaseClock
 
 
 class TestPhaseClock:
@@ -71,19 +71,3 @@ class TestJobMetrics:
         m = JobMetrics.from_rank_clocks([PhaseClock()], bytes_total=10)
         assert m.wall_time == 0.0
         assert m.effective_bandwidth == 0.0
-
-
-class TestSummary:
-    def test_mean_std(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert s.mean == 2.0
-        assert s.std == pytest.approx((2.0 / 3) ** 0.5)
-        assert s.n == 3
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_format(self):
-        s = summarize([2.0, 2.0])
-        assert "±" in f"{s:.2f}"
