@@ -6,11 +6,11 @@ any particular schedule.  Two tiers:
 
 * **quick invariants** (:func:`quick_invariants`) — cheap structural
   checks evaluated at every quiescent point of every explored schedule:
-  host-refcount non-negativity, per-directory inflight-counter sanity,
-  partition-set consistency.  They read simulator state exclusively
-  through the ``*_snapshot`` accessors the registry modules export, so
-  evaluating them never perturbs the sanitizer's read vectors or the
-  DPOR footprints.
+  host-refcount non-negativity and per-directory inflight-counter
+  sanity.  They read simulator state exclusively through the
+  ``*_snapshot`` accessors the registry modules export, so evaluating
+  them never perturbs the sanitizer's read vectors or the DPOR
+  footprints.
 
 * **final oracles** — PLFS semantic invariants checked once a schedule
   has drained: the container namespace is consistent (no orphaned
@@ -78,10 +78,6 @@ def quick_invariants(world: Any) -> List[str]:
                 out.append(
                     f"negative dir-inflight count {inflight} for dir "
                     f"{dir_uid} on MDS of volume {vol.name!r}")
-    n_nodes = len(world.cluster.nodes)
-    for nid in sorted(world.cluster.storage_net.partition_snapshot()):
-        if not 0 <= nid < n_nodes:
-            out.append(f"partitioned-node set names unknown node {nid}")
     return out
 
 

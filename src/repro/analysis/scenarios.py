@@ -182,60 +182,61 @@ def _federated() -> Scenario:
     )
 
 
-# -- partition: retried writes under single-node partitions -----------------
+# -- outage: retried writes under an outage of their OSDs -------------------
 
-def _build_partition(**world_kw: Any) -> Any:
-    return build_world(
-        pfs_cfg=_aligned_pfs_cfg(),
-        plfs_cfg=PlfsConfig(aggregation="parallel", index_spill_records=1),
-        **world_kw,
-    )
+def _drive_outage(world: Any) -> List[Any]:
+    """A retrying writer races an outage of the OSDs its logs live on.
 
-
-def _drive_partition(world: Any) -> List[Any]:
-    """A retrying writer races the fault injector's partition/heal of its
-    node: transfers read the partitioned-node set the injector mutates,
-    so their order is a genuine (and explored) tie-break.  The content
-    oracle then proves every write survived the faults."""
+    Once its handle is open, the writer spawns a chaos process that fails
+    those OSDs (``Osd.fail``) for 2 ms and then restores them, while its
+    first appends go out: the appends raise, back off and retry until the
+    devices return.  The content oracle then proves every acknowledged
+    write survived the outage.
+    """
     env, mount = world.env, world.mount
-    node = world.cluster.nodes[0]
-    client = Client(node=node, client_id=0)
-    net = world.cluster.storage_net
+    client = Client(node=world.cluster.nodes[0], client_id=0)
+    pool = world.volume.pool
     # Deterministic backoff (no rng => no jitter): replays are exact.
     policy = RetryPolicy(max_retries=8, base_delay=1e-3, jitter=0.0)
+    procs: List[Any] = []
+
+    def chaos(env: Any, osds: List[Any]):
+        for osd in osds:
+            osd.fail()
+        yield env.timeout(2e-3)
+        for osd in osds:
+            osd.restore()
 
     def writer(env: Any):
-        h = yield from mount.open_write(client, "/p", retry=policy)
+        h = yield from mount.open_write(client, "/o", retry=policy)
+        # Both logs take 4 KiB appends, so each lives in its lane 0.
+        down = sorted({pool.lane_osd(fh.inode.uid, 0).index
+                       for fh in (h.data_fh, h.index_fh)})
+        procs.append(env.process(chaos(env, [pool.osds[i] for i in down]),
+                                 "chaos"))
         yield from h.write(0, PatternData(5, 0, 4096))
         yield from h.write(4096, PatternData(6, 4096, 4096))
         yield from mount.close_write(h)
 
-    def chaos(env: Any):
-        net.partition_node(node.id)
-        yield env.timeout(2e-3)
-        net.heal_node(node.id)
-
-    return [
-        env.process(writer(env), "writer"),
-        env.process(chaos(env), "chaos"),
-    ]
+    procs.append(env.process(writer(env), "writer"))
+    return procs
 
 
-def _partition() -> Scenario:
+def _outage() -> Scenario:
     return Scenario(
-        name="partition",
-        description="retried writes racing single-node storage partitions",
-        build=_build_partition,
-        drive=_drive_partition,
-        ledgers={"/p": [(0, 4096, 5), (4096, 4096, 6)]},
-        sizes={"/p": 8192},
+        name="outage",
+        description="retried writes racing an outage of their OSDs",
+        build=_build_smallio,  # the same one-volume aligned world
+        drive=_drive_outage,
+        ledgers={"/o": [(0, 4096, 5), (4096, 4096, 6)]},
+        sizes={"/o": 8192},
     )
 
 
 SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     "smallio": _smallio,
     "federated": _federated,
-    "partition": _partition,
+    "outage": _outage,
 }
 
 

@@ -15,15 +15,11 @@ number of simultaneous transfers is handled in O(log n).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from typing import Generator
 
-from ..analysis.sanitize import raw_snapshot, tracked
-from ..errors import ConfigError, NetworkPartitioned
+from ..errors import ConfigError
 from ..sim import Engine, FairShareServer, Join
 from .node import Node
-
-if TYPE_CHECKING:
-    from .topology import NodeTable
 
 __all__ = ["Interconnect", "StorageNetwork"]
 
@@ -76,15 +72,9 @@ class StorageNetwork:
     for the 64-node cluster is the 10 GigE uplink) plus each node's own
     ``storage_nic``.  Both directions share the pipe, as they do on a
     single Ethernet uplink.
-
-    Fault hooks (driven by ``repro.faults``): :meth:`partition` severs the
-    link — new transfers raise :class:`NetworkPartitioned`, bytes already
-    on the wire freeze until :meth:`heal` — and :attr:`extra_latency` adds
-    a jitter term to every traversal (a flapping or congested link).
     """
 
-    def __init__(self, env: Engine, nodes: "NodeTable", *, latency: float,
-                 aggregate_bw: float):
+    def __init__(self, env: Engine, *, latency: float, aggregate_bw: float):
         if latency < 0:
             raise ConfigError("latency must be non-negative")
         if aggregate_bw <= 0:
@@ -93,75 +83,7 @@ class StorageNetwork:
         self.latency = latency
         self.aggregate_bw = aggregate_bw
         self.pipe = FairShareServer(env, aggregate_bw, name="storage-pipe")
-        self._nodes = nodes
-        # Node ids currently cut off from storage (single-node partitions,
-        # as opposed to the whole-link partition() below).  Mutated by the
-        # fault injector, read by every transfer — a classic shared set.
-        self._partitioned_nodes = tracked(env, set(),
-                                          "storage-net.partitioned-nodes")
         self.bytes_moved = 0
-        self.down = False
-        self.extra_latency = 0.0
-        self.partitions = 0
-
-    # -- fault hooks -------------------------------------------------------
-    def partition(self) -> None:
-        """Sever the link: reject new transfers, freeze bytes on the wire."""
-        if self.down:
-            return
-        self.down = True
-        self.partitions += 1
-        self.pipe.pause()
-        # By id: pausing reschedules in-flight service events, so the
-        # order is part of the event schedule.  Only built nodes: an
-        # unbuilt node's NIC is idle, and an idle unpaused server behaves
-        # as a paused one (the down link rejects every new transfer).
-        for node in self._nodes.built():
-            node.storage_nic.pause()
-
-    def heal(self) -> None:
-        """Reconnect a partitioned link; frozen transfers resume."""
-        if not self.down:
-            return
-        self.down = False
-        self.pipe.resume()
-        for node in self._nodes.built():
-            node.storage_nic.resume()
-
-    def partition_node(self, node_id: int) -> None:
-        """Cut one node off from storage: its transfers reject, its bytes
-        on the wire freeze, every other node keeps going.  Idempotent.
-        An unknown id raises :class:`IndexError` and changes nothing."""
-        if node_id in self._partitioned_nodes:
-            return
-        nic = self._nodes[node_id].storage_nic
-        self._partitioned_nodes.add(node_id)
-        self.partitions += 1
-        nic.pause()
-
-    def heal_node(self, node_id: int) -> None:
-        """Reconnect a node severed by :meth:`partition_node`."""
-        if node_id not in self._partitioned_nodes:
-            return
-        self._partitioned_nodes.discard(node_id)
-        self._nodes[node_id].storage_nic.resume()
-
-    def partition_snapshot(self) -> set:
-        """Plain copy of the partitioned-node set (oracle accessor —
-        reads no tracked state, so inspections never perturb footprints)."""
-        return set(raw_snapshot(self._partitioned_nodes))
-
-    def _check_up(self) -> None:
-        if self.down:
-            raise NetworkPartitioned("storage-net", "storage network partitioned")
-
-    def _check_node(self, node: Node) -> None:
-        if self.down:
-            raise NetworkPartitioned("storage-net", "storage network partitioned")
-        if node.id in self._partitioned_nodes:
-            raise NetworkPartitioned(
-                f"storage-net[node {node.id}]",
-                f"node {node.id} partitioned from storage")
 
     def path_events(self, node: Node, nbytes: int, join: Join) -> None:
         """Fair-share service for *nbytes* crossing this network from/to
@@ -170,7 +92,6 @@ class StorageNetwork:
         The caller's *join* usually also counts the storage-device service
         (the bytes stream through NIC, pipe, and device concurrently).
         """
-        self._check_node(node)
         self.bytes_moved += nbytes
         if nbytes == 0:
             return
@@ -179,8 +100,7 @@ class StorageNetwork:
 
     def transfer(self, node: Node, nbytes: int) -> Generator:
         """Latency plus a full traversal of the network (no device component)."""
-        self._check_node(node)
-        yield self.env.timeout(self.latency + self.extra_latency)
+        yield self.env.timeout(self.latency)
         join = Join(self.env)
         self.path_events(node, nbytes, join)
         if join.pending:

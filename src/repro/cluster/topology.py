@@ -99,7 +99,7 @@ class Cluster:
             bisection_bw=spec.bisection_bw_per_node * spec.n_nodes,
         )
         self.storage_net = StorageNetwork(
-            env, self.nodes,
+            env,
             latency=spec.storage_latency,
             aggregate_bw=spec.storage_aggregate_bw,
         )

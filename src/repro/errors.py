@@ -126,12 +126,6 @@ class MDSUnavailable(TransientIOError):
     errno_name = "ETIMEDOUT"
 
 
-class NetworkPartitioned(TransientIOError):
-    """The storage network is partitioned; transfers cannot start."""
-
-    errno_name = "ENETDOWN"
-
-
 class MPIError(ReproError):
     """Misuse of the simulated MPI runtime (rank/tag/communicator errors)."""
 

@@ -78,39 +78,20 @@ class FaultInjector:
             do_apply()
         else:
             env.schedule_at(t_apply)._add_callback(do_apply)
-        if recover_fn is not None:
-            t_rec = t_apply + ev.duration
-            if t_rec <= env.now:
-                do_recover()
-            else:
-                env.schedule_at(t_rec)._add_callback(do_recover)
+        t_rec = t_apply + ev.duration
+        if t_rec <= env.now:
+            do_recover()
+        else:
+            env.schedule_at(t_rec)._add_callback(do_recover)
 
     def _compile(self, ev: FaultEvent):
         """(apply, recover, label) callables for one component event."""
         if ev.kind not in COMPONENT_KINDS:
             raise ConfigError(f"injector cannot compile {ev.kind!r}")
-        if ev.kind in ("osd_slow", "osd_outage"):
+        if ev.kind == "osd_outage":
             osds = self.world.volume.pool.osds
             osd = osds[ev.target % len(osds)]
-            if ev.kind == "osd_outage":
-                return osd.fail, osd.restore, f"osd_outage:osd{osd.index}"
-            factor = ev.magnitude
-            return (lambda: osd.slow_down(factor), osd.restore_speed,
-                    f"osd_slow:osd{osd.index}x{factor:g}")
-        if ev.kind == "mds_crash":
-            vols = self.world.volumes
-            mds = vols[ev.target % len(vols)].mds
-            return mds.crash, mds.failover, f"mds_crash:{mds.name}"
-        net = self.world.cluster.storage_net
-        if ev.kind == "net_partition":
-            return net.partition, net.heal, "net_partition"
-        # net_jitter: additive, so overlapping windows compose.
-        extra = ev.magnitude
-
-        def add():
-            net.extra_latency += extra
-
-        def remove():
-            net.extra_latency = max(0.0, net.extra_latency - extra)
-
-        return add, remove, f"net_jitter:+{extra:g}s"
+            return osd.fail, osd.restore, f"osd_outage:osd{osd.index}"
+        vols = self.world.volumes
+        mds = vols[ev.target % len(vols)].mds
+        return mds.crash, mds.failover, f"mds_crash:{mds.name}"

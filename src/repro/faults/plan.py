@@ -11,30 +11,24 @@ across harness ``--jobs`` counts, and across machines.
 
 Event kinds
 -----------
-``osd_slow``       one OSD serves at ``1/magnitude`` speed for ``duration``
 ``osd_outage``     one OSD is down for ``duration`` (new I/O raises EIO,
                    in-flight service stalls frozen until restore)
 ``mds_crash``      the MDS crashes, dropping queued ops; a standby is
                    promoted after ``duration`` (detection + promotion)
-``net_jitter``     the storage network adds ``magnitude`` seconds of
-                   latency to every traversal for ``duration``
-``net_partition``  the storage network is severed for ``duration``
-``writer_kill``    rank ``target`` of the instrumented job dies after
-                   acknowledging ``magnitude`` bytes (byte-offset kill;
-                   with magnitude 0, at simulated time ``time``)
-``compute_kill``   an application compute failure at ``time`` (consumed by
-                   the campaign's failure clock, not the injector)
+``writer_kill``    rank ``target`` of the instrumented job dies once it has
+                   acknowledged ``magnitude`` bytes (a byte-offset kill;
+                   ``time`` is not consulted)
 
-The first five are *component* faults, compiled onto the world by
-:class:`repro.faults.injector.FaultInjector`; the last two are consumed at
-the workload layer.
+The first two are *component* faults, compiled onto the world by
+:class:`repro.faults.injector.FaultInjector`; a writer kill is consumed at
+the workload layer.  These are exactly the kinds the resilience
+experiment (``harness faults``) injects.
 """
 
 from __future__ import annotations
 
 import hashlib
 import zlib
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -45,11 +39,9 @@ from ..errors import ConfigError
 __all__ = ["FAULT_KINDS", "COMPONENT_KINDS", "FaultEvent", "FaultPlan",
            "FailureClock"]
 
-COMPONENT_KINDS = frozenset({
-    "osd_slow", "osd_outage", "mds_crash", "net_jitter", "net_partition",
-})
+COMPONENT_KINDS = frozenset({"osd_outage", "mds_crash"})
 
-FAULT_KINDS = COMPONENT_KINDS | {"writer_kill", "compute_kill"}
+FAULT_KINDS = COMPONENT_KINDS | {"writer_kill"}
 
 
 @dataclass(frozen=True, order=True)
@@ -86,26 +78,18 @@ def _substream(seed: int, stream: str, index: int) -> np.random.Generator:
 class FailureClock:
     """Lazy source of absolute compute-failure times for a campaign.
 
-    Explicit ``compute_kill`` events fire first (in schedule order); once
-    exhausted, arrivals continue as a renewal process with exponential
-    gaps of mean *mtbf* drawn from the plan's ``campaign-failures``
-    substream — the classic memoryless platform-failure model, now seeded
-    through the plan instead of a private ``random.Random``.
+    Arrivals form a renewal process with exponential gaps of mean *mtbf*
+    drawn from the plan's ``campaign-failures`` substream — the classic
+    memoryless platform-failure model, seeded through the plan instead of
+    a private ``random.Random``.
     """
 
-    def __init__(self, rng: np.random.Generator, mtbf: Optional[float],
-                 explicit: Sequence[float] = ()):
+    def __init__(self, rng: np.random.Generator, mtbf: Optional[float]):
         self._rng = rng
         self._mtbf = mtbf
-        self._explicit = deque(sorted(explicit))
 
     def next_failure(self, after: float) -> float:
         """The first failure time strictly after *after* (inf if none)."""
-        while self._explicit:
-            t = self._explicit[0]
-            if t > after:
-                return t
-            self._explicit.popleft()
         if self._mtbf is None or not (self._mtbf < float("inf")):
             return float("inf")
         return after + float(self._rng.exponential(self._mtbf))
@@ -131,8 +115,7 @@ class FaultPlan:
 
     def failure_clock(self, mtbf: Optional[float] = None) -> FailureClock:
         """The campaign's compute-failure clock (see :class:`FailureClock`)."""
-        explicit = [ev.time for ev in self.events if ev.kind == "compute_kill"]
-        return FailureClock(self.rng("campaign-failures"), mtbf, explicit)
+        return FailureClock(self.rng("campaign-failures"), mtbf)
 
     # -- views -------------------------------------------------------------
     def of_kind(self, *kinds: str) -> Tuple[FaultEvent, ...]:
@@ -167,10 +150,7 @@ class FaultPlan:
                  kinds: Sequence[str] = ("osd_outage",),
                  n_osds: int = 1, n_ranks: int = 1,
                  outage_duration: float = 2.0,
-                 detection_delay: float = 1.0,
-                 slow_factor: float = 4.0,
-                 jitter_latency: float = 5e-3,
-                 partition_duration: float = 1.0) -> "FaultPlan":
+                 detection_delay: float = 1.0) -> "FaultPlan":
         """A random plan: per kind, Poisson arrivals of mean gap *mtbf*.
 
         Each kind draws from its own substream, so adding a kind to the mix
@@ -186,24 +166,13 @@ class FaultPlan:
             rng = _substream(seed, "gen:" + kind, 0)
             t = float(rng.exponential(mtbf))
             while t < horizon:
-                if kind == "osd_slow":
-                    ev = FaultEvent(t, kind, target=int(rng.integers(n_osds)),
-                                    duration=outage_duration,
-                                    magnitude=slow_factor)
-                elif kind == "osd_outage":
+                if kind == "osd_outage":
                     ev = FaultEvent(t, kind, target=int(rng.integers(n_osds)),
                                     duration=outage_duration)
                 elif kind == "mds_crash":
                     ev = FaultEvent(t, kind, duration=detection_delay)
-                elif kind == "net_jitter":
-                    ev = FaultEvent(t, kind, duration=outage_duration,
-                                    magnitude=jitter_latency)
-                elif kind == "net_partition":
-                    ev = FaultEvent(t, kind, duration=partition_duration)
-                elif kind == "writer_kill":
+                else:  # writer_kill
                     ev = FaultEvent(t, kind, target=int(rng.integers(n_ranks)))
-                else:  # compute_kill
-                    ev = FaultEvent(t, kind)
                 events.append(ev)
                 t += float(rng.exponential(mtbf))
         return cls(events, seed=seed)

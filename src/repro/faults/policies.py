@@ -13,7 +13,7 @@ read paths.  Two invariants matter:
   from global randomness, so fault runs replay bit-identically.
 
 Only :class:`~repro.errors.TransientIOError` (and subclasses — a downed
-OSD, a crashed MDS, a partitioned network) is retried.  Anything else is
+OSD, a crashed MDS) is retried.  Anything else is
 a modeling or logic error and propagates immediately.
 
 Retrying a failed write can re-append bytes whose first copy was charged

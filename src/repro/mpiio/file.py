@@ -11,7 +11,7 @@ on for LANL 3's 1024-byte records (§IV-D6).
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Generator, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidArgument
 from ..pfs.data import CompositeData, DataSpec, DataView
@@ -108,8 +108,20 @@ class MPIFile:
         return sorted({(i * comm.size) // want for i in range(want)})
 
     @staticmethod
-    def _domain_of(offset: int, lo: int, dsize: int, ndomains: int) -> int:
-        return min((offset - lo) // dsize, ndomains - 1)
+    def _split(offset: int, length: int, lo: int, dsize: int,
+               ndomains: int) -> Iterator[Tuple[int, int, int]]:
+        """Cut ``[offset, offset+length)`` at file-domain boundaries.
+
+        Yields ``(domain, piece offset, piece length)`` in ascending
+        offset order; the last domain takes everything past its start.
+        """
+        pos = offset
+        end = offset + length
+        while pos < end:
+            d = min((pos - lo) // dsize, ndomains - 1)
+            n = min(end, lo + (d + 1) * dsize) - pos
+            yield d, pos, n
+            pos += n
 
     def _domain_bounds(self, all_meta) -> Optional[Tuple[int, int, int, List[int]]]:
         spans = [(off, off + ln) for meta in all_meta for off, ln in meta]
@@ -136,13 +148,9 @@ class MPIFile:
         # Split my pieces at domain boundaries, group per owner.
         per_owner: dict = {}
         for off, spec in pieces:
-            pos = 0
-            while pos < spec.length:
-                d = self._domain_of(off + pos, lo, dsize, nd)
-                dom_end = lo + (d + 1) * dsize
-                n = min(spec.length - pos, dom_end - (off + pos))
-                per_owner.setdefault(aggs[d], []).append((off + pos, spec.slice(pos, n)))
-                pos += n
+            for d, pos, n in self._split(off, spec.length, lo, dsize, nd):
+                per_owner.setdefault(aggs[d], []).append(
+                    (pos, spec.slice(pos - off, n)))
         # Dispatch to owners (own contribution stays local).
         local = per_owner.pop(comm.rank, [])
         sends = []
@@ -153,29 +161,16 @@ class MPIFile:
             sends.append(env.process(comm.send(owner, chunk, nbytes, tag)))
         # If I am an aggregator, collect and write my domain.
         if comm.rank in aggs:
-            expect = set()
-            for r, meta_r in enumerate(all_meta):
-                if r == comm.rank:
-                    continue
-                for off, ln in meta_r:
-                    pos = 0
-                    while pos < ln:
-                        d = self._domain_of(off + pos, lo, dsize, nd)
-                        if aggs[d] == comm.rank:
-                            expect.add(r)
-                        dom_end = lo + (d + 1) * dsize
-                        pos += min(ln - pos, dom_end - (off + pos))
+            me = aggs.index(comm.rank)
+            expect = [r for r, meta_r in enumerate(all_meta)
+                      if r != comm.rank and any(
+                          d == me for off, ln in meta_r
+                          for d, _, _ in self._split(off, ln, lo, dsize, nd))]
             collected = list(local)
-            for src in sorted(expect):
+            for src in expect:
                 chunk = yield from comm.recv(src, tag)
                 collected.extend(chunk)
             yield from self._write_coalesced(collected)
-        elif local:
-            # Not an aggregator but kept local pieces (only possible when I
-            # am not in aggs) — cannot happen since local pieces were popped
-            # for rank==owner; guard anyway.
-            for off, spec in local:
-                yield from self.write_at(off, spec)
         for s in sends:
             yield s
         yield from comm.barrier()
@@ -234,13 +229,8 @@ class MPIFile:
         out: List[DataView] = []
         expected: dict = {}
         for off, ln in requests:
-            pos = 0
-            while pos < ln:
-                d = self._domain_of(off + pos, lo, dsize, nd)
-                dom_end = lo + (d + 1) * dsize
-                n = min(ln - pos, dom_end - (off + pos))
-                expected.setdefault((off + pos, n), aggs[d])
-                pos += n
+            for d, pos, n in self._split(off, ln, lo, dsize, nd):
+                expected.setdefault((pos, n), aggs[d])
         # Deterministic insertion order (ascending offset walk); the recv
         # sequence below must match the senders' dispatch order, so do NOT
         # re-sort it.
@@ -251,14 +241,8 @@ class MPIFile:
             domain_views[got_key] = piece
         for off, ln in requests:
             pieces: List[DataSpec] = []
-            pos = 0
-            while pos < ln:
-                d = self._domain_of(off + pos, lo, dsize, nd)
-                dom_end = lo + (d + 1) * dsize
-                n = min(ln - pos, dom_end - (off + pos))
-                view = domain_views[(off + pos, n)]
-                pieces.extend(view.pieces)
-                pos += n
+            for _, pos, n in self._split(off, ln, lo, dsize, nd):
+                pieces.extend(domain_views[(pos, n)].pieces)
             out.append(DataView(pieces))
         yield from comm.barrier()
         return out

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..units import MiB
 
 __all__ = ["Hints"]
 
@@ -22,10 +21,7 @@ class Hints:
 
     cb_enable: bool = False       # two-phase collective buffering on *_all ops
     cb_nodes: int = 0             # aggregator count; 0 = one per compute node
-    cb_buffer_size: int = 16 * MiB  # max bytes an aggregator writes per round
 
     def __post_init__(self) -> None:
         if self.cb_nodes < 0:
             raise ConfigError("cb_nodes must be >= 0")
-        if self.cb_buffer_size <= 0:
-            raise ConfigError("cb_buffer_size must be positive")

@@ -30,8 +30,7 @@ class Osd:
 
     Fault hooks (driven by ``repro.faults``): :meth:`fail` marks the device
     down — new requests raise :class:`StorageUnavailable` and in-flight ones
-    stall frozen until :meth:`restore` — and :meth:`slow_down` rescales the
-    device's service rate (a brown-out).  An untouched OSD has bit-identical
+    stall frozen until :meth:`restore`.  An untouched OSD has bit-identical
     behaviour to one built before these hooks existed.
     """
 
@@ -67,16 +66,6 @@ class Osd:
             return
         self.down = False
         self.server.resume()
-
-    def slow_down(self, factor: float) -> None:
-        """Degrade the device to ``1/factor`` of configured bandwidth."""
-        if not (factor >= 1.0):
-            raise ConfigError(f"slow_down factor must be >= 1, got {factor}")
-        self.server.set_capacity(self.cfg.osd_bw / factor)
-
-    def restore_speed(self) -> None:
-        """Undo :meth:`slow_down`."""
-        self.server.set_capacity(self.cfg.osd_bw)
 
     def _check_up(self) -> None:
         if self.down:

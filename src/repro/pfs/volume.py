@@ -123,8 +123,7 @@ class FileHandle:
                 if offset % cfg.full_stripe or length % cfg.full_stripe:
                     inflate = cfg.rmw_factor
                     seek_mult = 2.0  # the RMW's reads and writes each position
-            vol.storage_net._check_up()
-            yield vol.env.timeout(vol.storage_latency + vol.storage_net.extra_latency)
+            yield vol.env.timeout(vol.storage_latency)
             join = Join(vol.env)
             vol.pool.io_events(uid, offset, length, join, inflate=inflate,
                                seek_mult=seek_mult)
@@ -159,14 +158,12 @@ class FileHandle:
         if length == 0:
             return DataView([])
         cache = self.client.node.page_cache
-        # An empty cache is not consulted, so it counts no miss.
-        hit = cache.hit_bytes(uid, offset, length) if len(cache) else 0
+        hit = cache.hit_bytes(uid, offset, length)
         miss = length - hit
         if hit:
             yield vol.env.timeout(hit / self.client.node.spec.mem_bw)
         if miss > 0:
-            vol.storage_net._check_up()
-            yield vol.env.timeout(vol.storage_latency + vol.storage_net.extra_latency)
+            yield vol.env.timeout(vol.storage_latency)
             join = Join(vol.env)
             vol.pool.io_events(uid, offset + hit, miss, join,
                                client_id=self.client.client_id, is_read=True)
@@ -326,7 +323,6 @@ class Volume:
         # (bypassing Osd.io), so check device health here, and do it before
         # the in-flight registration below — raising after registering would
         # leave joiners waiting on an event that never fires.
-        self.storage_net._check_up()
         for osd in self.pool.osds:
             if osd.down:
                 raise StorageUnavailable(
@@ -364,8 +360,7 @@ class Volume:
             yield self.env.timeout(hit_bytes / client.node.spec.mem_bw)
         if misses:
             total = sum(n.data.size for n in misses)
-            yield self.env.timeout(self.storage_latency
-                                   + self.storage_net.extra_latency)
+            yield self.env.timeout(self.storage_latency)
             n_osds = cfg.n_osds
             overhead = (cfg.osd_seek_time + cfg.osd_op_overhead) * cfg.osd_bw
             join = Join(self.env)

@@ -172,12 +172,12 @@ class FairShareServer:
     virtual finish times, and arrivals/departures only change the growth
     rate of ``V``.
 
-    Degraded modes (driven by ``repro.faults``): :meth:`set_capacity`
-    rescales service speed mid-run, :meth:`pause`/:meth:`resume` freeze and
-    thaw all in-flight jobs (an unresponsive-but-alive component), and
-    :meth:`fail_all` errors every in-flight job out (a crash that drops its
-    queue).  All four keep the virtual-time bookkeeping exact, so a run
-    with no faults injected is bit-identical to one built without hooks.
+    Degraded modes (driven by ``repro.faults``): :meth:`pause`/:meth:`resume`
+    freeze and thaw all in-flight jobs (an unresponsive-but-alive
+    component), and :meth:`fail_all` errors every in-flight job out (a
+    crash that drops its queue).  All three keep the virtual-time
+    bookkeeping exact, so a run with no faults injected is bit-identical to
+    one built without hooks.
     """
 
     # Every timer's callback: one bound _on_timer, made on the first arm
@@ -228,25 +228,6 @@ class FairShareServer:
         """Forget the armed completion timer (it becomes a no-op when it fires)."""
         self._timer = None
         self._armed_at = _INF
-
-    def set_capacity(self, capacity: float) -> None:
-        """Rescale service speed; in-flight jobs keep their remaining demand.
-
-        Models brown-out faults (a slow disk, a throttled link).  Virtual
-        time is settled at the old rate first, so work already delivered is
-        unaffected; only the remaining demand is served at the new rate.
-        """
-        if not (capacity > 0):
-            raise SimulationError(f"FairShareServer capacity must be > 0, got {capacity}")
-        self._advance()
-        self.capacity = float(capacity)
-        # The armed timer's deadline was computed at the old rate.  If the
-        # new deadline is earlier, _reschedule arms a fresh timer; if later,
-        # the old timer fires early and chains — but chaining trusts
-        # _deadline, which _reschedule recomputes below.  Either way no
-        # stale completion can fire.
-        if not self._paused:
-            self._reschedule()
 
     def pause(self) -> None:
         """Freeze service: in-flight jobs stop progressing until :meth:`resume`.
@@ -404,10 +385,8 @@ class FairShareServer:
         (``Engine.schedule_at``), completion timestamps are bit-for-bit what
         per-arrival re-arming would produce.
 
-        The fault hooks call this; the per-job paths inline it.
+        :meth:`resume` calls this; the per-job paths inline it.
         """
-        if self._paused:
-            return  # deadline stays inf; resume() reschedules
         if not self._jobs:
             self._deadline = _INF
             return

@@ -26,6 +26,8 @@ from repro.analysis.explore import (
 )
 from repro.analysis.minimize import minimize_schedule
 from repro.analysis.scenarios import SCENARIOS, get_scenario
+from repro.errors import StorageUnavailable
+from repro.pfs.osd import Osd
 from repro.plfs.writer import PlfsWriteHandle
 
 from .test_regression_race import _racy_drop_metadata
@@ -67,6 +69,26 @@ def test_shipped_tree_explores_clean(workload):
     assert report.ok, report.render()
     assert report.runs >= 1
     assert report.exhausted, report.render()
+
+
+def test_outage_workload_strikes_the_writers_appends(monkeypatch):
+    """The outage lands while the writer moves data: appends hit a down
+    OSD and are retried.  An outage that ended before the first append
+    would leave the retry path unexplored."""
+    struck = []
+    check_up = Osd._check_up
+
+    def spy(osd):
+        try:
+            check_up(osd)
+        except StorageUnavailable:
+            struck.append(osd.index)
+            raise
+
+    monkeypatch.setattr(Osd, "_check_up", spy)
+    result = run_schedule(get_scenario("outage"), {})
+    assert not result.failed
+    assert struck
 
 
 # -- the re-introduced last-closer bug ---------------------------------------

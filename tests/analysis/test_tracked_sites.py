@@ -9,7 +9,7 @@ that do:
 
 * ``F`` — CI's ``faults --instrument sanitize,collectives`` step;
 * ``C`` — CI's ``check`` step over ``smallio``, ``federated`` and
-  ``partition``;
+  ``outage``;
 * ``T`` — the tier-1 ``test_checker.py::test_shipped_tree_explores_clean``
   (every checker scenario).
 
@@ -41,9 +41,6 @@ SITES = [
     ("pfs/mds.py", "MetadataServer.__init__", "f'{name}.dir-inflight'", "FCT"),
     # open_write_handle, _drop_metadata: F, C, T; plfs_recover: F
     ("plfs/writer.py", "_host_registry", "f'plfs-host-refs[{home.name}]'", "FCT"),
-    # partition_node, heal_node: C (partition), T; F only reads it
-    ("cluster/network.py", "StorageNetwork.__init__",
-     "'storage-net.partitioned-nodes'", "CT"),
 ]
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.oracles import quick_invariants
 from repro.cluster import CIELO, Cluster, ClusterSpec, cielo
-from repro.errors import NetworkPartitioned
 from repro.harness.diagnostics import cache_report
 from repro.harness.setup import build_world
 from repro.sim import Engine
@@ -54,23 +53,3 @@ def test_node_ids_behave_like_list_indices():
     with pytest.raises(IndexError):
         nodes[-5]
     assert [n.id for n in nodes.built()] == [0, 3]
-
-
-def test_partitioning_an_unbuilt_node_cuts_it_off():
-    env = Engine()
-    cluster = Cluster(env, CIELO)
-    net = cluster.storage_net
-    net.partition_node(4000)
-    with pytest.raises(NetworkPartitioned):
-        list(net.transfer(cluster.nodes[4000], 1 << 20))
-    net.heal_node(4000)
-    env.process(net.transfer(cluster.nodes[4000], 1 << 20))
-    env.run()
-    assert net.bytes_moved == 1 << 20
-
-
-def test_partitioning_an_unknown_node_changes_nothing():
-    net = Cluster(Engine(), ClusterSpec(name="t", n_nodes=4)).storage_net
-    with pytest.raises(IndexError):
-        net.partition_node(4)
-    assert net.partition_snapshot() == set() and net.partitions == 0

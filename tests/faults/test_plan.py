@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.faults.plan import (COMPONENT_KINDS, FAULT_KINDS, FailureClock,
                                FaultEvent, FaultPlan)
+from repro.harness.scales import PAPER, SMALL
 
 
 class TestFaultEvent:
@@ -28,6 +29,14 @@ class TestFaultEvent:
         assert COMPONENT_KINDS < FAULT_KINDS
         assert "writer_kill" in FAULT_KINDS - COMPONENT_KINDS
 
+    @pytest.mark.parametrize("scale", [SMALL, PAPER], ids=lambda s: s.name)
+    def test_every_kind_is_injected_by_the_experiment(self, scale):
+        """Census: a fault kind lands only with the resilience experiment
+        (``harness faults``) injecting it, at every scale."""
+        injected = [k for k in scale.faults_kinds if k != "none"]
+        assert len(injected) == len(set(injected))
+        assert set(injected) == FAULT_KINDS
+
 
 class TestPlanViews:
     def test_events_sorted_and_immutable(self):
@@ -38,8 +47,7 @@ class TestPlanViews:
 
     def test_of_kind_and_component_split(self):
         plan = FaultPlan([FaultEvent(1.0, "osd_outage"),
-                          FaultEvent(2.0, "writer_kill", target=3),
-                          FaultEvent(3.0, "compute_kill")], seed=0)
+                          FaultEvent(2.0, "writer_kill", target=3)], seed=0)
         assert len(plan.of_kind("osd_outage")) == 1
         assert len(plan.component_events) == 1
         assert plan.component_events[0].kind == "osd_outage"
@@ -73,7 +81,7 @@ class TestGeneration:
         solo = FaultPlan.generate(9, horizon=300.0, mtbf=20.0,
                                   kinds=["osd_outage"], n_osds=4)
         mixed = FaultPlan.generate(9, horizon=300.0, mtbf=20.0,
-                                   kinds=["osd_outage", "net_jitter"], n_osds=4)
+                                   kinds=["osd_outage", "mds_crash"], n_osds=4)
         assert mixed.of_kind("osd_outage") == solo.events
 
     def test_bad_parameters_rejected(self):
@@ -101,15 +109,6 @@ class TestGeneration:
 
 
 class TestFailureClock:
-    def test_explicit_kills_fire_first_then_renewal(self):
-        plan = FaultPlan([FaultEvent(5.0, "compute_kill"),
-                          FaultEvent(2.0, "compute_kill")], seed=3)
-        clock = plan.failure_clock(mtbf=100.0)
-        assert clock.next_failure(0.0) == 2.0
-        assert clock.next_failure(2.0) == 5.0
-        t = clock.next_failure(5.0)
-        assert t > 5.0  # renewal process takes over
-
     def test_no_mtbf_means_no_failures(self):
         clock = FaultPlan((), seed=0).failure_clock(None)
         assert clock.next_failure(0.0) == float("inf")

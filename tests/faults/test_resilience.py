@@ -184,7 +184,7 @@ class TestCampaignDeterminism:
         def run_once():
             world = make_world()
             plan = FaultPlan.generate(7, horizon=120.0, mtbf=15.0,
-                                      kinds=["osd_outage", "net_jitter"],
+                                      kinds=["osd_outage", "mds_crash"],
                                       n_osds=len(world.volume.pool.osds))
             inj = FaultInjector(world, plan)
             res = _campaign(world, plan=plan, injector=inj, seed=7).run()

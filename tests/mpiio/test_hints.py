@@ -11,13 +11,10 @@ class TestHints:
         h = Hints()
         assert not h.cb_enable
         assert h.cb_nodes == 0
-        assert h.cb_buffer_size > 0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             Hints(cb_nodes=-1)
-        with pytest.raises(ConfigError):
-            Hints(cb_buffer_size=0)
 
     def test_frozen(self):
         h = Hints()

@@ -176,6 +176,21 @@ class TestVolumeTiming:
         assert dt > nbytes / 1.25e9 * 0.5  # paid the storage path
         assert view.content_equal(PatternData(1, 0, nbytes))
 
+    def test_cold_read_into_an_empty_cache_counts_its_misses(self):
+        """A read on a node whose cache holds nothing still consults it:
+        every block is a miss, then the read fills them."""
+        env, cluster, vol, client = make_world()
+        other = Client(node=cluster.nodes[1], client_id=1)
+        cache = other.node.page_cache
+
+        def proc(env):
+            yield from vol.write_file(client, "/f", PatternData(1, 0, 8 * MiB))
+            assert len(cache) == 0
+            yield from vol.read_file(other, "/f")
+
+        env.run_process(proc(env))
+        assert (cache.hits, cache.misses, len(cache)) == (0, 8, 8)
+
     def test_partial_stripe_write_pays_rmw(self):
         env, _, vol, client = make_world()
         fs = vol.cfg.full_stripe

@@ -296,12 +296,6 @@ class ReferenceServer:
                 self.busy_time += dt
         self._t_last = now
 
-    def set_capacity(self, capacity):
-        self._advance()
-        self.capacity = float(capacity)
-        if not self._paused:
-            self._reschedule()
-
     def pause(self):
         if self._paused:
             return
@@ -428,7 +422,6 @@ op_st = st.one_of(
     st.tuples(st.just("many"), st.lists(demand_st, max_size=5)),
     st.tuples(st.just("pause")),
     st.tuples(st.just("resume")),
-    st.tuples(st.just("capacity"), capacity_st),
     st.tuples(st.just("fail")),
 )
 delay_st = st.one_of(st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0]),
@@ -466,8 +459,6 @@ def run_stream(make_server, capacity, steps):
                 srv.pause()
             elif kind == "resume":
                 srv.resume()
-            elif kind == "capacity":
-                srv.set_capacity(op[1])
             else:
                 log.append((step, "fail_all", srv.fail_all(Boom)))
             log.append((step, float(srv.work_remaining()).hex()))
