@@ -4,12 +4,12 @@ import gc
 import time
 import tracemalloc
 
-import numpy as np
+import pytest
 
 from repro.analysis.sanitize import Sanitizer, tracked
 from repro.cluster import Cluster, ClusterSpec, NodeSpec, cielo
 from repro.harness.setup import build_world
-from repro.pfs.extents import RECORD_DTYPE, ExtentJournal
+from repro.pfs.extents import RECORD, ExtentJournal
 from repro.pfs.osd import OsdPool
 from repro.pfs.presets import panfs_cielo
 from repro.sim import Engine, FairShareServer, Join
@@ -174,23 +174,30 @@ def test_striped_fanout(benchmark):
     assert events <= timers + 4 * k_requests, (events, timers)
 
 
+def strided_index(writers, records, xfer=200_000):
+    """The global index of an N-1 strided job: each writer's log in turn,
+    its records in offset order (``writers`` interleaved sorted runs)."""
+    journal = ExtentJournal()
+    for w in range(writers):
+        journal.extend_records(b"".join(
+            RECORD.pack(w * xfer + k * writers * xfer, xfer, k * xfer, 1.0, 0, 0)
+            for k in range(records)), src=w)
+    return journal
+
+
+def strided_segments(writers, records, xfer=200_000):
+    return [(w * xfer + k * writers * xfer, w * xfer + (k * writers + 1) * xfer,
+             w, k * xfer)
+            for k in range(records) for w in range(writers)]
+
+
 def test_extent_query(benchmark):
     """One lookup per record in the global index of the Fig. 4 Original
     cell: 128 writers x 250 strided 200 KB records, each read back by a
     query of exactly its own extent (the per-read cost on that path)."""
     writers, records, xfer = 128, 250, 200_000
-    journal = ExtentJournal()
-    i = np.arange(records, dtype=np.int64)
-    recs = np.zeros(records, dtype=RECORD_DTYPE)
-    recs["length"] = xfer
-    recs["src_off"] = i * xfer
-    for w in range(writers):
-        recs["start"] = w * xfer + i * writers * xfer
-        journal.extend_records(recs, src=w)
-    flat = journal.flatten()
-    expected = [[(w * xfer + k * writers * xfer, w * xfer + (k * writers + 1) * xfer,
-                  w, k * xfer)]
-                for k in range(records) for w in range(writers)]
+    flat = strided_index(writers, records, xfer).flatten()
+    expected = [[seg] for seg in strided_segments(writers, records, xfer)]
     offsets = [seg[0][0] for seg in expected]
     assert len(flat) == len(offsets) == writers * records
 
@@ -203,6 +210,29 @@ def test_extent_query(benchmark):
         us = benchmark.stats.stats.min / len(offsets) * 1e6
         benchmark.extra_info["us_per_query"] = us
         print(f"\nextent query: {us:.2f} us per query over {len(offsets)} records")
+
+
+@pytest.mark.parametrize("writers, records", [(1, 6), (1, 250), (128, 250)],
+                         ids=["journal-6", "journal-250", "global-128x250"])
+def test_flatten(benchmark, writers, records):
+    """Resolving a journal to its extent map, cache cleared each round.
+
+    Six records is a small file's or writer's journal (``n1_read_parallel``
+    flattens 1,025 journals of 6.5 records on average); 250 is one writer
+    of the Fig. 4 Original cell, in offset order; 128 x 250 is that
+    cell's global index, whose interleaved runs must be sorted.
+    """
+    journal = strided_index(writers, records)
+
+    def run():
+        journal._flat = None
+        return journal.flatten()
+
+    assert list(benchmark(run).segments()) == strided_segments(writers, records)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        us = benchmark.stats.stats.min * 1e6
+        benchmark.extra_info["us_per_flatten"] = us
+        print(f"\nflatten {writers}x{records}: {us:.1f} us")
 
 
 def test_small_journal_footprint():

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..mpi.runtime import run_job
 from ..pfs.data import pattern_bytes
 from ..pfs.volume import Client
@@ -183,8 +181,8 @@ def check_conservation(world: Any, path: str, gi: GlobalIndex) -> List[str]:
     """
     layout = world.mount.layout(path)
     out: List[str] = []
-    records = gi.journal.records().tolist()
-    for i, (start, length, src_off, _stamp, writer_id, _pad) in enumerate(records):
+    for i, (start, length, src_off, _stamp, writer_id, _pad) in enumerate(
+            gi.journal.records()):
         node_id = gi.writers.get(writer_id)
         if node_id is None:
             out.append(
@@ -218,6 +216,8 @@ def expected_bytes(size: int, ledger: Sequence[Tuple[int, int, int]]) -> bytes:
     Unwritten ranges are holes and read back as zeros, which is what the
     ``np.zeros`` base models.
     """
+    import numpy as np
+
     buf = np.zeros(size, dtype=np.uint8)
     for offset, length, seed in ledger:
         buf[offset:offset + length] = pattern_bytes(seed, offset, length)

@@ -64,8 +64,7 @@ def _component_plan(kind: str, mtbf: float, scale: Scale, world) -> FaultPlan:
         return FaultPlan.generate(
             scale.faults_seed, horizon=4.0 * scale.faults_work, mtbf=mtbf,
             kinds=[kind], n_osds=len(world.volume.pool.osds),
-            n_ranks=scale.faults_nprocs, outage_duration=OUTAGE_DURATION,
-            detection_delay=DETECTION_DELAY)
+            outage_duration=OUTAGE_DURATION, detection_delay=DETECTION_DELAY)
     return FaultPlan((), seed=scale.faults_seed)
 
 

@@ -32,8 +32,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import ConfigError
 
 __all__ = ["FAULT_KINDS", "COMPONENT_KINDS", "FaultEvent", "FaultPlan",
@@ -64,13 +62,16 @@ class FaultEvent:
             raise ConfigError(f"fault target must be non-negative: {self}")
 
 
-def _substream(seed: int, stream: str, index: int) -> np.random.Generator:
+def _substream(seed: int, stream: str, index: int) -> "numpy.random.Generator":
     """A process-stable named substream of the plan's seed.
 
     ``crc32`` rather than ``hash()`` because Python string hashing is
     salted per process — worker processes in a ``--jobs N`` sweep must
-    derive identical streams.
+    derive identical streams.  numpy is imported here, not at module
+    level, so a run without faults never loads it.
     """
+    import numpy as np
+
     return np.random.default_rng(
         [seed & 0xFFFFFFFF, zlib.crc32(stream.encode("utf-8")), index])
 
@@ -84,7 +85,7 @@ class FailureClock:
     a private ``random.Random``.
     """
 
-    def __init__(self, rng: np.random.Generator, mtbf: Optional[float]):
+    def __init__(self, rng: "numpy.random.Generator", mtbf: Optional[float]):
         self._rng = rng
         self._mtbf = mtbf
 
@@ -109,7 +110,7 @@ class FaultPlan:
         return f"FaultPlan(seed={self.seed}, {len(self.events)} events)"
 
     # -- derived streams ---------------------------------------------------
-    def rng(self, stream: str, index: int = 0) -> np.random.Generator:
+    def rng(self, stream: str, index: int = 0) -> "numpy.random.Generator":
         """A named substream of this plan's seed (process-stable)."""
         return _substream(self.seed, stream, index)
 
@@ -148,31 +149,34 @@ class FaultPlan:
     @classmethod
     def generate(cls, seed: int, *, horizon: float, mtbf: float,
                  kinds: Sequence[str] = ("osd_outage",),
-                 n_osds: int = 1, n_ranks: int = 1,
+                 n_osds: int = 1,
                  outage_duration: float = 2.0,
                  detection_delay: float = 1.0) -> "FaultPlan":
-        """A random plan: per kind, Poisson arrivals of mean gap *mtbf*.
+        """A random plan of component faults: per kind, Poisson arrivals of
+        mean gap *mtbf*.
 
         Each kind draws from its own substream, so adding a kind to the mix
-        never perturbs the schedules of the others.  Targets (which OSD,
-        which rank) come from the same per-kind stream.
+        never perturbs the schedules of the others.  An outage's OSD comes
+        from the same per-kind stream.  Writer kills are placed by hand
+        (byte offsets, not times), so *kinds* may name only
+        :data:`COMPONENT_KINDS`.
         """
         if not (horizon > 0) or not (mtbf > 0):
             raise ConfigError("horizon and mtbf must be positive")
         events = []
         for kind in kinds:
-            if kind not in FAULT_KINDS:
-                raise ConfigError(f"unknown fault kind {kind!r}")
+            if kind not in COMPONENT_KINDS:
+                raise ConfigError(
+                    f"cannot generate fault kind {kind!r}; choose from "
+                    f"{sorted(COMPONENT_KINDS)}")
             rng = _substream(seed, "gen:" + kind, 0)
             t = float(rng.exponential(mtbf))
             while t < horizon:
                 if kind == "osd_outage":
                     ev = FaultEvent(t, kind, target=int(rng.integers(n_osds)),
                                     duration=outage_duration)
-                elif kind == "mds_crash":
+                else:  # mds_crash
                     ev = FaultEvent(t, kind, duration=detection_delay)
-                else:  # writer_kill
-                    ev = FaultEvent(t, kind, target=int(rng.integers(n_ranks)))
                 events.append(ev)
                 t += float(rng.exponential(mtbf))
         return cls(events, seed=seed)

@@ -13,11 +13,13 @@ deterministically so that
 ``PatternData(seed, offset, n)`` is the workhorse: position ``offset + i``
 holds ``pattern_byte(seed, offset + i)``, a cheap integer hash, so any slice
 of a pattern is itself a pattern and equality is O(1) structural.
+:class:`LiteralData` holds real ``bytes`` (PLFS index logs are literal), so
+joining and comparing literal content needs no array.  Only materializing
+imports numpy, inside the functions that do it, so a simulated run that
+never materializes content never loads numpy.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..errors import InvalidArgument
 
@@ -27,18 +29,20 @@ __all__ = ["DataSpec", "ZeroData", "PatternData", "LiteralData", "CompositeData"
 # structurally-different specs are conservatively unequal.
 _MATERIALIZE_LIMIT = 4 << 20
 
-_MUL1 = np.uint64(0x9E3779B97F4A7C15)
-_MUL2 = np.uint64(0xC2B2AE3D27D4EB4F)
+_MUL1 = 0x9E3779B97F4A7C15
+_MUL2 = 0xC2B2AE3D27D4EB4F
 
 
-def pattern_bytes(seed: int, offset: int, length: int) -> np.ndarray:
+def pattern_bytes(seed: int, offset: int, length: int) -> "numpy.ndarray":
     """The canonical pattern content for positions [offset, offset+length)."""
+    import numpy as np
+
     if length < 0:
         raise InvalidArgument(message=f"negative length {length}")
     idx = np.arange(offset, offset + length, dtype=np.uint64)
-    v = (idx + np.uint64(seed & 0xFFFFFFFFFFFFFFFF)) * _MUL1
+    v = (idx + np.uint64(seed & 0xFFFFFFFFFFFFFFFF)) * np.uint64(_MUL1)
     v ^= v >> np.uint64(29)
-    v *= _MUL2
+    v *= np.uint64(_MUL2)
     v ^= v >> np.uint64(32)
     return (v & np.uint64(0xFF)).astype(np.uint8)
 
@@ -62,9 +66,13 @@ class DataSpec:
     def _slice(self, start: int, length: int) -> "DataSpec":
         raise NotImplementedError
 
-    def materialize(self) -> np.ndarray:
+    def materialize(self) -> "numpy.ndarray":
         """Content as a uint8 array (use only when small)."""
         raise NotImplementedError
+
+    def to_bytes(self) -> bytes:
+        """Content as ``bytes`` (use only when small)."""
+        return self.materialize().tobytes()
 
     def content_equal(self, other: "DataSpec") -> bool:
         """Exact content equality when structurally decidable; falls back to
@@ -79,7 +87,7 @@ class DataSpec:
         if decided is not None:
             return decided
         if self.length <= _MATERIALIZE_LIMIT:
-            return bool(np.array_equal(self.materialize(), other.materialize()))
+            return self.to_bytes() == other.to_bytes()
         return False
 
     def _structural_eq(self, other: "DataSpec"):
@@ -95,9 +103,15 @@ class ZeroData(DataSpec):
     def _slice(self, start: int, length: int) -> "ZeroData":
         return ZeroData(length)
 
-    def materialize(self) -> np.ndarray:
+    def materialize(self) -> "numpy.ndarray":
         """A zero-filled array."""
+        import numpy as np
+
         return np.zeros(self.length, dtype=np.uint8)
+
+    def to_bytes(self) -> bytes:
+        """``length`` zero bytes."""
+        return bytes(self.length)
 
     def _structural_eq(self, other: DataSpec):
         if isinstance(other, ZeroData):
@@ -121,7 +135,7 @@ class PatternData(DataSpec):
     def _slice(self, start: int, length: int) -> "PatternData":
         return PatternData(self.seed, self.offset + start, length)
 
-    def materialize(self) -> np.ndarray:
+    def materialize(self) -> "numpy.ndarray":
         """The pattern content for this slice."""
         return pattern_bytes(self.seed, self.offset, self.length)
 
@@ -138,25 +152,36 @@ class PatternData(DataSpec):
 
 
 class LiteralData(DataSpec):
-    """Real bytes, for small correctness tests and metadata droppings."""
+    """Real bytes: PLFS index logs, small correctness tests, metadata droppings.
+
+    *data* is any bytes-like object; it is held as ``bytes``.
+    """
 
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.frombuffer(bytes(data), dtype=np.uint8) if not isinstance(data, np.ndarray) else data.astype(np.uint8, copy=False)
-        super().__init__(len(arr))
-        self.data = arr
+        data = bytes(data)
+        super().__init__(len(data))
+        self.data = data
 
     def _slice(self, start: int, length: int) -> "LiteralData":
+        if length == self.length:  # a whole-file read: share, don't copy
+            return self
         return LiteralData(self.data[start:start + length])
 
-    def materialize(self) -> np.ndarray:
+    def materialize(self) -> "numpy.ndarray":
+        """The literal bytes, as a read-only uint8 array."""
+        import numpy as np
+
+        return np.frombuffer(self.data, dtype=np.uint8)
+
+    def to_bytes(self) -> bytes:
         """The literal bytes."""
         return self.data
 
     def _structural_eq(self, other: DataSpec):
         if isinstance(other, LiteralData):
-            return bool(np.array_equal(self.data, other.data))
+            return self.data == other.data
         return None
 
     def __repr__(self) -> str:
@@ -183,7 +208,7 @@ class CompositeData(DataSpec):
             return sub.pieces[0]
         return CompositeData(sub)
 
-    def materialize(self) -> np.ndarray:
+    def materialize(self) -> "numpy.ndarray":
         """The concatenated content."""
         return self.view.materialize()
 
@@ -219,15 +244,18 @@ class DataView:
         """A view of a single spec."""
         return cls([spec])
 
-    def materialize(self) -> np.ndarray:
+    def materialize(self) -> "numpy.ndarray":
         """Concatenated content as a uint8 array (use only when small)."""
+        import numpy as np
+
         if not self.pieces:
             return np.zeros(0, dtype=np.uint8)
         return np.concatenate([p.materialize() for p in self.pieces])
 
     def to_bytes(self) -> bytes:
-        """Concatenated content as ``bytes``."""
-        return self.materialize().tobytes()
+        """Concatenated content as ``bytes``; literal pieces are joined as
+        they are, with no array built."""
+        return b"".join([p.to_bytes() for p in self.pieces])
 
     def slice(self, offset: int, length: int) -> "DataView":
         """The sub-view covering [offset, offset+length) of this view."""

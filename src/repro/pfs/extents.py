@@ -9,14 +9,16 @@ resolution code is a first-class, shared component.
 
 :class:`ExtentJournal` is the append-only record log.  It keeps its records
 in one ``bytearray``, packed in the on-media index-record layout
-(:data:`RECORD_DTYPE`), so a PLFS index log serializes and parses by
+(:data:`RECORD`), so a PLFS index log serializes and parses by
 slicing, and a one-record journal costs about 200 bytes of host memory
 (a 65,536-rank job holds a quarter of a million journals).
 :meth:`ExtentJournal.flatten` resolves it:
 
 * fast path — when records don't overlap (the overwhelmingly common
   checkpoint case, which the paper's footnote 1 also leans on), flattening
-  is a single numpy sort;
+  reads the buffer as one ``array('q')`` and slices out its columns; when
+  the records are not already in start order, it first sorts them as
+  packed bytes keyed by start;
 * slow path — genuine overlaps resolve *last-writer-wins by timestamp*
   (ties broken by the larger source, e.g. writer id) using
   elementary-interval painting with a union-find "next unpainted slot"
@@ -26,15 +28,16 @@ slicing, and a one-record journal costs about 200 bytes of host memory
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import islice
+from operator import add, itemgetter, le
 from typing import Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from ..errors import InvalidArgument
 
-__all__ = ["ExtentJournal", "FlatMap", "Segment", "HOLE", "RECORD_DTYPE",
+__all__ = ["ExtentJournal", "FlatMap", "Segment", "HOLE", "RECORD",
            "RECORD_BYTES"]
 
 HOLE = -1  # src value marking an unwritten gap in query results
@@ -46,18 +49,22 @@ Segment = Tuple[int, int, int, int]
 # length, physical offset, timestamp, writer id) padded to the weight of
 # the real struct.  In a PLFS index, src is the writer and src_off the
 # offset in its data log.
-RECORD_DTYPE = np.dtype([
-    ("start", "<i8"),
-    ("length", "<i8"),
-    ("src_off", "<i8"),
-    ("stamp", "<f8"),
-    ("src", "<i8"),
-    ("pad", "<i8"),
-])
-RECORD_BYTES = RECORD_DTYPE.itemsize
-# The same layout for one record at a time (``append`` is per write).
-_RECORD = struct.Struct("<qqqdqq")
+RECORD = struct.Struct("<qqqdqq")
+RECORD_BYTES = RECORD.size
+_WORDS = RECORD_BYTES // 8  # 8-byte fields per record
 _HEAD = struct.Struct("<qq")  # a record's (start, length)
+_ROW = struct.Struct(f"{RECORD_BYTES}s")  # a record as opaque bytes
+_JOIN_ROWS = 1024  # sorted rows written back per join
+_SWAP = sys.byteorder != "little"  # array columns are host-endian
+
+
+def _column_words(raw, code: str = "q") -> array:
+    """Packed records as one flat ``array``, :data:`_WORDS` fields each."""
+    words = array(code)
+    words.frombytes(raw)
+    if _SWAP:
+        words.byteswap()
+    return words
 
 
 class ExtentJournal:
@@ -89,30 +96,42 @@ class ExtentJournal:
             raise InvalidArgument(message=f"bad extent record ({start}, {length}, {src}, {src_off})")
         if length == 0:
             return
-        self._buf += _RECORD.pack(start, length, src_off, stamp, src, 0)
+        self._buf += RECORD.pack(start, length, src_off, stamp, src, 0)
         end = start + length
         if end > self._size:
             self._size = end
         self._flat = None
 
-    def extend_records(self, recs: np.ndarray, src: Optional[int] = None) -> None:
-        """Bulk-append records given as a :data:`RECORD_DTYPE` array.
+    def extend_records(self, raw, src: Optional[int] = None) -> None:
+        """Bulk-append records packed as :data:`RECORD` (any bytes-like).
 
         Negative starts, lengths or source offsets are rejected and
         zero-length records are dropped (as in :meth:`append`).  Given
         *src*, every appended record is attributed to that source.
         """
-        if (recs["start"] < 0).any() or (recs["length"] < 0).any() \
-                or (recs["src_off"] < 0).any():
+        raw = bytes(raw)
+        if len(raw) % RECORD_BYTES:
+            raise InvalidArgument(
+                message=f"{len(raw)} bytes is not a whole number of extent records")
+        # A little-endian int64 is negative when its last byte is not ASCII.
+        if not (raw[7::RECORD_BYTES].isascii() and raw[15::RECORD_BYTES].isascii()
+                and raw[23::RECORD_BYTES].isascii()):
             raise InvalidArgument(message="negative field in extent records")
-        recs = recs[recs["length"] > 0]
-        if not len(recs):
+        words = _column_words(raw)
+        starts, lengths = words[0::_WORDS], words[1::_WORDS]
+        if 0 in lengths:
+            words = array("q", [v for i, v in enumerate(words) if lengths[i // _WORDS]])
+            starts, lengths = words[0::_WORDS], words[1::_WORDS]
+        if not lengths:
             return
-        at = len(self._buf)
-        self._buf.extend(recs.view(np.uint8))
         if src is not None:
-            np.frombuffer(self._buf, dtype=RECORD_DTYPE, offset=at)["src"] = src
-        self._size = max(self._size, int((recs["start"] + recs["length"]).max()))
+            words[4::_WORDS] = array("q", [src]) * len(lengths)
+        if _SWAP:
+            words.byteswap()
+        self._buf += words
+        end = max(map(add, starts, lengths))
+        if end > self._size:
+            self._size = end
         self._flat = None
 
     def grow_last(self, extra: int) -> None:
@@ -140,13 +159,13 @@ class ExtentJournal:
         self._size = max(self._size, other._size)
         self._flat = None
 
-    def records(self) -> np.ndarray:
-        """Zero-copy :data:`RECORD_DTYPE` view of the records.
+    def records(self) -> Iterator[Tuple[int, int, int, float, int, int]]:
+        """The records as ``(start, length, src_off, stamp, src, pad)`` tuples.
 
-        The journal cannot grow while the view is alive, so drop it before
-        the next append.
+        The journal cannot grow while the iterator is alive, so drop it
+        before the next append.
         """
-        return np.frombuffer(self._buf, dtype=RECORD_DTYPE)
+        return RECORD.iter_unpack(self._buf)
 
     def tobytes(self, lo: int = 0, hi: Optional[int] = None) -> bytes:
         """On-media bytes of records [lo, hi) (all records by default)."""
@@ -161,28 +180,27 @@ class ExtentJournal:
     def flatten(self) -> "FlatMap":
         """Resolve to a non-overlapping map; cached until the next append."""
         if self._flat is None:
-            recs = self.records()
-            self._flat = _flatten(recs["start"], recs["length"], recs["src"],
-                                  recs["src_off"], recs["stamp"], self._size)
+            self._flat = _flatten(self._buf, self._size)
         return self._flat
 
 
 class FlatMap:
     """A resolved, sorted, non-overlapping extent map supporting range queries.
 
-    The four columns (start, end, src, src_off) are stored once, as
-    ``array('q')``.  :meth:`query` is the per-read hot path: a read of a
-    small transfer touches one or two rows, so it bisects the start column
-    and walks those rows as Python ints, with no numpy call per query.
-    :meth:`segments` yields every row.
+    The four columns (start, length, src, src_off) are stored once, as
+    ``array('q')``; a map of disjoint records takes them as strided slices
+    of its journal's packed records, sorted by start.  :meth:`query` is
+    the per-read hot path: a read of a small transfer touches one or two
+    rows, so it bisects the start column and walks those rows as Python
+    ints.  :meth:`segments` yields every row.
     """
 
-    __slots__ = ("_starts", "_ends", "_srcs", "_src_offs", "size")
+    __slots__ = ("_starts", "_lengths", "_srcs", "_src_offs", "size")
 
-    def __init__(self, starts: array, ends: array, srcs: array, src_offs: array,
+    def __init__(self, starts: array, lengths: array, srcs: array, src_offs: array,
                  size: int):
         self._starts = starts
-        self._ends = ends
+        self._lengths = lengths
         self._srcs = srcs
         self._src_offs = src_offs
         self.size = size
@@ -192,7 +210,8 @@ class FlatMap:
 
     def segments(self) -> Iterator[Segment]:
         """All written segments, in offset order."""
-        return zip(self._starts, self._ends, self._srcs, self._src_offs)
+        return zip(self._starts, map(add, self._starts, self._lengths),
+                   self._srcs, self._src_offs)
 
     def query(self, offset: int, length: int) -> List[Segment]:
         """Segments covering [offset, offset+length), holes included as src=HOLE.
@@ -208,7 +227,7 @@ class FlatMap:
         # The rows that can overlap are those starting before hi, from the
         # last one starting at or before lo (which may end before lo and
         # then adds nothing).
-        starts, ends = self._starts, self._ends
+        starts, lengths = self._starts, self._lengths
         i = bisect_right(starts, lo) - 1
         if i < 0:
             i = 0
@@ -218,7 +237,7 @@ class FlatMap:
             if pos < s:
                 out.append((pos, s, HOLE, 0))
                 pos = s
-            e = ends[k]
+            e = s + lengths[k]
             seg_end = e if e < hi else hi
             if seg_end > pos:
                 out.append((pos, seg_end, self._srcs[k], self._src_offs[k] + (pos - s)))
@@ -228,38 +247,60 @@ class FlatMap:
         return out
 
 
-def _gather(values: np.ndarray, rows: np.ndarray) -> array:
-    """``values[rows]`` as a new ``array('q')`` column.
-
-    numpy writes the rows straight into the column's buffer, so no numpy
-    copy of the column ever exists next to it (``mode="clip"`` keeps
-    ``take`` from buffering; every row is in range).
-    """
-    col = array("q", [0]) * len(rows)
-    np.take(values, rows, out=np.frombuffer(col, dtype=np.int64), mode="clip")
-    return col
-
-
 def _empty(size: int) -> FlatMap:
     return FlatMap(array("q"), array("q"), array("q"), array("q"), size)
 
 
-def _flatten(start: np.ndarray, length: np.ndarray, src: np.ndarray,
-             src_off: np.ndarray, stamp: np.ndarray, size: int) -> FlatMap:
-    n = len(start)
-    if n == 0:
+def _resolve(words: array, size: int) -> Optional[FlatMap]:
+    """The map of records in start order, if each ends before the next starts."""
+    start, length = words[0::_WORDS], words[1::_WORDS]
+    if not all(map(le, map(add, start, length), islice(start, 1, None))):
+        return None
+    return FlatMap(start, length, words[4::_WORDS], words[2::_WORDS], size)
+
+
+def _swap_start_bytes(recs: bytearray) -> None:
+    """Reverse the bytes of every record's start field, in place.
+
+    Little-endian starts become big-endian (and back), so, starts being
+    never negative, the byte order of two swapped records is the order
+    of their starts.
+    """
+    for k in range(4):
+        recs[k::RECORD_BYTES], recs[7 - k::RECORD_BYTES] = \
+            recs[7 - k::RECORD_BYTES], recs[k::RECORD_BYTES]
+
+
+def _flatten(buf: bytearray, size: int) -> FlatMap:
+    if not buf:
         return _empty(0)
-    end = start + length
-    order = np.lexsort((src, stamp, start))
-    s, e = _gather(start, order), _gather(end, order)
-    sv, ev = np.frombuffer(s, dtype=np.int64), np.frombuffer(e, dtype=np.int64)
-    if np.all(ev[:-1] <= sv[1:]):
-        # Fast path: already disjoint once sorted by start.
-        return FlatMap(s, e, _gather(src, order), _gather(src_off, order), size)
-    return _paint(start, end, src, src_off, stamp, size)
+    flat = _resolve(_column_words(buf), size)  # fast path: rows in start order
+    if flat is not None:
+        return flat
+    # Sort the packed records themselves, as bytes keyed by start.
+    # Sorting by start alone matches a sort by (start, stamp, src): rows
+    # with equal starts overlap (every length is positive), so a tie
+    # always ends on the slow path, which takes the journal order.
+    # Host memory: the sorted rows go back into the one copy, a few at a
+    # time, as a join holds a buffer descriptor (80 B) per row it joins.
+    keyed = bytearray(buf)
+    _swap_start_bytes(keyed)
+    rows = list(map(itemgetter(0), _ROW.iter_unpack(keyed)))
+    rows.sort()
+    for i in range(0, len(rows), _JOIN_ROWS):
+        keyed[i * RECORD_BYTES:(i + _JOIN_ROWS) * RECORD_BYTES] = \
+            b"".join(rows[i:i + _JOIN_ROWS])
+    del rows
+    _swap_start_bytes(keyed)
+    words = _column_words(keyed)
+    del keyed
+    flat = _resolve(words, size)
+    if flat is not None:
+        return flat
+    return _paint(_column_words(buf), _column_words(buf, "d")[3::_WORDS], size)
 
 
-def _paint(start, end, src, src_off, stamp, size) -> FlatMap:
+def _paint(words: array, stamp: array, size: int) -> FlatMap:
     """Last-writer-wins resolution of overlapping records.
 
     Elementary-interval painting: split the axis at every record boundary,
@@ -267,10 +308,12 @@ def _paint(start, end, src, src_off, stamp, size) -> FlatMap:
     not-yet-painted elementary slots it spans.  A union-find next-pointer
     array makes each slot cost amortized ~O(α).
     """
-    bounds = np.unique(np.concatenate([start, end]))
-    slot_of = {int(b): i for i, b in enumerate(bounds)}
+    start, src, src_off = words[0::_WORDS], words[4::_WORDS], words[2::_WORDS]
+    end = list(map(add, start, words[1::_WORDS]))
+    bounds = sorted(set(start).union(end))
+    slot_of = {b: i for i, b in enumerate(bounds)}
     m = len(bounds) - 1  # number of elementary slots
-    winner = np.full(m, -1, dtype=np.int64)
+    winner = [-1] * m
     nxt = list(range(m + 1))  # next unpainted slot at or after i
 
     def find(i: int) -> int:
@@ -281,35 +324,30 @@ def _paint(start, end, src, src_off, stamp, size) -> FlatMap:
             nxt[i], i = root, nxt[i]
         return root
 
-    # Newest first: descending (stamp, src), ties broken arbitrarily after.
-    order = np.lexsort((src, stamp))[::-1]
-    for rec in order:
-        rec = int(rec)
-        j = find(slot_of[int(start[rec])])
-        stop = slot_of[int(end[rec])]
+    # Newest first: descending (stamp, src), and of records equal in both
+    # the later one first (the reverse of a stable ascending sort).
+    keys = list(zip(stamp, src))
+    for rec in sorted(range(len(keys)), key=keys.__getitem__)[::-1]:
+        j = find(slot_of[start[rec]])
+        stop = slot_of[end[rec]]
         while j < stop:
             winner[j] = rec
             nxt[j] = j + 1
             j = find(j + 1)
 
-    painted = np.nonzero(winner >= 0)[0]
-    if len(painted) == 0:
-        return _empty(size)
-    w = winner[painted]
-    seg_start = bounds[painted]
-    seg_end = bounds[painted + 1]
-    seg_src = src[w]
-    seg_off = src_off[w] + (seg_start - start[w])
-    # Merge adjacent slots that continue the same record's mapping.
-    keep = np.ones(len(painted), dtype=bool)
-    if len(painted) > 1:
-        contiguous = (
-            (seg_start[1:] == seg_end[:-1])
-            & (w[1:] == w[:-1])
-        )
-        keep[1:] = ~contiguous
-    idx = np.nonzero(keep)[0]
-    # End of each merged run = end of the slot just before the next kept one.
-    run_last = np.append(idx[1:] - 1, len(painted) - 1)
-    return FlatMap(_gather(seg_start, idx), _gather(seg_end, run_last),
-                   _gather(seg_src, idx), _gather(seg_off, idx), size)
+    # One row per run of adjacent slots that continue the same record.
+    starts, lengths, srcs, src_offs = array("q"), array("q"), array("q"), array("q")
+    last_slot = last_rec = -2
+    for j, rec in enumerate(winner):
+        if rec < 0:
+            continue
+        if j == last_slot + 1 and rec == last_rec:
+            lengths[-1] += bounds[j + 1] - bounds[j]
+        else:
+            lo = bounds[j]
+            starts.append(lo)
+            lengths.append(bounds[j + 1] - lo)
+            srcs.append(src[rec])
+            src_offs.append(src_off[rec] + (lo - start[rec]))
+        last_slot, last_rec = j, rec
+    return FlatMap(starts, lengths, srcs, src_offs, size)

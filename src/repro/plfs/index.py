@@ -9,7 +9,7 @@ anyway).  Resolution reuses :class:`repro.pfs.extents.ExtentJournal`, the
 same machinery the simulated PFS uses for file contents.
 
 Index logs are real files on the backing store, and their records are the
-journal's own packed records (:data:`repro.pfs.extents.RECORD_DTYPE`, the
+journal's own packed records (:data:`repro.pfs.extents.RECORD`, the
 weight of the C struct), so aggregation strategies move and pay for real
 bytes, and a log serializes and parses by slicing.
 """
@@ -19,15 +19,14 @@ from __future__ import annotations
 import struct
 from typing import Dict, Iterable, Tuple
 
-import numpy as np
-
 from ..errors import PLFSError
 from ..pfs.data import DataView, LiteralData
-from ..pfs.extents import RECORD_BYTES, RECORD_DTYPE, ExtentJournal, FlatMap
+from ..pfs.extents import RECORD_BYTES, ExtentJournal, FlatMap
 
 __all__ = ["WriterIndex", "GlobalIndex"]
 
 _HEADER = struct.Struct("<qq")  # global.index: (records, writers)
+_WRITER_ROW = struct.Struct("<qq")  # its writer table: (writer id, node id)
 
 
 class WriterIndex:
@@ -83,11 +82,11 @@ class WriterIndex:
         Every record is attributed to *writer_id*, the writer the log's
         name gives.
         """
-        raw = view.materialize()
-        if raw.size % RECORD_BYTES:
-            raise PLFSError(f"index log size {raw.size} not a record multiple")
+        raw = view.to_bytes()
+        if len(raw) % RECORD_BYTES:
+            raise PLFSError(f"index log size {len(raw)} not a record multiple")
         gi = GlobalIndex()
-        gi.journal.extend_records(raw.view(RECORD_DTYPE), src=writer_id)
+        gi.journal.extend_records(raw, src=writer_id)
         gi.writers[writer_id] = node_id
         return gi
 
@@ -137,22 +136,21 @@ class GlobalIndex:
     # -- media form (the flatten strategy's global.index file) ----------------
     def serialize(self) -> LiteralData:
         """Header (record and writer counts), records, then writer table."""
-        wtab = np.array(sorted(self.writers.items()), dtype="<i8")
+        wtab = b"".join([_WRITER_ROW.pack(*row) for row in sorted(self.writers.items())])
         return LiteralData(_HEADER.pack(len(self.journal), len(self.writers))
-                           + self.journal.tobytes() + wtab.tobytes())
+                           + self.journal.tobytes() + wtab)
 
     @classmethod
     def deserialize(cls, view: DataView) -> "GlobalIndex":
-        raw = view.materialize()
-        if raw.size < _HEADER.size:
+        raw = view.to_bytes()
+        if len(raw) < _HEADER.size:
             raise PLFSError("global index blob too short")
         n, w = _HEADER.unpack_from(raw)
         body = _HEADER.size + n * RECORD_BYTES
-        need = body + w * 16
-        if n < 0 or w < 0 or raw.size != need:
-            raise PLFSError(f"global index blob size {raw.size} != expected {need}")
+        need = body + w * _WRITER_ROW.size
+        if n < 0 or w < 0 or len(raw) != need:
+            raise PLFSError(f"global index blob size {len(raw)} != expected {need}")
         gi = cls()
-        gi.journal.extend_records(raw[_HEADER.size:body].view(RECORD_DTYPE))
-        wtab = raw[body:].view("<i8").reshape(w, 2)
-        gi.writers = {int(a): int(b) for a, b in wtab}
+        gi.journal.extend_records(memoryview(raw)[_HEADER.size:body])
+        gi.writers = dict(_WRITER_ROW.iter_unpack(memoryview(raw)[body:]))
         return gi

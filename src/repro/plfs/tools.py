@@ -91,7 +91,7 @@ def plfs_check(layout: ContainerLayout, client: Client) -> Generator:
 
     # Per-writer: compare indexed coverage against the data log's size.
     per_writer_end = {}
-    for _start, length, src_off, _stamp, w, _pad in gi.journal.records().tolist():
+    for _start, length, src_off, _stamp, w, _pad in gi.journal.records():
         per_writer_end[w] = max(per_writer_end.get(w, 0), src_off + length)
     for writer, node_id in sorted(gi.writers.items()):
         vol = layout.subdir_volume(layout.subdir_for_writer(node_id))

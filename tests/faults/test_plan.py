@@ -64,7 +64,7 @@ class TestPlanViews:
 class TestGeneration:
     def test_same_seed_same_schedule(self):
         kw = dict(horizon=100.0, mtbf=10.0,
-                  kinds=["osd_outage", "mds_crash"], n_osds=8, n_ranks=16)
+                  kinds=["osd_outage", "mds_crash"], n_osds=8)
         a = FaultPlan.generate(42, **kw)
         b = FaultPlan.generate(42, **kw)
         assert a.events == b.events
@@ -89,6 +89,11 @@ class TestGeneration:
             FaultPlan.generate(0, horizon=0.0, mtbf=1.0)
         with pytest.raises(ConfigError):
             FaultPlan.generate(0, horizon=1.0, mtbf=1.0, kinds=["nope"])
+
+    def test_writer_kills_are_not_generated(self):
+        """Writer kills are placed by byte offset, never drawn by time."""
+        with pytest.raises(ConfigError):
+            FaultPlan.generate(0, horizon=100.0, mtbf=10.0, kinds=["writer_kill"])
 
     def test_signature_stable_across_processes(self):
         """Substreams use crc32, not salted hash(): a --jobs worker process

@@ -75,6 +75,47 @@ class TestSpecs:
         assert lit.content_equal(LiteralData(b"hello world"))
         assert not lit.content_equal(LiteralData(b"hello worlD"))
 
+    def test_literal_slices(self):
+        lit = LiteralData(b"hello world")
+        assert lit.slice(6, 5).to_bytes() == b"world"
+        assert lit.slice(6, 5).length == 5
+        assert lit.slice(0, 0).to_bytes() == b""
+        assert lit.slice(0, 11).to_bytes() == b"hello world"
+        assert lit.slice(2, 7).slice(1, 3).to_bytes() == b"lo "
+        assert lit.slice(4, 3).materialize().tobytes() == b"o w"
+        with pytest.raises(InvalidArgument):
+            lit.slice(6, 6)
+
+    def test_literal_slice_equality(self):
+        lit = LiteralData(b"abcabc")
+        assert lit.slice(0, 3).content_equal(lit.slice(3, 3))
+        assert lit.slice(0, 3).content_equal(LiteralData(b"abc"))
+        assert not lit.slice(0, 3).content_equal(lit.slice(1, 3))
+        assert lit.slice(0, 6).content_equal(lit)
+        assert not lit.slice(0, 5).content_equal(lit)
+
+    def test_literal_accepts_any_bytes_like(self):
+        want = LiteralData(b"\x01\x02\x03")
+        for data in (bytearray(b"\x01\x02\x03"), memoryview(b"\x01\x02\x03"),
+                     np.array([1, 2, 3], dtype=np.uint8)):
+            lit = LiteralData(data)
+            assert lit.length == 3
+            assert lit.to_bytes() == b"\x01\x02\x03"
+            assert lit.content_equal(want) and want.content_equal(lit)
+
+    def test_literal_holds_a_copy(self):
+        buf = bytearray(b"abc")
+        lit = LiteralData(buf)
+        buf[0] = ord("z")
+        assert lit.to_bytes() == b"abc"
+
+    def test_literal_equals_pattern_of_the_same_bytes(self):
+        pat = PatternData(4, 100, 64)
+        lit = LiteralData(pat.materialize())
+        assert lit.content_equal(pat) and pat.content_equal(lit)
+        assert lit.slice(10, 20).content_equal(pat.slice(10, 20))
+        assert not lit.slice(10, 20).content_equal(pat.slice(11, 20))
+
     def test_cross_kind_equality_materializes_small(self):
         zero = ZeroData(4)
         lit = LiteralData(b"\x00\x00\x00\x00")
@@ -108,6 +149,13 @@ class TestDataView:
         a = DataView([PatternData(1, 0, 10), PatternData(1, 10, 10)])
         b = DataView([PatternData(1, 0, 10), PatternData(2, 10, 10)])
         assert not a.content_equal(b)
+
+    def test_to_bytes_joins_literal_and_generated_pieces(self):
+        v = DataView([LiteralData(b"ab"), ZeroData(2), PatternData(3, 5, 4),
+                      LiteralData(b"cd").slice(1, 1)])
+        assert v.to_bytes() == (b"ab" + bytes(2) + pattern_bytes(3, 5, 4).tobytes()
+                                + b"d")
+        assert v.to_bytes() == v.materialize().tobytes()
 
     def test_empty_views_equal(self):
         assert DataView([]).content_equal(DataView([]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidArgument
+from repro.pfs import extents
 from repro.pfs.extents import HOLE, ExtentJournal
 
 
@@ -165,7 +166,11 @@ class TestQuery:
 
 
 class TestScale:
-    def test_large_disjoint_flatten_is_fast_path(self):
+    def test_large_disjoint_flatten_is_fast_path(self, monkeypatch):
+        def no_paint(*args):
+            raise AssertionError("disjoint records must not be painted")
+
+        monkeypatch.setattr(extents, "_paint", no_paint)
         j = ExtentJournal()
         n = 200_000
         starts = np.random.default_rng(0).permutation(n) * 10

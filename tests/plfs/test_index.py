@@ -1,25 +1,33 @@
 """Unit tests for PLFS index records, serialization, and merging."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.errors import InvalidArgument, PLFSError
 from repro.pfs.data import DataView, LiteralData
-from repro.pfs.extents import RECORD_BYTES, RECORD_DTYPE
+from repro.pfs.extents import RECORD, RECORD_BYTES
 from repro.plfs.index import GlobalIndex, WriterIndex
+
+PAIR = struct.Struct("<qq")
+
+
+def packed(rows):
+    """Index records (start, length, src_off, stamp, src, pad), packed."""
+    return b"".join(RECORD.pack(*row) for row in rows)
 
 
 def media(*rows):
-    """On-media bytes of index records (start, length, src_off, stamp, src, pad)."""
-    return DataView.of(LiteralData(np.array(list(rows), dtype=RECORD_DTYPE).view(np.uint8)))
+    """On-media bytes of index records."""
+    return DataView.of(LiteralData(packed(rows)))
 
 
 def global_blob(records, writers):
     """A global.index file: (records, writers) header, records, writer table."""
-    head = np.array([len(records), len(writers)], dtype="<i8").view(np.uint8)
-    recs = np.array(records, dtype=RECORD_DTYPE).view(np.uint8)
-    wtab = np.array(sorted(writers.items()), dtype="<i8").reshape(-1, 2).view(np.uint8).ravel()
-    return DataView.of(LiteralData(np.concatenate([head, recs, wtab])))
+    head = PAIR.pack(len(records), len(writers))
+    wtab = b"".join(PAIR.pack(*row) for row in sorted(writers.items()))
+    return DataView.of(LiteralData(head + packed(records) + wtab))
 
 
 class TestWriterIndex:
@@ -47,7 +55,7 @@ class TestWriterIndex:
     def test_parse_rejects_misaligned(self):
         with pytest.raises(PLFSError):
             WriterIndex.parse(DataView.of(LiteralData(b"x" * 47)), 0, 0)
-        whole = media((0, 10, 0, 1.0, 1, 0), (10, 10, 10, 1.0, 1, 0)).materialize()
+        whole = media((0, 10, 0, 1.0, 1, 0), (10, 10, 10, 1.0, 1, 0)).to_bytes()
         with pytest.raises(PLFSError):
             WriterIndex.parse(DataView.of(LiteralData(whole[:-1])), 1, 0)
 
@@ -61,10 +69,10 @@ class TestWriterIndex:
         w.record(0, 10, physical=0, stamp=1.0)
         w.record(10, 10, physical=10, stamp=2.0)   # coalesces into record 0
         w.record(100, 5, physical=20, stamp=3.0)
-        blob = w.serialize().materialize()
-        assert blob.tobytes() == w.journal.tobytes()
-        assert blob.view(RECORD_DTYPE).tolist() == [(0, 20, 0, 1.0, 4, 0),
-                                                     (100, 5, 20, 3.0, 4, 0)]
+        blob = w.serialize().to_bytes()
+        assert blob == w.journal.tobytes()
+        assert list(RECORD.iter_unpack(blob)) == [(0, 20, 0, 1.0, 4, 0),
+                                                  (100, 5, 20, 3.0, 4, 0)]
         gi = WriterIndex.parse(DataView.of(w.serialize()), writer_id=4, node_id=1)
         assert list(gi.flatten().segments()) == list(w.journal.flatten().segments())
         assert gi.journal.tobytes() == w.journal.tobytes()
@@ -145,18 +153,18 @@ class TestGlobalIndex:
         assert gi2.journal.tobytes() == gi.journal.tobytes()
         assert gi2.logical_size == gi.logical_size
         assert list(gi2.flatten().segments()) == list(gi.flatten().segments())
-        assert np.array_equal(gi2.serialize().materialize(), blob.materialize())
+        assert gi2.serialize().to_bytes() == blob.to_bytes()
 
     def test_empty_serialize_deserialize(self):
         gi = GlobalIndex.deserialize(DataView.of(GlobalIndex().serialize()))
         assert len(gi) == 0 and gi.writers == {}
 
     def test_deserialize_rejects_a_partial_record(self):
-        good = global_blob([(0, 10, 0, 1.0, 1, 0)], {1: 0}).materialize()
-        head = np.array([1, 0], dtype="<i8").view(np.uint8)
+        good = global_blob([(0, 10, 0, 1.0, 1, 0)], {1: 0}).to_bytes()
+        head = PAIR.pack(1, 0)
         with pytest.raises(PLFSError):
             GlobalIndex.deserialize(DataView.of(LiteralData(
-                np.concatenate([head, good[16:16 + RECORD_BYTES - 1]]))))
+                head + good[16:16 + RECORD_BYTES - 1])))
 
     @pytest.mark.parametrize("field", ["start", "length", "src_off"])
     def test_deserialize_rejects_a_negative_field(self, field):
@@ -177,10 +185,10 @@ class TestGlobalIndex:
         with pytest.raises(PLFSError):
             GlobalIndex.deserialize(DataView.of(LiteralData(b"short")))
         good = self.build().serialize()
-        bad = LiteralData(good.materialize()[:-8])
+        bad = LiteralData(good.to_bytes()[:-8])
         with pytest.raises(PLFSError):
             GlobalIndex.deserialize(DataView.of(bad))
-        negative = np.array([-1, 3], dtype="<i8").view(np.uint8)  # sizes add up to 16
+        negative = PAIR.pack(-1, 3)  # sizes add up to 16
         with pytest.raises(PLFSError):
             GlobalIndex.deserialize(DataView.of(LiteralData(negative)))
 

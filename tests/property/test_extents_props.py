@@ -6,10 +6,12 @@ per-byte reference model under arbitrary record streams.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.pfs.extents import HOLE, RECORD_DTYPE, ExtentJournal
+from repro.errors import InvalidArgument
+from repro.pfs.extents import HOLE, RECORD, ExtentJournal
 
 MAX_POS = 2000
 
@@ -44,6 +46,20 @@ def build(recs):
     return j
 
 
+def packed(recs):
+    """The records in the journal's on-media layout."""
+    return b"".join(RECORD.pack(s, ln, soff, stamp, src, 0)
+                    for s, ln, src, soff, stamp in recs)
+
+
+# Record sets that a sort-order or a tie-break slip would resolve wrongly.
+EQUAL_STARTS = [(10, 20, 1, 0, 0.0), (10, 5, 2, 100, 1.0)]       # newer, shorter
+EQUAL_STARTS_OLDER_LAST = [(10, 5, 2, 100, 1.0), (10, 20, 1, 0, 0.0)]
+EQUAL_STARTS_AND_LENGTHS = [(0, 8, 3, 0, 2.0), (0, 8, 1, 50, 1.0), (0, 8, 2, 90, 3.0)]
+OUT_OF_ORDER = [(100, 10, 1, 0, 0.0), (0, 10, 2, 50, 1.0), (50, 10, 3, 7, 2.0)]
+TIED = [(0, 10, 1, 0, 1.0), (5, 10, 1, 100, 1.0)]  # same (stamp, src): later wins
+
+
 @st.composite
 def distinct_priority_records(draw):
     """Records whose (stamp, src) pairs are unique — resolution is total.
@@ -59,6 +75,10 @@ def distinct_priority_records(draw):
 
 
 @given(distinct_priority_records())
+@example(EQUAL_STARTS)
+@example(EQUAL_STARTS_OLDER_LAST)
+@example(EQUAL_STARTS_AND_LENGTHS)
+@example(OUT_OF_ORDER)
 @settings(max_examples=200, deadline=None)
 def test_flatten_covers_exactly_the_written_bytes(recs):
     j = build(recs)
@@ -71,6 +91,11 @@ def test_flatten_covers_exactly_the_written_bytes(recs):
 
 
 @given(distinct_priority_records())
+@example(EQUAL_STARTS)
+@example(EQUAL_STARTS_OLDER_LAST)
+@example(EQUAL_STARTS_AND_LENGTHS)
+@example(OUT_OF_ORDER)
+@example(TIED)
 @settings(max_examples=100, deadline=None)
 def test_segment_sources_match_reference(recs):
     j = build(recs)
@@ -111,6 +136,11 @@ def test_query_tiles_exactly(recs, offset, length):
 @example([(0, 10, 1, 0, 0.0), (5, 10, 2, 100, 1.0)], 0, 20)     # overlap
 @example([(0, 30, 1, 0, 1.0), (10, 5, 2, 100, 0.0)], 8, 10)     # hidden
 @example([(0, 10, 2, 0, 1.0), (5, 10, 1, 100, 1.0)], 0, 20)     # stamp tie: src 2 wins
+@example(EQUAL_STARTS, 0, 40)                                    # equal starts
+@example(EQUAL_STARTS_OLDER_LAST, 12, 10)
+@example(EQUAL_STARTS_AND_LENGTHS, 0, 10)
+@example(OUT_OF_ORDER, 0, 120)                                   # disjoint, unsorted
+@example(TIED, 0, 20)
 @settings(max_examples=300, deadline=None)
 def test_query_sources_match_reference(recs, offset, length):
     """Every byte of a query maps where the per-byte model says: to the
@@ -176,12 +206,23 @@ def test_extend_equivalent_to_interleaved_append(recs, split):
 
 
 @given(distinct_priority_records())
+@example(OUT_OF_ORDER)
+@example([(0, 0, 1, 0, 0.0), (5, 10, 2, 3, 1.0), (40, 0, 3, 9, 2.0)])  # zero lengths
+@example([(0, 0, 1, 0, 0.0)])                                          # only zero
+@example([(-1, 10, 1, 0, 0.0)])                                        # negative start
+@example([(0, 10, 1, 0, 0.0), (20, -1, 2, 0, 1.0)])                    # negative length
+@example([(0, 10, 1, -1, 0.0)])                                        # negative src_off
 @settings(max_examples=60, deadline=None)
 def test_extend_records_equivalent_to_append(recs):
-    j1 = build(recs)
     j2 = ExtentJournal()
-    j2.extend_records(np.array([(s, ln, soff, stamp, src, 0)
-                                for s, ln, src, soff, stamp in recs], dtype=RECORD_DTYPE))
+    try:
+        j1 = build(recs)
+    except InvalidArgument:
+        with pytest.raises(InvalidArgument):
+            j2.extend_records(packed(recs))
+        assert len(j2) == 0 and j2.size == 0
+        return
+    j2.extend_records(packed(recs))
     assert j2.tobytes() == j1.tobytes()
     assert j2.size == j1.size
     assert list(j2.flatten().segments()) == list(j1.flatten().segments())
