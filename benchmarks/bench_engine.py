@@ -346,14 +346,16 @@ def test_sanitizer_off_overhead_under_two_percent():
         fn()
         return time.perf_counter() - t0
 
-    # Interleave A/B repetitions so frequency scaling and scheduler noise
-    # hit both sides alike; compare the best (least-perturbed) run each.
+    # Alternate A/B on every repetition, swapping which side goes first,
+    # so frequency scaling and scheduler noise hit both sides alike;
+    # compare the best (least-perturbed) run each.
     workload(tracked), workload(None)   # warm up both paths
-    with_tracked = min(timed(lambda: workload(tracked)) for _ in range(7))
-    plain = min(timed(lambda: workload(None)) for _ in range(7))
-    with_tracked = min(with_tracked,
-                       *(timed(lambda: workload(tracked)) for _ in range(3)))
-    plain = min(plain, *(timed(lambda: workload(None)) for _ in range(3)))
+    best = {True: float("inf"), False: float("inf")}
+    for rep in range(10):
+        for use_tracked in ((True, False) if rep % 2 == 0 else (False, True)):
+            wrap = tracked if use_tracked else None
+            best[use_tracked] = min(best[use_tracked], timed(lambda: workload(wrap)))
+    with_tracked, plain = best[True], best[False]
     overhead = with_tracked / plain - 1.0
     assert overhead < 0.02, (
         f"sanitizer-off overhead {overhead:.1%} exceeds 2% "

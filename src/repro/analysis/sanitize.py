@@ -59,7 +59,6 @@ __all__ = [
     "Conflict",
     "Sanitizer",
     "TrackedDict",
-    "TrackedSet",
     "raw_snapshot",
     "sanitizer_of",
     "tracked",
@@ -160,24 +159,25 @@ def sanitizer_of(env: Any) -> Optional[Sanitizer]:
 
 
 def tracked(env: Any, container: Any, name: str) -> Any:
-    """Register *container* (a dict or a set) as shared mutable state.
+    """Register *container*, a dict, as shared mutable state.
 
     With no sanitizer subscribed to *env* this returns *container*
     unchanged — the instrumentation is structurally free when disabled.
-    With one subscribed it returns a :class:`TrackedDict` (or
-    :class:`TrackedSet`) proxy that records read/write vectors per yield
-    epoch.
+    With one subscribed it returns a :class:`TrackedDict` proxy that
+    records read/write vectors per yield epoch.  Anything but a dict
+    raises :class:`TypeError`: no other container has a proxy.
     """
+    if not isinstance(container, dict):
+        raise TypeError(f"tracked({name!r}) needs a dict, "
+                        f"not {type(container).__name__}")
     san = sanitizer_of(env)
     if san is None:
         return container
-    if isinstance(container, set):
-        return TrackedSet(container, san, name)
     return TrackedDict(container, san, name)
 
 
 def raw_snapshot(container: Any) -> Any:
-    """The plain dict/set behind a tracked proxy (identity when untracked).
+    """The plain dict behind a tracked proxy (identity when untracked).
 
     Invariant oracles read simulator state through this so their
     inspections never perturb the sanitizer's read vectors or the model
@@ -185,8 +185,6 @@ def raw_snapshot(container: Any) -> Any:
     """
     if isinstance(container, TrackedDict):
         return container._d
-    if isinstance(container, TrackedSet):
-        return container._s
     return container
 
 
@@ -221,10 +219,10 @@ class _TrackedList:
 class _TrackedBase:
     """Shared version/read-vector bookkeeping for tracked containers.
 
-    Subclasses expose a dict or set surface; every access funnels through
-    :meth:`_note_read` / :meth:`_note_write`, which record the vectors the
-    race detector compares and publish an ``access(container, key,
-    is_write)`` layer event on the engine's bus (the model checker
+    :class:`TrackedDict` exposes the dict surface; every access funnels
+    through :meth:`_note_read` / :meth:`_note_write`, which record the
+    vectors the race detector compares and publish an ``access(container,
+    key, is_write)`` layer event on the engine's bus (the model checker
     subscribes to it for its DPOR footprints).
     """
 
@@ -367,44 +365,3 @@ class TrackedDict(_TrackedBase):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TrackedDict({self.name!r}, {self._d!r})"
-
-
-class TrackedSet(_TrackedBase):
-    """Recording proxy around a plain set of shared simulation state.
-
-    Each element is its own conflict key (membership is the state), so a
-    membership test is a read of that element and ``add``/``discard``
-    are writes to it — a process that checks ``x in s``,
-    yields, and then mutates ``x``'s membership after another process
-    changed it gets flagged exactly like a stale dict write.
-    """
-
-    __slots__ = ("_s",)
-
-    def __init__(self, s: set, san: Sanitizer, name: str):
-        super().__init__(san, name)
-        self._s = s
-
-    def __contains__(self, key: Any) -> bool:
-        self._note_read(key)
-        return key in self._s
-
-    def __len__(self) -> int:
-        return len(self._s)
-
-    def __bool__(self) -> bool:
-        return bool(self._s)
-
-    def add(self, key: Any) -> None:
-        self._note_write(key)
-        self._s.add(key)
-
-    def discard(self, key: Any) -> None:
-        if key in self._s:
-            self._note_write(key, deleted=True)
-            self._s.discard(key)
-        else:
-            self._note_read(key)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TrackedSet({self.name!r}, {self._s!r})"

@@ -104,7 +104,7 @@ def run_lock_point(block: int, scale: Scale) -> float:
     """Direct N-1 write bandwidth with lock blocks of *block* bytes."""
     n = scale.fig2_nprocs
     wl = MPIIOTest(n, size_per_proc=2 * MB, transfer=47 * KB, layout="strided")
-    cfg = panfs(lock_block=block, full_stripe=0, rmw_factor=1.0)
+    cfg = panfs(lock_block=block, full_stripe=0)
     world = build_world(cluster_spec=lanl64(), pfs_cfg=cfg)
     res = run_workload(world, wl, direct_stack(world), do_read=False)
     return res.write.effective_bandwidth

@@ -26,7 +26,7 @@ from typing import Dict
 from ..errors import ConfigError
 from ..units import KiB, MiB
 
-__all__ = ["PfsConfig", "DEFAULT_OP_COSTS", "MD_CACHE_HIT_FACTOR"]
+__all__ = ["PfsConfig", "DEFAULT_OP_COSTS", "MD_CACHE_HIT_FACTOR", "RMW_FACTOR"]
 
 # Relative metadata-op weights, in "op units"; an MDS rated at R ops/s
 # retires R units per second.  Creates dominate (allocation + journaling),
@@ -46,6 +46,10 @@ DEFAULT_OP_COSTS: Dict[str, float] = {
 
 # Fraction of a full open that a client metadata-cache hit costs.
 MD_CACHE_HIT_FACTOR = 0.08
+
+# OSD demand multiplier for a write that is not whole parity groups (when
+# ``full_stripe`` enables RMW): read old data + read parity + write both back.
+RMW_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,6 @@ class PfsConfig:
     lock_grant_time: float = 0.1e-3   # first-touch grant of an uncontended block
 
     # --- RAID read-modify-write (PanFS-style parity groups) ---
-    rmw_factor: float = 1.0          # OSD demand multiplier for partial-stripe writes
     full_stripe: int = 0             # bytes per parity group; 0 disables RMW logic
 
     # --- metadata service ---
@@ -111,17 +114,16 @@ class PfsConfig:
             raise ConfigError("need at least one OSD")
         if self.stripe_width < 1:
             raise ConfigError(f"stripe_width {self.stripe_width} must be >= 1")
-        # stripe_width > n_osds is allowed: lanes wrap around the pool and a
-        # single I/O then submits several lane requests to one OSD (the
-        # OsdPool batches them through Osd.io_many).
+        if self.stripe_width > self.n_osds:
+            # A file's stripe components sit on distinct devices.
+            raise ConfigError(f"stripe_width {self.stripe_width} exceeds "
+                              f"n_osds {self.n_osds}")
         if self.stripe_unit <= 0:
             raise ConfigError("stripe_unit must be positive")
         if self.osd_bw <= 0 or self.mds_ops_per_sec <= 0 or self.dir_ops_per_sec <= 0:
             raise ConfigError("rates must be positive")
         if self.lock_block < 0 or self.lock_revoke_time < 0 or self.lock_grant_time < 0:
             raise ConfigError("lock parameters must be non-negative")
-        if self.rmw_factor < 1.0:
-            raise ConfigError("rmw_factor must be >= 1")
         if self.full_stripe < 0:
             raise ConfigError("full_stripe must be >= 0")
         missing = set(DEFAULT_OP_COSTS) - set(self.op_costs)

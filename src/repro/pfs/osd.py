@@ -15,11 +15,11 @@ like a seek.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.sanitize import tracked
 from ..errors import ConfigError, StorageUnavailable
-from ..sim import Engine, Event, FairShareServer, Join
+from ..sim import Engine, FairShareServer, Join
 from .config import PfsConfig
 
 __all__ = ["Osd", "OsdPool", "stripe_lanes"]
@@ -71,91 +71,6 @@ class Osd:
         if self.down:
             raise StorageUnavailable(
                 f"osd{self.index}", f"OSD {self.index} is down")
-
-    def io(self, obj_uid: int, offset: int, nbytes: int,
-           join: Optional[Join] = None, *,
-           inflate: float = 1.0, seek_mult: float = 1.0,
-           client_id: int = None, is_read: bool = False) -> Event:
-        """Submit one request; returns the device completion event.
-
-        Given a *join*, the request counts toward it and the join is
-        returned instead.  *inflate* multiplies the payload demand
-        (read-modify-write: the old data and parity move too); *seek_mult*
-        multiplies the positioning charge (an RMW's component I/Os each
-        seek).  *client_id*/*is_read* feed the readahead-pollution model.
-        """
-        if nbytes < 0:
-            raise ConfigError(f"bad OSD request length {nbytes}")
-        return _charge(self.cfg, ((self, obj_uid, offset, nbytes),), join,
-                       inflate, seek_mult, client_id, is_read)
-
-    def io_many(self, requests: List[Tuple[int, int, int]], join: Join, *,
-                inflate: float = 1.0, seek_mult: float = 1.0,
-                client_id: int = None, is_read: bool = False) -> None:
-        """Submit several same-instant requests, each counted toward *join*.
-
-        *requests* is ``[(obj_uid, offset, nbytes), ...]``, charged in order
-        (sequentiality tracking sees exactly the sequence a loop of
-        :meth:`io` calls would), then submitted through
-        :meth:`FairShareServer.serve_many` so the whole batch pays one
-        virtual-time advance, one heap restore, and at most one timer —
-        instead of one of each per request.
-        """
-        if any(nbytes < 0 for _, _, nbytes in requests):
-            raise ConfigError(f"bad OSD request lengths {requests}")
-        demands: List[float] = []
-        _charge(self.cfg, [(self, *req) for req in requests], join,
-                inflate, seek_mult, client_id, is_read, demands)
-        self.server.serve_many(demands, join)
-
-
-def _charge(cfg: PfsConfig, requests: Sequence[Tuple[Osd, int, int, int]],
-            join: Optional[Join], inflate: float, seek_mult: float,
-            client_id: Optional[int], is_read: bool,
-            batch: Optional[List[float]] = None) -> Optional[Event]:
-    """Charge ``(osd, obj_uid, offset, nbytes)`` requests in order, and serve
-    each on its OSD as soon as it is charged (counted toward *join* if one
-    is given); returns the last serve's result.  Given a *batch* list, the
-    demands go there instead, for the caller's one ``serve_many``.
-
-    A request's device-time demand, in byte-equivalents: its payload, plus
-    the per-request overhead, plus *seek_mult* seeks when it does not
-    continue the object's previous access, plus the readahead window a read
-    trashes when it breaks another client's stream, plus the payload again
-    ``inflate - 1`` times.  Every OSD request is charged here; the
-    constants are computed once per call, not once per lane.
-    """
-    if inflate < 1.0 or seek_mult < 1.0:
-        raise ConfigError(f"bad OSD request ({inflate}, {seek_mult})")
-    per_op = cfg.osd_op_overhead * cfg.osd_bw
-    seek = seek_mult * cfg.osd_seek_time * cfg.osd_bw
-    # A different client breaking the stream also trashes the object's
-    # readahead window (§IV-D: interleaved shared-file readers defeat
-    # prefetching; private PLFS logs do not).
-    waste = cfg.readahead_waste if is_read and client_id is not None else 0
-    extra = inflate - 1.0
-    done = None
-    for osd, obj_uid, offset, nbytes in requests:
-        if osd.down:
-            osd._check_up()
-        last_end = osd._last_end
-        demand = float(nbytes) + per_op
-        if last_end.get(obj_uid) != offset:
-            osd.seeks += 1
-            demand += seek
-            if waste > 0 and osd._last_client.get(obj_uid, client_id) != client_id:
-                osd.stream_switches += 1
-                demand += waste
-        if client_id is not None:
-            osd._last_client[obj_uid] = client_id
-        last_end[obj_uid] = offset + nbytes
-        osd.requests += 1
-        osd.bytes_moved += nbytes
-        if batch is None:
-            done = osd.server.serve(demand + extra * nbytes, join)
-        else:
-            batch.append(demand + extra * nbytes)
-    return done
 
 
 def stripe_lanes(offset: int, length: int, stripe_unit: int, width: int
@@ -213,34 +128,51 @@ class OsdPool:
         """Device service for a file byte-range I/O, one job per lane
         touched, each counted toward *join*.
 
-        The object uid for sequentiality tracking combines file and lane, so
-        distinct files never alias each other's streams.  Lanes are charged
-        and served in lane order by one :func:`_charge` loop.  When the
-        stripe is wider than the pool (lanes wrap around the OSDs), each
-        OSD's lane requests are batched through :meth:`Osd.io_many` so the
-        device pays one fair-share submission per OSD rather than one per
-        lane.
+        Every OSD request is charged here, lane by lane in lane order, and
+        served on its OSD as soon as it is charged.  A lane's device-time
+        demand, in byte-equivalents: its payload, plus the per-request
+        overhead, plus *seek_mult* seeks when it does not continue the
+        object's previous access, plus the readahead window a read trashes
+        when it breaks another client's stream, plus the payload again
+        ``inflate - 1`` times.  *inflate* models read-modify-write (the old
+        data and parity move too); *seek_mult* that an RMW's component I/Os
+        each seek.  The constants are computed once per call, not once per
+        lane.  The object uid for sequentiality tracking combines file and
+        lane, so distinct files never alias each other's streams; since a
+        stripe never wraps the pool, each lane is on its own OSD.
         """
+        if inflate < 1.0 or seek_mult < 1.0:
+            raise ConfigError(f"bad OSD request ({inflate}, {seek_mult})")
         cfg = self.cfg
         osds, n_osds = self.osds, cfg.n_osds
         base = file_uid * self._uid_mult
-        lanes = stripe_lanes(offset, length, cfg.stripe_unit, cfg.stripe_width)
-        if cfg.stripe_width <= n_osds:
-            # Common case: every lane of one I/O lives on its own OSD.
-            _charge(cfg, [(osds[(file_uid + lane) % n_osds], base + lane, obj_off, nbytes)
-                          for lane, obj_off, nbytes in lanes],
-                    join, inflate, seek_mult, client_id, is_read)
-            return
-        # Wide stripe: group each OSD's lanes (submission-order preserving,
-        # so per-object seek accounting is unchanged) and batch per device.
-        # A lone lane's serve_many is its serve: a lane's demand is never 0.
-        by_osd: Dict[int, List[Tuple[int, int, int]]] = {}
-        for lane, obj_off, nbytes in lanes:
-            by_osd.setdefault((file_uid + lane) % n_osds, []).append(
-                (base + lane, obj_off, nbytes))
-        for osd_index, reqs in by_osd.items():  # repro: noqa[REP004] -- insertion order follows the lane walk above, deterministically
-            osds[osd_index].io_many(reqs, join, inflate=inflate, seek_mult=seek_mult,
-                                    client_id=client_id, is_read=is_read)
+        per_op = cfg.osd_op_overhead * cfg.osd_bw
+        seek = seek_mult * cfg.osd_seek_time * cfg.osd_bw
+        # A different client breaking the stream also trashes the object's
+        # readahead window (§IV-D: interleaved shared-file readers defeat
+        # prefetching; private PLFS logs do not).
+        waste = cfg.readahead_waste if is_read and client_id is not None else 0
+        extra = inflate - 1.0
+        for lane, obj_off, nbytes in stripe_lanes(offset, length, cfg.stripe_unit,
+                                                  cfg.stripe_width):
+            osd = osds[(file_uid + lane) % n_osds]
+            if osd.down:
+                osd._check_up()
+            obj_uid = base + lane
+            last_end = osd._last_end
+            demand = float(nbytes) + per_op
+            if last_end.get(obj_uid) != obj_off:
+                osd.seeks += 1
+                demand += seek
+                if waste > 0 and osd._last_client.get(obj_uid, client_id) != client_id:
+                    osd.stream_switches += 1
+                    demand += waste
+            if client_id is not None:
+                osd._last_client[obj_uid] = client_id
+            last_end[obj_uid] = obj_off + nbytes
+            osd.requests += 1
+            osd.bytes_moved += nbytes
+            osd.server.serve(demand + extra * nbytes, join)
 
     @property
     def total_bytes_moved(self) -> int:

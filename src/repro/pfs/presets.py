@@ -41,8 +41,7 @@ def panfs(**overrides) -> PfsConfig:
         lock_block=8 * 64 * KiB,      # one parity group
         lock_revoke_time=1.5e-3,
         lock_grant_time=0.1e-3,
-        rmw_factor=4.0,               # read old data + read parity + write both back
-        full_stripe=8 * 64 * KiB,
+        full_stripe=8 * 64 * KiB,     # partial groups pay RMW_FACTOR
         mds_ops_per_sec=9000.0,
         dir_ops_per_sec=1400.0,
         mds_latency=0.25e-3,
@@ -65,7 +64,6 @@ def lustre(**overrides) -> PfsConfig:
         lock_block=1 * MiB,
         lock_revoke_time=1.6e-3,
         lock_grant_time=0.15e-3,
-        rmw_factor=1.0,
         full_stripe=0,
         mds_ops_per_sec=12000.0,
         dir_ops_per_sec=1800.0,
@@ -89,7 +87,6 @@ def gpfs(**overrides) -> PfsConfig:
         lock_block=256 * KiB,
         lock_revoke_time=1.1e-3,
         lock_grant_time=0.12e-3,
-        rmw_factor=1.0,
         full_stripe=0,
         mds_ops_per_sec=10000.0,
         dir_ops_per_sec=1500.0,

@@ -20,7 +20,7 @@ from ..cluster import Cluster, Node
 from ..errors import (BadFileHandle, FileNotFound, InvalidArgument,
                       PermissionDenied, StorageUnavailable)
 from ..sim import Engine, Join
-from .config import MD_CACHE_HIT_FACTOR, PfsConfig
+from .config import MD_CACHE_HIT_FACTOR, RMW_FACTOR, PfsConfig
 from .data import DataSpec, DataView
 from .locks import RangeLockManager
 from .mds import MetadataServer
@@ -119,9 +119,9 @@ class FileHandle:
         held = yield from vol.locks.acquire(self.client.client_id, uid, offset, length)
         try:
             inflate = seek_mult = 1.0
-            if cfg.full_stripe > 0 and cfg.rmw_factor > 1.0:
+            if cfg.full_stripe > 0:
                 if offset % cfg.full_stripe or length % cfg.full_stripe:
-                    inflate = cfg.rmw_factor
+                    inflate = RMW_FACTOR
                     seek_mult = 2.0  # the RMW's reads and writes each position
             yield vol.env.timeout(vol.storage_latency)
             join = Join(vol.env)
@@ -320,7 +320,7 @@ class Volume:
                 raise InvalidArgument("bulk_read_files of a directory")
         cfg = self.cfg
         # Degraded-mode gate: the bulk path charges OSD servers directly
-        # (bypassing Osd.io), so check device health here, and do it before
+        # (bypassing OsdPool.io_events), so check device health here, and do it before
         # the in-flight registration below — raising after registering would
         # leave joiners waiting on an event that never fires.
         for osd in self.pool.osds:

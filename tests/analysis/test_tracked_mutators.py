@@ -1,10 +1,10 @@
-"""TrackedDict/TrackedSet mutator coverage: semantics + race visibility.
+"""TrackedDict mutator coverage: semantics + race visibility.
 
-The proxies must (a) behave exactly like the plain containers for every
-mutator the tree uses — ``setdefault``, ``clear``, set ``add``/
-``discard`` — and (b) classify each mutator correctly as read/write so
-check-then-act races *through* those mutators are caught, not just
-plain ``[]``/``del`` ones.
+The proxy must (a) behave exactly like the plain dict for every mutator
+the tree uses — ``setdefault``, ``clear`` — and (b) classify each
+mutator correctly as read/write so check-then-act races *through* those
+mutators are caught, not just plain ``[]``/``del`` ones.  Only dicts
+can be tracked.
 """
 
 import pytest
@@ -12,7 +12,6 @@ import pytest
 from repro.analysis.sanitize import (
     TrackedDict,
     Sanitizer,
-    TrackedSet,
     raw_snapshot,
     sanitizer_of,
     tracked,
@@ -53,28 +52,18 @@ def test_clear_and_views(env):
     assert raw_snapshot(d) == {} and not d
 
 
-# -- TrackedSet semantics ----------------------------------------------------
-
-def test_set_mutators(env):
-    s = tracked(env, set(), "s")
-    assert isinstance(s, TrackedSet)
-    assert not s
-    for k in (1, 2, 3):
-        s.add(k)
-    s.discard(3)
-    s.discard(99)                      # absent: no-op
-    assert 1 in s and 3 not in s and len(s) == 2 and bool(s)
-    assert raw_snapshot(s) == {1, 2}
-
-
 def test_raw_snapshot_identity(env):
-    plain_d, plain_s = {"k": 1}, {1}
+    plain_d = {"k": 1}
     d = tracked(env, plain_d, "d")
-    s = tracked(env, plain_s, "s")
     assert isinstance(d, TrackedDict)
     assert raw_snapshot(d) is plain_d
-    assert raw_snapshot(s) is plain_s
     assert raw_snapshot(plain_d) is plain_d
+
+
+def test_only_dicts_are_tracked(env):
+    """A set has no proxy: tracking one fails loudly, not as a dict proxy."""
+    with pytest.raises(TypeError, match="needs a dict"):
+        tracked(env, set(), "s")
 
 
 # -- race visibility through the mutators ------------------------------------
@@ -110,18 +99,6 @@ def test_clear_after_stale_setdefault_read_flags(env):
 
     assert [c.kind for c in _race(env, reader_steps, writer_steps)] \
         == ["lost-update"]
-
-
-def test_set_add_after_stale_membership_flags(env):
-    s = tracked(env, set(), "s")
-
-    def reader_steps(env):
-        _ = 1 in s
-        yield env.timeout(1.0)
-        s.add(1)
-
-    assert [c.kind for c in _race(env, reader_steps,
-                                  lambda env: s.add(1))] == ["lost-update"]
 
 
 def test_setdefault_same_turn_is_clean(env):

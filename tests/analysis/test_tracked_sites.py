@@ -31,9 +31,9 @@ RUNS = {"F", "C", "T"}
 # (file under src/repro, enclosing function, registry name, covering runs);
 # the comment names the functions that write the registry in those runs.
 SITES = [
-    # _charge: F, C, T
+    # OsdPool.io_events: F, C, T
     ("pfs/osd.py", "Osd.__init__", "f'osd{index}.last-end'", "FCT"),
-    # _charge, on a read with a client id: F, C (federated), T
+    # OsdPool.io_events, on a read with a client id: F, C (federated), T
     ("pfs/osd.py", "Osd.__init__", "f'osd{index}.last-client'", "FCT"),
     # _dir_server: F, C, T; failover: F
     ("pfs/mds.py", "MetadataServer.__init__", "f'{name}.dir-servers'", "FCT"),

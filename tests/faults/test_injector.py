@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError, MDSUnavailable, StorageUnavailable
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
+from repro.sim import Join
 from tests.conftest import make_world
 
 
@@ -46,7 +47,9 @@ class TestCompile:
 
         def proc():
             yield w.env.timeout(0.5)
-            osd.io(1, 0, 100)
+            # One lane of file 3 (within its first stripe unit) is on OSD 3.
+            assert w.volume.pool.lane_osd(3, 0) is osd
+            w.volume.pool.io_events(3, 0, 100, Join(w.env))
 
         with pytest.raises(StorageUnavailable):
             w.env.run_process(proc())

@@ -21,7 +21,7 @@ class TestPfsConfigValidation:
         dict(dir_ops_per_sec=-1),
         dict(lock_block=-1),
         dict(lock_revoke_time=-1),
-        dict(rmw_factor=0.5),
+        dict(n_osds=4, stripe_width=8),  # a stripe may not wrap the pool
         dict(full_stripe=-1),
     ])
     def test_bad_parameters_rejected(self, kw):
@@ -29,9 +29,9 @@ class TestPfsConfigValidation:
             PfsConfig(**kw)
 
     def test_wide_stripe_allowed(self):
-        # Lanes may wrap around the pool: OsdPool batches same-OSD lanes.
-        cfg = PfsConfig(n_osds=4, stripe_width=8)
-        assert cfg.stripe_width == 8
+        # The widest stripe spans the whole pool, one lane per OSD.
+        cfg = PfsConfig(n_osds=4, stripe_width=4)
+        assert cfg.stripe_width == cfg.n_osds == 4
 
     def test_op_costs_must_be_complete(self):
         with pytest.raises(ConfigError, match="op_costs missing"):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.pfs.config import PfsConfig
-from repro.pfs.osd import Osd, OsdPool, stripe_lanes
+from repro.pfs.osd import OsdPool, stripe_lanes
 from repro.sim import Engine, Join
 from repro.units import KiB
 
@@ -59,6 +59,19 @@ class TestStripeLanes:
         assert stripe_lanes(10, 100, 64, 1) == [(0, 10, 100)]
 
 
+def one_osd_pool(env, **kw):
+    """A one-OSD, width-1 pool: each io_events call is one device request,
+    on object ``file_uid * 64`` at the file offset."""
+    return OsdPool(env, PfsConfig(n_osds=1, stripe_width=1, **kw))
+
+
+def io(pool, file_uid, offset, nbytes, **kw):
+    """Submit one request to *pool*; returns the join that completes with it."""
+    join = Join(pool.env)
+    pool.io_events(file_uid, offset, nbytes, join, **kw)
+    return join
+
+
 class TestOsd:
     def cfg(self, **kw):
         defaults = dict(n_osds=4, stripe_unit=64 * KiB, stripe_width=2,
@@ -66,14 +79,21 @@ class TestOsd:
         defaults.update(kw)
         return PfsConfig(**defaults)
 
+    def pool1(self, env, **kw):
+        defaults = dict(stripe_unit=64 * KiB, osd_bw=100e6, osd_seek_time=1e-3,
+                        osd_op_overhead=0.0)
+        defaults.update(kw)
+        return one_osd_pool(env, **defaults)
+
     def test_sequential_access_skips_seek(self):
         env = Engine()
-        osd = Osd(env, self.cfg(), 0)
+        pool = self.pool1(env)
+        osd = pool.osds[0]
 
         def proc(env):
-            yield osd.io(1, 0, 1_000_000)
+            yield io(pool, 1, 0, 1_000_000)
             t1 = env.now
-            yield osd.io(1, 1_000_000, 1_000_000)  # sequential: no seek
+            yield io(pool, 1, 1_000_000, 1_000_000)  # sequential: no seek
             return t1, env.now
 
         t1, t2 = env.run_process(proc(env))
@@ -84,36 +104,35 @@ class TestOsd:
 
     def test_non_sequential_pays_seek(self):
         env = Engine()
-        osd = Osd(env, self.cfg(), 0)
+        pool = self.pool1(env)
 
         def proc(env):
-            yield osd.io(1, 0, 1000)
-            yield osd.io(1, 500_000, 1000)  # jump
-            yield osd.io(1, 0, 1000)        # jump back
+            yield io(pool, 1, 0, 1000)
+            yield io(pool, 1, 500_000, 1000)  # jump
+            yield io(pool, 1, 0, 1000)        # jump back
 
         env.run_process(proc(env))
-        assert osd.seeks == 3
+        assert pool.osds[0].seeks == 3
 
     def test_interleaved_objects_tracked_separately(self):
         env = Engine()
-        osd = Osd(env, self.cfg(), 0)
+        pool = self.pool1(env)
 
         def proc(env):
-            yield osd.io(1, 0, 100)
-            yield osd.io(2, 0, 100)
-            yield osd.io(1, 100, 100)  # still sequential within object 1
-            yield osd.io(2, 100, 100)
+            yield io(pool, 1, 0, 100)
+            yield io(pool, 2, 0, 100)
+            yield io(pool, 1, 100, 100)  # still sequential within object 1
+            yield io(pool, 2, 100, 100)
 
         env.run_process(proc(env))
-        assert osd.seeks == 2  # only the two first-touches
+        assert pool.osds[0].seeks == 2  # only the two first-touches
 
     def test_rmw_inflation(self):
         env = Engine()
-        cfg = self.cfg(osd_seek_time=0.0)
-        osd = Osd(env, cfg, 0)
+        pool = self.pool1(env, osd_seek_time=0.0)
 
         def proc(env):
-            yield osd.io(1, 0, 1_000_000, inflate=3.0)
+            yield io(pool, 1, 0, 1_000_000, inflate=3.0)
             return env.now
 
         assert env.run_process(proc(env)) == pytest.approx(0.03)
@@ -139,103 +158,38 @@ class TestOsd:
         env.run_process(proc(env))
         assert pool.total_bytes_moved == 10 * 64 * KiB
 
-    def test_io_many_matches_loop_of_io(self):
-        """Batched submission must keep the io() loop's exact timing and
-        seek accounting (demands are charged in request order)."""
-        reqs = [(7, 0, 64 * KiB), (7, 64 * KiB, 64 * KiB), (9, 0, 32 * KiB)]
-
-        def completions(batch):
-            env = Engine()
-            osd = Osd(env, self.cfg(), 0)
-            finishes = []
-
-            def proc(env):
-                yield env.timeout(0.25)
-                join = Join(env)
-                if batch:
-                    osd.io_many(list(reqs), join)
-                else:
-                    for r in reqs:
-                        osd.io(*r, join)
-                # Per-request virtual finish times, as the server holds them.
-                finishes.extend(sorted(fv for fv, _, _ in osd.server._jobs))
-                yield join
-                return env.now
-
-            done = env.run_process(proc(env))
-            return finishes, done, osd.seeks, osd.requests, osd.bytes_moved
-
-        assert completions(batch=True) == completions(batch=False)
-
-    def test_wide_stripe_batches_same_osd_lanes(self):
-        """stripe_width > n_osds wraps lanes around the pool; io_events
-        must still count one job per lane, covering every byte."""
-        cfg = PfsConfig(n_osds=2, stripe_unit=64 * KiB, stripe_width=4,
-                        osd_bw=100e6)
+    def test_full_width_stripe_puts_one_lane_on_each_osd(self):
+        """stripe_width == n_osds, the widest stripe allowed: one I/O
+        touching every lane is one request on every OSD."""
         env = Engine()
-        pool = OsdPool(env, cfg)
+        pool = OsdPool(env, self.cfg(stripe_width=4))
 
         def proc(env):
             join = Join(env)
             pool.io_events(3, 0, 8 * 64 * KiB, join)
-            assert join.pending == 4  # one per lane, two lanes per OSD
+            assert join.pending == 4  # one job per lane
             yield join
 
         env.run_process(proc(env))
-        assert pool.total_bytes_moved == 8 * 64 * KiB
-        # Both OSDs served two lanes' worth of the I/O.
-        assert all(osd.bytes_moved == 4 * 64 * KiB for osd in pool.osds)
-
-    @pytest.mark.parametrize("n_osds,width,nbytes", [
-        (2, 3, 3 * 64 * KiB),     # OSD 0 holds two lanes, OSD 1 one
-        (3, 5, 7 * 64 * KiB + 5),  # uneven lanes, a partial tail unit
-    ])
-    def test_wide_stripe_matches_a_loop_of_io(self, n_osds, width, nbytes):
-        """Batched wide-stripe submission, lone-lane groups included, keeps
-        the per-lane io() loop's completion time and device accounting."""
-        cfg = PfsConfig(n_osds=n_osds, stripe_unit=64 * KiB, stripe_width=width,
-                        osd_bw=100e6, osd_seek_time=1e-3, osd_op_overhead=1e-4,
-                        readahead_waste=10_000)
-
-        def completions(batched):
-            env = Engine()
-            pool = OsdPool(env, cfg)
-
-            def proc(env):
-                for offset, client in ((0, 1), (nbytes, 1), (0, 2)):
-                    join = Join(env)
-                    if batched:
-                        pool.io_events(3, offset, nbytes, join, client_id=client,
-                                       is_read=True)
-                    else:
-                        for lane, obj_off, n in stripe_lanes(offset, nbytes,
-                                                             cfg.stripe_unit, width):
-                            pool.lane_osd(3, lane).io(3 * 64 + lane, obj_off, n, join,
-                                                      client_id=client, is_read=True)
-                    yield join
-                return env.now.hex()
-
-            done = env.run_process(proc(env))
-            return done, [(o.seeks, o.stream_switches, o.requests, o.bytes_moved)
-                          for o in pool.osds]
-
-        assert completions(batched=True) == completions(batched=False)
+        assert [osd.requests for osd in pool.osds] == [1, 1, 1, 1]
+        assert all(osd.bytes_moved == 2 * 64 * KiB for osd in pool.osds)
 
 
 class TestReadaheadPollution:
-    def cfg(self, waste):
-        return PfsConfig(n_osds=4, stripe_unit=64 * KiB, stripe_width=2,
-                         osd_bw=100e6, osd_seek_time=0.0, osd_op_overhead=0.0,
-                         readahead_waste=waste)
+    def pool1(self, env, waste):
+        return one_osd_pool(env, stripe_unit=64 * KiB, osd_bw=100e6,
+                            osd_seek_time=0.0, osd_op_overhead=0.0,
+                            readahead_waste=waste)
 
     def test_interleaved_readers_pay_waste(self):
         env = Engine()
-        osd = Osd(env, self.cfg(waste=1_000_000), 0)
+        pool = self.pool1(env, waste=1_000_000)
+        osd = pool.osds[0]
 
         def proc(env):
-            yield osd.io(1, 0, 1000, client_id=7, is_read=True)
+            yield io(pool, 1, 0, 1000, client_id=7, is_read=True)
             t0 = env.now
-            yield osd.io(1, 500_000, 1000, client_id=8, is_read=True)  # switch
+            yield io(pool, 1, 500_000, 1000, client_id=8, is_read=True)  # switch
             return env.now - t0
 
         dt = env.run_process(proc(env))
@@ -244,33 +198,33 @@ class TestReadaheadPollution:
 
     def test_single_reader_random_access_pays_no_waste(self):
         env = Engine()
-        osd = Osd(env, self.cfg(waste=1_000_000), 0)
+        pool = self.pool1(env, waste=1_000_000)
 
         def proc(env):
-            yield osd.io(1, 0, 1000, client_id=7, is_read=True)
-            yield osd.io(1, 500_000, 1000, client_id=7, is_read=True)
+            yield io(pool, 1, 0, 1000, client_id=7, is_read=True)
+            yield io(pool, 1, 500_000, 1000, client_id=7, is_read=True)
 
         env.run_process(proc(env))
-        assert osd.stream_switches == 0
+        assert pool.osds[0].stream_switches == 0
 
     def test_writes_never_pay_waste(self):
         env = Engine()
-        osd = Osd(env, self.cfg(waste=1_000_000), 0)
+        pool = self.pool1(env, waste=1_000_000)
 
         def proc(env):
-            yield osd.io(1, 0, 1000, client_id=7, is_read=False)
-            yield osd.io(1, 500_000, 1000, client_id=8, is_read=False)
+            yield io(pool, 1, 0, 1000, client_id=7, is_read=False)
+            yield io(pool, 1, 500_000, 1000, client_id=8, is_read=False)
 
         env.run_process(proc(env))
-        assert osd.stream_switches == 0
+        assert pool.osds[0].stream_switches == 0
 
     def test_disabled_by_default_config(self):
         env = Engine()
-        osd = Osd(env, self.cfg(waste=0), 0)
+        pool = self.pool1(env, waste=0)
 
         def proc(env):
-            yield osd.io(1, 0, 1000, client_id=7, is_read=True)
-            yield osd.io(1, 500_000, 1000, client_id=8, is_read=True)
+            yield io(pool, 1, 0, 1000, client_id=7, is_read=True)
+            yield io(pool, 1, 500_000, 1000, client_id=8, is_read=True)
 
         env.run_process(proc(env))
-        assert osd.stream_switches == 0
+        assert pool.osds[0].stream_switches == 0

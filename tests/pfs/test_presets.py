@@ -15,13 +15,13 @@ class TestPresets:
 
     def test_panfs_models_client_raid(self):
         cfg = panfs()
-        assert cfg.rmw_factor > 1.0
+        assert cfg.full_stripe > 0  # partial parity groups pay RMW
         assert cfg.full_stripe == 8 * cfg.stripe_unit  # an 8+1 parity group
         assert cfg.lock_block == cfg.full_stripe
 
     def test_lustre_and_gpfs_have_no_client_raid(self):
-        assert lustre().rmw_factor == 1.0
-        assert gpfs().rmw_factor == 1.0
+        assert lustre().full_stripe == 0
+        assert gpfs().full_stripe == 0
 
     def test_lock_granularities_differ(self):
         # Lustre's extent locks are the coarsest; GPFS tokens block-sized.
@@ -35,7 +35,7 @@ class TestPresets:
     def test_cielo_is_a_bigger_panfs(self):
         small, big = panfs(), panfs_cielo()
         assert big.n_osds > small.n_osds
-        assert big.rmw_factor == small.rmw_factor  # same mechanisms
+        assert big.full_stripe == small.full_stripe  # same mechanisms
 
     def test_overrides_apply(self):
         cfg = panfs(n_osds=100, osd_bw=1.0)
