@@ -25,7 +25,7 @@ from .cluster import CIELO, LANL64, Cluster, ClusterSpec
 from .errors import ReproError
 from .harness.setup import World, build_world
 from .mpi import RankContext, run_job
-from .mpiio import Hints, MPIFile, PlfsDriver, UfsDriver
+from .mpiio import MPIFile, PlfsDriver, UfsDriver
 from .pfs import PatternData, PfsConfig, Volume, gpfs, lustre, panfs
 from .plfs import PlfsConfig, PlfsMount
 from .sim import Engine
@@ -42,7 +42,6 @@ __all__ = [
     "build_world",
     "RankContext",
     "run_job",
-    "Hints",
     "MPIFile",
     "PlfsDriver",
     "UfsDriver",

@@ -74,14 +74,9 @@ class StorageNetwork:
     single Ethernet uplink.
     """
 
-    def __init__(self, env: Engine, *, latency: float, aggregate_bw: float):
-        if latency < 0:
-            raise ConfigError("latency must be non-negative")
+    def __init__(self, env: Engine, *, aggregate_bw: float):
         if aggregate_bw <= 0:
             raise ConfigError("bandwidths must be positive")
-        self.env = env
-        self.latency = latency
-        self.aggregate_bw = aggregate_bw
         self.pipe = FairShareServer(env, aggregate_bw, name="storage-pipe")
         self.bytes_moved = 0
 
@@ -98,10 +93,3 @@ class StorageNetwork:
         node.storage_nic.serve(nbytes, join)
         self.pipe.serve(nbytes, join)
 
-    def transfer(self, node: Node, nbytes: int) -> Generator:
-        """Latency plus a full traversal of the network (no device component)."""
-        yield self.env.timeout(self.latency)
-        join = Join(self.env)
-        self.path_events(node, nbytes, join)
-        if join.pending:
-            yield join

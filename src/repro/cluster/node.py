@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..sim import FairShareServer
@@ -145,8 +145,14 @@ class PageCache:
                     self._evict(self._size - cap)
             b = hi + 1
 
-    def hit_bytes(self, file_uid: int, offset: int, length: int) -> int:
-        """Bytes of [offset, offset+length) resident in the cache (block-granular)."""
+    def hit_bytes(self, file_uid: int, offset: int, length: int,
+                  missed: Optional[List[Tuple[int, int]]] = None) -> int:
+        """Bytes of [offset, offset+length) resident in the cache (block-granular).
+
+        When *missed* is given, each maximal run of absent blocks is
+        appended to it as ``(offset, length)``, clipped to the range, in
+        ascending order: the byte ranges a read must fetch from storage.
+        """
         if length <= 0:
             return 0
         bs = self.block_size
@@ -154,6 +160,8 @@ class PageCache:
         runs = self._files.get(file_uid)
         if not runs:
             self.misses += last - b + 1
+            if missed is not None:
+                missed.append((offset, length))
             return 0
         end = offset + length
         hit = 0
@@ -172,6 +180,10 @@ class PageCache:
                 if i + 1 < len(runs) and runs[i + 1].first <= last:
                     hi = runs[i + 1].first - 1
                 self.misses += hi - b + 1
+                if missed is not None:
+                    lo_byte, hi_byte = b * bs, (hi + 1) * bs
+                    lo_byte = lo_byte if lo_byte > offset else offset
+                    missed.append((lo_byte, (hi_byte if hi_byte < end else end) - lo_byte))
             b = hi + 1
         return hit
 

@@ -34,10 +34,8 @@ class ClusterSpec:
             raise ConfigError(f"cluster needs >= 1 node, got {self.n_nodes}")
         if self.storage_client_bw <= 0:
             raise ConfigError("storage client bandwidth must be positive")
-
-    @property
-    def total_cores(self) -> int:
-        return self.n_nodes * self.node.cores
+        if self.storage_latency < 0:
+            raise ConfigError("storage latency must be non-negative")
 
 
 class NodeTable(Sequence):
@@ -98,11 +96,7 @@ class Cluster:
             latency=spec.interconnect_latency,
             bisection_bw=spec.bisection_bw_per_node * spec.n_nodes,
         )
-        self.storage_net = StorageNetwork(
-            env,
-            latency=spec.storage_latency,
-            aggregate_bw=spec.storage_aggregate_bw,
-        )
+        self.storage_net = StorageNetwork(env, aggregate_bw=spec.storage_aggregate_bw)
 
     def node_for_rank(self, rank: int, nprocs: int) -> Node:
         """Block placement of *nprocs* ranks over the cluster's nodes."""

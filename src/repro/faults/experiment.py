@@ -123,7 +123,7 @@ def _recovery_leg(stack_name: str, kind: str, scale: Scale):
     per_proc, record = scale.faults_per_proc, scale.faults_record
     env = world.env
     mount, volume = world.mount, world.volume
-    driver = make_stack(stack_name, world, retry=retry).make_driver()
+    driver = make_stack(stack_name, world, retry=retry)
 
     def fn(ctx):
         if ctx.rank == 0:

@@ -119,10 +119,6 @@ class FaultPlan:
         return FailureClock(self.rng("campaign-failures"), mtbf)
 
     # -- views -------------------------------------------------------------
-    def of_kind(self, *kinds: str) -> Tuple[FaultEvent, ...]:
-        """The schedule restricted to the given kinds."""
-        return tuple(ev for ev in self.events if ev.kind in kinds)
-
     @property
     def component_events(self) -> Tuple[FaultEvent, ...]:
         """Events the injector compiles onto the world."""

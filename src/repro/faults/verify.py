@@ -97,7 +97,7 @@ def verify_recovery(world, stack_name: str, path: str,
     report = RecoveryReport(path=path, stack=stack_name)
     client = Client(node=world.cluster.nodes[0], client_id=_VERIFY_CLIENT_BASE)
     world.drop_caches()
-    driver = make_stack(stack_name, world).make_driver()
+    driver = make_stack(stack_name, world)
 
     def verify():
         if stack_name == "plfs":

@@ -38,9 +38,9 @@ def run_fig2_app_point(label: str, scale: Scale) -> Tuple[float, float]:
     n = scale.fig2_nprocs
     workload = spec.make(n)
     w_direct = build_world(cluster_spec=lanl64())
-    t_direct = _write_time(w_direct, workload, direct_stack(w_direct, spec.hints))
+    t_direct = _write_time(w_direct, workload, direct_stack(w_direct))
     w_plfs = build_world(cluster_spec=lanl64(), federation="none")
-    t_plfs = _write_time(w_plfs, workload, plfs_stack(w_plfs, spec.hints))
+    t_plfs = _write_time(w_plfs, workload, plfs_stack(w_plfs))
     return t_direct, t_plfs
 
 

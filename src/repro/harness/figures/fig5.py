@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List
 
 from ...cluster import lanl64
-from ...mpiio import Hints
 from ...units import KB, MB, MiB
 from ...workloads import (
     IOR,
@@ -35,7 +34,7 @@ __all__ = ["fig5", "KERNELS", "run_fig5_point"]
 
 
 def _kernels(scale: Scale):
-    """(panel id, label, factory, hints, paper-shape note) per kernel."""
+    """(panel id, label, factory, paper-shape note) per kernel."""
     s = scale.fig5_scale
     # Pixie3D per-proc (paper used 1 GB); keep it divisible by its 8 vars.
     big = max(8, (int(s * 64 * MiB) // 8) * 8)
@@ -43,28 +42,22 @@ def _kernels(scale: Scale):
     return [
         ("fig5a", "pixie3d",
          lambda n: Pixie3D(n, per_proc=big, n_vars=8, io_size=8 * MiB),
-         Hints(),
          "direct wins small, PLFS scales better at large counts"),
         ("fig5b", "aramco",
          lambda n: Aramco(n, total_bytes=total_strong, chunk=1 * MiB),
-         Hints(),
          "PLFS up to ~8x at low counts; direct wins at scale (strong scaling: index time dominates)"),
         ("fig5c", "ior",
          lambda n: IOR(n, size_per_proc=int(s * 12 * MB), transfer=1 * MB),
-         Hints(),
          "PLFS wins at all counts, up to ~4.5x"),
         ("fig5d", "madbench",
          lambda n: MADbench(n, matrix_bytes_per_rank=int(s * 8 * MiB),
                             n_components=8, io_size=4 * MiB),
-         Hints(),
          "PLFS wins"),
         ("fig5e", "lanl1",
          lambda n: LANL1(n, per_proc=int(s * 8 * MB), record=500 * KB),
-         Hints(),
          "PLFS wins at all counts; paper max 10x at 384 procs"),
         ("fig5f", "lanl3",
          lambda n: LANL3(n, total_bytes=total_strong, round_bytes=32 * MiB),
-         Hints(cb_enable=True),
          "collective buffering: near parity, PLFS edges ahead at the largest scale"),
     ]
 
@@ -76,12 +69,12 @@ def _read_bw(world, workload: Workload, stack) -> float:
 
 def run_fig5_point(pid: str, n: int, scale: Scale):
     """One (kernel, process count) cell: (direct bw, PLFS bw) in bytes/s."""
-    _, _, factory, hints, _ = next(k for k in _kernels(scale) if k[0] == pid)
+    _, _, factory, _ = next(k for k in _kernels(scale) if k[0] == pid)
     wl = factory(n)
     w_direct = build_world(cluster_spec=lanl64())
-    bw_direct = _read_bw(w_direct, wl, direct_stack(w_direct, hints))
+    bw_direct = _read_bw(w_direct, wl, direct_stack(w_direct))
     w_plfs = build_world(cluster_spec=lanl64(), aggregation="parallel")
-    bw_plfs = _read_bw(w_plfs, wl, plfs_stack(w_plfs, hints))
+    bw_plfs = _read_bw(w_plfs, wl, plfs_stack(w_plfs))
     return bw_direct, bw_plfs
 
 
@@ -92,7 +85,7 @@ def fig5(scale: Scale, jobs: int = 1) -> List[Table]:
                                         [(pid, n, scale) for pid, n in grid],
                                         jobs)))
     tables: List[Table] = []
-    for pid, label, _factory, _hints, note in kernels:
+    for pid, label, _factory, note in kernels:
         table = Table(
             id=pid,
             title=f"{label}: effective read bandwidth [MB/s], PLFS vs direct",

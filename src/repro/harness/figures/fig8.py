@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional, Tuple
 
 from ...cluster import cielo
 from ...pfs import panfs_cielo
@@ -69,14 +69,18 @@ def run_fig8c_point(n: int, scale: Scale):
     return t1, t10
 
 
-def run_fig8d_point(n: int, scale: Scale):
-    """N-N open time at *n* procs: (direct, PLFS-10)."""
+def run_fig8d_point(n: int, scale: Scale) -> float:
+    """N-N open time at *n* procs without PLFS (one MDS, one directory)."""
     wd = build_world(cluster_spec=cielo(), pfs_cfg=panfs_cielo())
-    td = nn_metadata_storm(wd, n, 1, "direct").open_time
-    wp = build_world(cluster_spec=cielo(), pfs_cfg=panfs_cielo(), n_volumes=10,
-                     federation="container")
-    tp = nn_metadata_storm(wp, n, 1, "plfs").open_time
-    return td, tp
+    return nn_metadata_storm(wd, n, 1, "direct").open_time
+
+
+def _nn_plfs_opens(scale: Scale, counts: List[int],
+                   jobs: int) -> Dict[Tuple[int, int], float]:
+    """(procs, MDS count) -> N-N PLFS write-open time, for every count."""
+    grid = [(n, k) for n in scale.fig8_meta_procs for k in counts]
+    return dict(zip(grid, run_points(run_fig8b_point,
+                                     [(n, k, scale) for n, k in grid], jobs)))
 
 
 def fig8a(scale: Scale, jobs: int = 1) -> Table:
@@ -96,19 +100,17 @@ def fig8a(scale: Scale, jobs: int = 1) -> Table:
     return table
 
 
-def fig8b(scale: Scale, jobs: int = 1) -> Table:
-    """N-N write-open time vs federated MDS count."""
+def fig8b(scale: Scale, plfs: Dict[Tuple[int, int], float]) -> Table:
+    """N-N write-open time vs federated MDS count, from the storms in
+    *plfs* (run by :func:`_nn_plfs_opens`)."""
     table = Table(
         id="fig8b",
         title="Cielo N-N write-open time [s] vs MDS count",
         columns=["procs"] + [f"PLFS-{k}" for k in scale.fig8_mds_counts],
         notes="paper: PLFS-1 performs poorly; 10 MDS improves opens significantly",
     )
-    grid = [(n, k) for n in scale.fig8_meta_procs for k in scale.fig8_mds_counts]
-    results = dict(zip(grid, run_points(run_fig8b_point,
-                                        [(n, k, scale) for n, k in grid], jobs)))
     for n in scale.fig8_meta_procs:
-        table.add(n, *[results[(n, k)] for k in scale.fig8_mds_counts])
+        table.add(n, *[plfs[(n, k)] for k in scale.fig8_mds_counts])
     return table
 
 
@@ -129,23 +131,32 @@ def fig8c(scale: Scale, jobs: int = 1) -> Table:
     return table
 
 
-def fig8d(scale: Scale, jobs: int = 1) -> Table:
-    """The 17x headline: direct vs PLFS-10 N-N open time."""
+def fig8d(scale: Scale, jobs: int = 1,
+          plfs: Optional[Dict[Tuple[int, int], float]] = None) -> Table:
+    """The 17x headline: direct vs PLFS-10 N-N open time.
+
+    The PLFS-10 storm is fig8b's; *plfs* passes in fig8b's runs.
+    """
     table = Table(
         id="fig8d",
         title="Cielo N-N open time [s]: PLFS-10 vs direct",
         columns=["procs", "without_plfs", "with_plfs10", "speedup"],
         notes="paper: max speedup 17x at 32,768 processes",
     )
-    for n, (td, tp) in zip(scale.fig8_meta_procs,
-                           run_points(run_fig8d_point,
-                                      [(n, scale) for n in scale.fig8_meta_procs],
-                                      jobs)):
+    if plfs is None:
+        plfs = _nn_plfs_opens(scale, [10], jobs)
+    for n, td in zip(scale.fig8_meta_procs,
+                     run_points(run_fig8d_point,
+                                [(n, scale) for n in scale.fig8_meta_procs],
+                                jobs)):
+        tp = plfs[(n, 10)]
         table.add(n, td, tp, td / tp)
     return table
 
 
 def fig8(scale: Scale, jobs: int = 1) -> List[Table]:
-    """All four §VI panels."""
-    return [fig8a(scale, jobs), fig8b(scale, jobs), fig8c(scale, jobs),
-            fig8d(scale, jobs)]
+    """All four §VI panels; each N-N PLFS storm runs once for (b) and (d)."""
+    counts = sorted(set(scale.fig8_mds_counts) | {10})
+    plfs = _nn_plfs_opens(scale, counts, jobs)
+    return [fig8a(scale, jobs), fig8b(scale, plfs), fig8c(scale, jobs),
+            fig8d(scale, jobs, plfs)]

@@ -1,7 +1,6 @@
-"""MPI-IO layer: File API, ADIO drivers (UFS/PLFS), collective buffering."""
+"""MPI-IO layer: File API, ADIO drivers (UFS/PLFS), two-phase collective I/O."""
 
-from .adio import ADIODriver, PlfsDriver, UfsDriver
+from .adio import Driver, PlfsDriver, UfsDriver
 from .file import MPIFile
-from .hints import Hints
 
-__all__ = ["ADIODriver", "PlfsDriver", "UfsDriver", "MPIFile", "Hints"]
+__all__ = ["Driver", "PlfsDriver", "UfsDriver", "MPIFile"]

@@ -10,15 +10,17 @@ possible.  We mirror that structure: :class:`MPIFile` (in
   file system access, the paper's "without PLFS" baseline);
 * :class:`PlfsDriver` — routes through :class:`repro.plfs.PlfsMount`.
 
-The driver is the one place that knows PLFS from direct access: workloads,
-metadata storms, campaigns and the fault experiment pick a stack by name
-and reach storage through its driver's ``mkdir``/``open``/``write_at``/
-``read_at``/``close``.
+The driver is the one place that knows PLFS from direct access, and it
+*is* the stack: workloads, metadata storms, campaigns and the fault
+experiment pick one by name (``"direct"`` or ``"plfs"``) and reach storage
+through its ``mkdir``/``open``/``write_at``/``read_at``/``close``.  One
+driver serves every rank of a job; it holds only its volume or mount and
+its retry policy.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Union
 
 from ..errors import InvalidArgument, UnsupportedOperation
 from ..faults.policies import RetryPolicy, retrying
@@ -28,43 +30,13 @@ from ..plfs.api import PlfsMount
 from ..plfs.reader import PlfsReadHandle
 from ..plfs.writer import PlfsWriteHandle
 
-__all__ = ["ADIODriver", "UfsDriver", "PlfsDriver"]
+__all__ = ["Driver", "UfsDriver", "PlfsDriver"]
 
 
-class ADIODriver:
-    """Driver interface: mkdir/open/write_at/read_at/close generators, plus size."""
-
-    name = "abstract"
-
-    def mkdir(self, client: Client, path: str) -> Generator:
-        """``mkdir -p`` *path*; free when every component already exists."""
-        raise NotImplementedError
-
-    def open(self, client: Client, comm, path: str, mode: str) -> Generator:
-        """Open *path*; collective when *comm* is given. Returns a handle."""
-        raise NotImplementedError
-
-    def write_at(self, handle, offset: int, spec: DataSpec) -> Generator:
-        """Write *spec* at *offset* through the driver's handle."""
-        raise NotImplementedError
-
-    def read_at(self, handle, offset: int, length: int) -> Generator:
-        """Read a byte range; returns a DataView."""
-        raise NotImplementedError
-
-    def size(self, handle) -> int:
-        """Current (driver-specific) size visible through the handle."""
-        raise NotImplementedError
-
-    def close(self, handle, comm) -> Generator:
-        """Close the handle (collective for PLFS write handles)."""
-        raise NotImplementedError
-
-
-class UfsDriver(ADIODriver):
+class UfsDriver:
     """Direct access to the underlying parallel file system."""
 
-    name = "ufs"
+    name = "direct"
 
     def __init__(self, volume: Volume, retry: RetryPolicy = None):
         self.volume = volume
@@ -108,16 +80,12 @@ class UfsDriver(ADIODriver):
                                    lambda: handle.read(offset, length))
         return view
 
-    def size(self, handle) -> int:
-        """Backing file size."""
-        return handle.size()
-
     def close(self, handle, comm) -> Generator:
         """Plain close (independent, retried under the driver's policy)."""
         yield from retrying(self.volume.env, self.retry, lambda: handle.close())
 
 
-class PlfsDriver(ADIODriver):
+class PlfsDriver:
     """MPI-IO routed through the PLFS middleware (the paper's ADIO layer)."""
 
     name = "plfs"
@@ -160,15 +128,12 @@ class PlfsDriver(ADIODriver):
         view = yield from handle.read(offset, length)
         return view
 
-    def size(self, handle) -> int:
-        """Logical size (reader: global index; writer: own EOF)."""
-        if isinstance(handle, PlfsReadHandle):
-            return handle.size
-        return handle.eof
-
     def close(self, handle, comm) -> Generator:
         """Close; write handles run the configured flatten collectively."""
         if isinstance(handle, PlfsWriteHandle):
             yield from self.mount.close_write(handle, comm)
         else:
             yield from handle.close()
+
+
+Driver = Union[UfsDriver, PlfsDriver]

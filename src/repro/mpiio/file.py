@@ -2,11 +2,11 @@
 
 ``MPIFile.open`` is collective over the job communicator and routes
 through an ADIO driver (UFS = direct PFS, PLFS = the middleware).  The
-``*_at_all`` operations implement two-phase collective buffering [18]
-when the ``cb_enable`` hint is set: ranks exchange their small strided
-pieces over the compute interconnect so that a few aggregator ranks issue
-large contiguous file-system requests — the optimization the paper turns
-on for LANL 3's 1024-byte records (§IV-D6).
+``*_at_all`` operations are two-phase collective buffering [18]: ranks
+exchange their small strided pieces over the compute interconnect so that
+one aggregator rank per node issues large contiguous file-system requests
+— the optimization the paper turns on for LANL 3's 1024-byte records
+(§IV-D6).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from typing import Generator, Iterator, List, Optional, Sequence, Tuple
 from ..errors import InvalidArgument
 from ..pfs.data import CompositeData, DataSpec, DataView
 from ..units import KiB
-from .adio import ADIODriver
-from .hints import Hints
+from .adio import Driver
 
 __all__ = ["MPIFile"]
 
@@ -30,20 +29,17 @@ Request = Tuple[int, int]     # (file offset, length)
 class MPIFile:
     """One rank's view of a collectively opened file."""
 
-    def __init__(self, ctx, driver: ADIODriver, handle, hints: Hints,
-                 path: str, mode: str):
+    def __init__(self, ctx, driver: Driver, handle, path: str):
         self.ctx = ctx
         self.driver = driver
         self.handle = handle
-        self.hints = hints
         self.path = path
-        self.mode = mode
         self.closed = False
 
     # -- lifecycle --------------------------------------------------------------
     @classmethod
-    def open(cls, ctx, path: str, mode: str, driver: ADIODriver,
-             hints: Optional[Hints] = None, *, independent: bool = False) -> Generator:
+    def open(cls, ctx, path: str, mode: str, driver: Driver,
+             *, independent: bool = False) -> Generator:
         """Collective open; every rank of ``ctx.comm`` must call it.
 
         ``independent=True`` skips the rank-0 create choreography — used
@@ -52,7 +48,7 @@ class MPIFile:
         """
         comm = None if independent else ctx.comm
         handle = yield from driver.open(ctx.client, comm, path, mode)
-        return cls(ctx, driver, handle, hints or Hints(), path, mode)
+        return cls(ctx, driver, handle, path)
 
     def close(self) -> Generator:
         """Collective close (PLFS flatten aggregation happens here)."""
@@ -60,9 +56,6 @@ class MPIFile:
             raise InvalidArgument(self.path, "double close")
         yield from self.driver.close(self.handle, self.ctx.comm)
         self.closed = True
-
-    def size(self) -> int:
-        return self.driver.size(self.handle)
 
     # -- independent I/O ---------------------------------------------------------
     def write_at(self, offset: int, spec: DataSpec) -> Generator:
@@ -74,38 +67,21 @@ class MPIFile:
 
     # -- collective I/O -----------------------------------------------------------
     def write_at_all(self, pieces: Sequence[Piece]) -> Generator:
-        """Collective write of this rank's (offset, spec) pieces.
-
-        Without ``cb_enable`` each rank writes its own pieces and the call
-        just synchronizes.  With it, two-phase exchange + aggregation runs.
-        """
-        comm = self.ctx.comm
-        if not self.hints.cb_enable or comm.size == 1:
-            for offset, spec in pieces:
-                yield from self.write_at(offset, spec)
-            yield from comm.barrier()
-            return
+        """Collective write of this rank's (offset, spec) pieces, two-phase."""
         yield from self._two_phase_write(list(pieces))
 
     def read_at_all(self, requests: Sequence[Request]) -> Generator:
         """Collective read; returns one DataView per request, in order."""
-        comm = self.ctx.comm
-        if not self.hints.cb_enable or comm.size == 1:
-            out = []
-            for offset, length in requests:
-                view = yield from self.read_at(offset, length)
-                out.append(view)
-            yield from comm.barrier()
-            return out
         result = yield from self._two_phase_read(list(requests))
         return result
 
     # -- two-phase machinery -----------------------------------------------------
     def _aggregators(self) -> List[int]:
-        comm = self.ctx.comm
-        want = self.hints.cb_nodes or self.ctx.cluster.nodes_used(comm.size)
-        want = max(1, min(want, comm.size))
-        return sorted({(i * comm.size) // want for i in range(want)})
+        """One aggregator per node the job spans (``nodes_used(n) <= n``,
+        so the ranks picked are distinct and ascending)."""
+        size = self.ctx.comm.size
+        n = self.ctx.cluster.nodes_used(size)
+        return [(i * size) // n for i in range(n)]
 
     @staticmethod
     def _split(offset: int, length: int, lo: int, dsize: int,

@@ -129,8 +129,3 @@ class PfsConfig:
         missing = set(DEFAULT_OP_COSTS) - set(self.op_costs)
         if missing:
             raise ConfigError(f"op_costs missing {sorted(missing)}")
-
-    @property
-    def aggregate_osd_bw(self) -> float:
-        """Total streaming bandwidth of the device pool."""
-        return self.n_osds * self.osd_bw

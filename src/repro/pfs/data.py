@@ -14,9 +14,10 @@ deterministically so that
 holds ``pattern_byte(seed, offset + i)``, a cheap integer hash, so any slice
 of a pattern is itself a pattern and equality is O(1) structural.
 :class:`LiteralData` holds real ``bytes`` (PLFS index logs are literal), so
-joining and comparing literal content needs no array.  Only materializing
-imports numpy, inside the functions that do it, so a simulated run that
-never materializes content never loads numpy.
+joining and comparing literal content needs no array.  Only
+:meth:`PatternData.to_bytes` imports numpy, inside :func:`pattern_bytes`,
+so a simulated run that never materializes pattern content never loads
+numpy.
 """
 
 from __future__ import annotations
@@ -66,13 +67,9 @@ class DataSpec:
     def _slice(self, start: int, length: int) -> "DataSpec":
         raise NotImplementedError
 
-    def materialize(self) -> "numpy.ndarray":
-        """Content as a uint8 array (use only when small)."""
-        raise NotImplementedError
-
     def to_bytes(self) -> bytes:
         """Content as ``bytes`` (use only when small)."""
-        return self.materialize().tobytes()
+        raise NotImplementedError
 
     def content_equal(self, other: "DataSpec") -> bool:
         """Exact content equality when structurally decidable; falls back to
@@ -103,12 +100,6 @@ class ZeroData(DataSpec):
     def _slice(self, start: int, length: int) -> "ZeroData":
         return ZeroData(length)
 
-    def materialize(self) -> "numpy.ndarray":
-        """A zero-filled array."""
-        import numpy as np
-
-        return np.zeros(self.length, dtype=np.uint8)
-
     def to_bytes(self) -> bytes:
         """``length`` zero bytes."""
         return bytes(self.length)
@@ -135,9 +126,9 @@ class PatternData(DataSpec):
     def _slice(self, start: int, length: int) -> "PatternData":
         return PatternData(self.seed, self.offset + start, length)
 
-    def materialize(self) -> "numpy.ndarray":
+    def to_bytes(self) -> bytes:
         """The pattern content for this slice."""
-        return pattern_bytes(self.seed, self.offset, self.length)
+        return pattern_bytes(self.seed, self.offset, self.length).tobytes()
 
     def _structural_eq(self, other: DataSpec):
         if isinstance(other, PatternData):
@@ -168,12 +159,6 @@ class LiteralData(DataSpec):
         if length == self.length:  # a whole-file read: share, don't copy
             return self
         return LiteralData(self.data[start:start + length])
-
-    def materialize(self) -> "numpy.ndarray":
-        """The literal bytes, as a read-only uint8 array."""
-        import numpy as np
-
-        return np.frombuffer(self.data, dtype=np.uint8)
 
     def to_bytes(self) -> bytes:
         """The literal bytes."""
@@ -208,9 +193,9 @@ class CompositeData(DataSpec):
             return sub.pieces[0]
         return CompositeData(sub)
 
-    def materialize(self) -> "numpy.ndarray":
+    def to_bytes(self) -> bytes:
         """The concatenated content."""
-        return self.view.materialize()
+        return self.view.to_bytes()
 
     def _structural_eq(self, other: DataSpec):
         # Piecewise comparison is always decidable (recursing into pieces).
@@ -243,14 +228,6 @@ class DataView:
     def of(cls, spec: DataSpec) -> "DataView":
         """A view of a single spec."""
         return cls([spec])
-
-    def materialize(self) -> "numpy.ndarray":
-        """Concatenated content as a uint8 array (use only when small)."""
-        import numpy as np
-
-        if not self.pieces:
-            return np.zeros(0, dtype=np.uint8)
-        return np.concatenate([p.materialize() for p in self.pieces])
 
     def to_bytes(self) -> bytes:
         """Concatenated content as ``bytes``; literal pieces are joined as

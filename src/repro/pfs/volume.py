@@ -14,7 +14,7 @@ modeled time has been charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from ..cluster import Cluster, Node
 from ..errors import (BadFileHandle, FileNotFound, InvalidArgument,
@@ -158,15 +158,17 @@ class FileHandle:
         if length == 0:
             return DataView([])
         cache = self.client.node.page_cache
-        hit = cache.hit_bytes(uid, offset, length)
+        missed: List[Tuple[int, int]] = []
+        hit = cache.hit_bytes(uid, offset, length, missed)
         miss = length - hit
         if hit:
             yield vol.env.timeout(hit / self.client.node.spec.mem_bw)
         if miss > 0:
             yield vol.env.timeout(vol.storage_latency)
             join = Join(vol.env)
-            vol.pool.io_events(uid, offset + hit, miss, join,
-                               client_id=self.client.client_id, is_read=True)
+            for run_off, run_len in missed:
+                vol.pool.io_events(uid, run_off, run_len, join,
+                                   client_id=self.client.client_id, is_read=True)
             vol.storage_net.path_events(self.client.node, miss, join)
             if join.pending:
                 yield join

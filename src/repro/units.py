@@ -28,16 +28,6 @@ USEC = 1e-6
 MSEC = 1e-3
 
 
-def fmt_bytes(n: float) -> str:
-    """Render a byte count with a binary prefix, e.g. ``fmt_bytes(52428800) == '50.0 MiB'``."""
-    n = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB", "PiB"):
-        if abs(n) < 1024.0 or unit == "PiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
-        n /= 1024.0
-    raise AssertionError("unreachable")
-
-
 def fmt_bw(bytes_per_s: float) -> str:
     """Render a bandwidth in decimal units the way the paper quotes them (MB/s, GB/s)."""
     n = float(bytes_per_s)

@@ -3,7 +3,6 @@
 from .appsuite import AppSpec, app_suite
 from .campaign import Campaign, CampaignResult, daly_interval
 from .base import (
-    IOStack,
     PhaseResult,
     Workload,
     WorkloadResult,
@@ -22,7 +21,6 @@ __all__ = [
     "CampaignResult",
     "daly_interval",
     "app_suite",
-    "IOStack",
     "PhaseResult",
     "Workload",
     "WorkloadResult",

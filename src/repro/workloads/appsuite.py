@@ -12,10 +12,9 @@ volumes are scaled to simulation-friendly defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List
 
-from ..mpiio import Hints
 from ..units import KiB, MB, MiB
 from .base import Workload
 from .kernels import LANL3
@@ -26,11 +25,10 @@ __all__ = ["AppSpec", "app_suite"]
 
 @dataclass(frozen=True)
 class AppSpec:
-    """One Fig. 2 application: a label, a workload factory, and its hints."""
+    """One Fig. 2 application: a label and a workload factory."""
 
     label: str
     make: Callable[[int], Workload]
-    hints: Hints = field(default_factory=Hints)
 
 
 def app_suite(scale: float = 1.0) -> List[AppSpec]:
@@ -74,6 +72,5 @@ def app_suite(scale: float = 1.0) -> List[AppSpec]:
         AppSpec(
             label="LANL 3",
             make=lambda n: LANL3(n, total_bytes=sz(512 * MiB), round_bytes=32 * MiB),
-            hints=Hints(cb_enable=True),
         ),
     ]

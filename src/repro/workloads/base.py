@@ -3,10 +3,10 @@
 A :class:`Workload` describes *what* an application does to a file —
 which (offset, length) extents each rank touches per round, shared file
 or file-per-process, collective or independent — and the runner executes
-it against an :class:`IOStack` (direct PFS or PLFS), timing the open /
-write / read / close phases the way the paper reports them: phase times
-are maxima over ranks, and effective bandwidth includes open and close
-(footnote 2).
+it against a stack (the ADIO driver of direct PFS or of PLFS), timing the
+open / write / read / close phases the way the paper reports them: phase
+times are maxima over ranks, and effective bandwidth includes open and
+close (footnote 2).
 
 Content is deterministic per rank (a :class:`PatternData` stream keyed by
 rank), so any reader whose plan matches the write plan can verify content
@@ -16,52 +16,37 @@ byte-exactly without the framework shipping real buffers around.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..faults.policies import RetryPolicy
 from ..harness.setup import World
 from ..mpi import run_job
-from ..mpiio import ADIODriver, Hints, MPIFile, PlfsDriver, UfsDriver
+from ..mpiio import Driver, MPIFile, PlfsDriver, UfsDriver
 from ..pfs.data import PatternData
 from ..sim import JobMetrics
 
-__all__ = ["IOStack", "direct_stack", "plfs_stack", "make_stack", "Workload",
+__all__ = ["direct_stack", "plfs_stack", "make_stack", "Workload",
            "PhaseResult", "WorkloadResult", "run_workload"]
 
 Extent = Tuple[int, int]  # (offset, length)
 
 
-@dataclass(frozen=True)
-class IOStack:
-    """How a job reaches storage: driver factory plus MPI-IO hints."""
-
-    name: str
-    make_driver: Callable[[], ADIODriver]
-    hints: Hints = field(default_factory=Hints)
-
-
-def direct_stack(world: World, hints: Hints = None,
-                 retry: RetryPolicy = None) -> IOStack:
+def direct_stack(world: World, retry: RetryPolicy = None) -> UfsDriver:
     """Direct access to the underlying parallel file system ('W/O PLFS')."""
-    return IOStack(name="direct",
-                   make_driver=lambda: UfsDriver(world.volume, retry=retry),
-                   hints=hints or Hints())
+    return UfsDriver(world.volume, retry=retry)
 
 
-def plfs_stack(world: World, hints: Hints = None,
-               retry: RetryPolicy = None) -> IOStack:
+def plfs_stack(world: World, retry: RetryPolicy = None) -> PlfsDriver:
     """Access through the PLFS middleware's ADIO driver."""
-    return IOStack(name="plfs",
-                   make_driver=lambda: PlfsDriver(world.mount, retry=retry),
-                   hints=hints or Hints())
+    return PlfsDriver(world.mount, retry=retry)
 
 
 _STACKS = {"direct": direct_stack, "plfs": plfs_stack}
 
 
-def make_stack(name: str, world: World, retry: RetryPolicy = None) -> IOStack:
+def make_stack(name: str, world: World, retry: RetryPolicy = None) -> Driver:
     """The stack called *name* (``"direct"`` or ``"plfs"``) over *world*."""
     if name not in _STACKS:
         raise ConfigError(f"stack must be 'plfs' or 'direct', got {name!r}")
@@ -73,7 +58,7 @@ class Workload:
 
     name = "workload"
     shared_file = True          # N-1 (one shared file) vs N-N (file per rank)
-    collective_write = False    # use write_at_all (two-phase when hinted)
+    collective_write = False    # use write_at_all (two-phase I/O)
     collective_read = False
     read_matches_write = True   # restart reads exactly what this rank wrote
 
@@ -166,17 +151,16 @@ def _phase_result(phase: str, metrics: JobMetrics, verified) -> PhaseResult:
     )
 
 
-def _writer_fn(workload: Workload, stack: IOStack):
+def _writer_fn(workload: Workload, stack: Driver):
     parent = workload.file_path(0).rpartition("/")[0]
 
     def fn(ctx):
         path = workload.file_path(ctx.rank)
-        driver = stack.make_driver()
         if ctx.rank == 0 and parent:
-            yield from driver.mkdir(ctx.client, parent)
+            yield from stack.mkdir(ctx.client, parent)
         yield from ctx.comm.barrier()
         ctx.start("open")
-        f = yield from MPIFile.open(ctx, path, "w", driver, stack.hints,
+        f = yield from MPIFile.open(ctx, path, "w", stack,
                                     independent=not workload.shared_file)
         ctx.stop("open")
         ctx.start("write")
@@ -190,7 +174,7 @@ def _writer_fn(workload: Workload, stack: IOStack):
                 # Workload contract: write_rounds(rank) varies offsets
                 # per rank but yields the same *round count* on every
                 # rank (tests/mpi/test_trace.py runs LANL3 under a strict
-                # collective tracer, cb on and off).
+                # collective tracer).
                 yield from f.write_at_all(pieces)
             else:
                 for off, spec in pieces:
@@ -204,12 +188,11 @@ def _writer_fn(workload: Workload, stack: IOStack):
     return fn
 
 
-def _reader_fn(workload: Workload, stack: IOStack, verify: bool):
+def _reader_fn(workload: Workload, stack: Driver, verify: bool):
     def fn(ctx):
         path = workload.file_path(ctx.rank)
         ctx.start("open")
-        f = yield from MPIFile.open(ctx, path, "r", stack.make_driver(),
-                                    stack.hints,
+        f = yield from MPIFile.open(ctx, path, "r", stack,
                                     independent=not workload.shared_file)
         ctx.stop("open")
         ctx.start("read")
@@ -239,7 +222,7 @@ def _reader_fn(workload: Workload, stack: IOStack, verify: bool):
     return fn
 
 
-def run_workload(world: World, workload: Workload, stack: IOStack, *,
+def run_workload(world: World, workload: Workload, stack: Driver, *,
                  do_write: bool = True, do_read: bool = True,
                  cold_read: bool = True, verify: bool = False) -> WorkloadResult:
     """Run the write pass and/or read pass of *workload* over *stack*.

@@ -28,9 +28,8 @@ from ..errors import ConfigError
 from ..faults.plan import FaultPlan
 from ..harness.setup import World
 from ..mpi import run_job
-from ..mpiio import MPIFile
+from ..mpiio import Driver, MPIFile
 from ..pfs.data import PatternData
-from .base import IOStack
 
 __all__ = ["daly_interval", "CampaignResult", "Campaign"]
 
@@ -74,7 +73,7 @@ class CampaignResult:
 class Campaign:
     """A failure-injected compute/checkpoint/restart campaign."""
 
-    def __init__(self, world: World, stack: IOStack, *, nprocs: int,
+    def __init__(self, world: World, stack: Driver, *, nprocs: int,
                  per_proc_bytes: int, record_bytes: int,
                  work_target: float, interval: float, mtbf: float,
                  seed: int = 0, plan: FaultPlan = None, injector=None):
@@ -123,12 +122,11 @@ class Campaign:
         world, stack = self.world, self.stack
 
         def fn(ctx):
-            driver = stack.make_driver()
             if ctx.rank == 0:
-                yield from driver.mkdir(ctx.client, "/campaign")
+                yield from stack.mkdir(ctx.client, "/campaign")
             yield from ctx.comm.barrier()
             f = yield from MPIFile.open(ctx, f"/campaign/ckpt.{version}", "w",
-                                        driver, stack.hints)
+                                        stack)
             written = 0
             while written < self.per_proc:
                 n = min(self.record, self.per_proc - written)
@@ -148,7 +146,7 @@ class Campaign:
 
         def fn(ctx):
             f = yield from MPIFile.open(ctx, f"/campaign/ckpt.{version}", "r",
-                                        stack.make_driver(), stack.hints)
+                                        stack)
             got = 0
             while got < self.per_proc:
                 n = min(self.record, self.per_proc - got)

@@ -39,7 +39,7 @@ def nn_metadata_storm(world: World, nprocs: int, files_per_proc: int,
     one shared directory of volume 0 — the single-MDS, single-directory
     baseline the paper compares against.
     """
-    driver = make_stack(stack, world).make_driver()
+    driver = make_stack(stack, world)
 
     def fn(ctx):
         if ctx.rank == 0:
@@ -69,7 +69,7 @@ def nn_metadata_storm(world: World, nprocs: int, files_per_proc: int,
 def n1_open_storm(world: World, nprocs: int, stack: str,
                   path: str = "/meta-n1/shared") -> MetadataTimes:
     """All ranks open ONE shared file for write (Fig. 8c), then close it."""
-    driver = make_stack(stack, world).make_driver()
+    driver = make_stack(stack, world)
     parent = path.rpartition("/")[0]
 
     def fn(ctx):

@@ -13,7 +13,7 @@ from repro.cluster import (
     StorageNetwork,
 )
 from repro.errors import ConfigError
-from repro.sim import Engine
+from repro.sim import Engine, Join
 from repro.units import MiB
 
 
@@ -39,6 +39,20 @@ class TestPageCache:
         pc.insert(1, 0, MiB)
         # Request straddling cached block 0 and uncached block 1.
         assert pc.hit_bytes(1, 512 * 1024, MiB) == 512 * 1024
+
+    def test_missed_runs_are_the_absent_blocks(self):
+        pc = PageCache(capacity_bytes=10 * MiB, block_size=MiB)
+        pc.insert(1, MiB, MiB)     # block 1
+        pc.insert(1, 3 * MiB, MiB)  # block 3
+        missed = []
+        # Blocks 0..4 from mid-block 0 to mid-block 4: 0, 2 and 4 miss.
+        hit = pc.hit_bytes(1, MiB // 2, 4 * MiB, missed)
+        assert hit == 2 * MiB
+        assert missed == [(MiB // 2, MiB // 2), (2 * MiB, MiB),
+                          (4 * MiB, MiB // 2)]
+        missed = []
+        assert pc.hit_bytes(2, 100, 50, missed) == 0
+        assert missed == [(100, 50)]
 
     def test_full_blocks_only_insert(self):
         pc = PageCache(capacity_bytes=10 * MiB, block_size=MiB)
@@ -117,7 +131,9 @@ class TestNetworks:
         ends = []
 
         def proc(env, node):
-            yield from sn.transfer(cluster.nodes[node], 125_000_000)
+            join = Join(env)
+            sn.path_events(cluster.nodes[node], 125_000_000, join)
+            yield join
             ends.append(env.now)
 
         env.process(proc(env, 0))
@@ -154,10 +170,14 @@ class TestClusterTopology:
         with pytest.raises(ConfigError):
             c.node_for_rank(99, 10)
 
+    def test_negative_storage_latency_rejected(self):
+        with pytest.raises(ConfigError):
+            ClusterSpec(name="t", n_nodes=1, storage_latency=-1e-6)
+
     def test_presets(self):
-        assert LANL64.total_cores == 1024
+        assert LANL64.n_nodes * LANL64.node.cores == 1024
         assert CIELO.n_nodes == 8894
-        assert CIELO.total_cores == 142_304
+        assert CIELO.n_nodes * CIELO.node.cores == 142_304
         env = Engine()
         c = Cluster(env, LANL64)
         assert len(c.nodes) == 64

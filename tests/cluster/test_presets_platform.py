@@ -10,14 +10,14 @@ class TestPlatformPresets:
         10GigE storage network' and the 1.25 GB/s theoretical peak."""
         assert LANL64.n_nodes == 64
         assert LANL64.node.cores == 16
-        assert LANL64.total_cores == 1024
+        assert LANL64.n_nodes * LANL64.node.cores == 1024
         assert LANL64.node.mem_bytes == 32 * (1 << 30)
         assert LANL64.storage_aggregate_bw == 1.25e9
 
     def test_cielo_matches_section_vi(self):
         """'8894 nodes and 142,304 compute cores'."""
         assert CIELO.n_nodes == 8894
-        assert CIELO.total_cores == 142_304
+        assert CIELO.n_nodes * CIELO.node.cores == 142_304
         # Cielo's storage aggregate dwarfs the small cluster's.
         assert CIELO.storage_aggregate_bw > 50 * LANL64.storage_aggregate_bw
 

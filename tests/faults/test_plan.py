@@ -45,10 +45,9 @@ class TestPlanViews:
         assert [ev.time for ev in plan.events] == [1.0, 5.0]
         assert len(plan) == 2
 
-    def test_of_kind_and_component_split(self):
+    def test_component_split(self):
         plan = FaultPlan([FaultEvent(1.0, "osd_outage"),
                           FaultEvent(2.0, "writer_kill", target=3)], seed=0)
-        assert len(plan.of_kind("osd_outage")) == 1
         assert len(plan.component_events) == 1
         assert plan.component_events[0].kind == "osd_outage"
 
@@ -82,7 +81,7 @@ class TestGeneration:
                                   kinds=["osd_outage"], n_osds=4)
         mixed = FaultPlan.generate(9, horizon=300.0, mtbf=20.0,
                                    kinds=["osd_outage", "mds_crash"], n_osds=4)
-        assert mixed.of_kind("osd_outage") == solo.events
+        assert tuple(ev for ev in mixed.events if ev.kind == "osd_outage") == solo.events
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ConfigError):

@@ -34,15 +34,9 @@ def _ckpt_roundtrip(world, stack, nprocs=4, per=40 * KB, rec=10 * KB):
 
     def writer(ctx):
         if ctx.rank == 0:
-            drv = stack.make_driver()
-            vol = getattr(drv, "volume", None)
-            if vol is not None:
-                yield from vol.makedirs(ctx.client, "/res")
-            else:
-                yield from drv.mount.mkdir(ctx.client, "/res")
+            yield from stack.mkdir(ctx.client, "/res")
         yield from ctx.comm.barrier()
-        f = yield from MPIFile.open(ctx, "/res/ckpt", "w",
-                                    stack.make_driver(), stack.hints)
+        f = yield from MPIFile.open(ctx, "/res/ckpt", "w", stack)
         written = 0
         while written < per:
             n = min(rec, per - written)
@@ -52,8 +46,7 @@ def _ckpt_roundtrip(world, stack, nprocs=4, per=40 * KB, rec=10 * KB):
         yield from f.close()
 
     def reader(ctx):
-        f = yield from MPIFile.open(ctx, "/res/ckpt", "r",
-                                    stack.make_driver(), stack.hints)
+        f = yield from MPIFile.open(ctx, "/res/ckpt", "r", stack)
         ok = True
         got = 0
         while got < per:

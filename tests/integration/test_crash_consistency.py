@@ -44,7 +44,7 @@ def read_record(world, rank, i, nprocs, base=9000):
             return "missing"
         if view.content_equal(PatternData(rank, i * 10 * KB, 10 * KB)):
             return "intact"
-        if not view.materialize().any():
+        if not any(view.to_bytes()):
             return "hole"
         return "corrupt"
 

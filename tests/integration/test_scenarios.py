@@ -8,7 +8,7 @@ the paper reports.
 import pytest
 
 from repro.mpi import run_job
-from repro.mpiio import Hints, MPIFile, PlfsDriver, UfsDriver
+from repro.mpiio import MPIFile, PlfsDriver, UfsDriver
 from repro.pfs import gpfs, lustre, panfs
 from repro.pfs.data import PatternData
 from repro.units import KB, MB
@@ -105,7 +105,7 @@ class TestMixedStacks:
             w = make_world()
 
             def fn(ctx, mk=make_driver):
-                f = yield from MPIFile.open(ctx, "/f", "w", mk(w), Hints())
+                f = yield from MPIFile.open(ctx, "/f", "w", mk(w))
                 yield from f.write_at(ctx.rank * KB, PatternData(ctx.rank, 0, KB))
                 yield from f.close()
                 g = yield from MPIFile.open(ctx, "/f", "r", mk(w))

@@ -31,8 +31,6 @@ SITES = [
     ("faults/experiment.py", "_recovery_leg.fn", "ctx.comm.barrier", "F"),
     ("mpiio/adio.py", "UfsDriver.open", "comm.bcast", "FGT"),
     ("mpiio/adio.py", "UfsDriver.open", "comm.bcast", "FGT"),
-    ("mpiio/file.py", "MPIFile.write_at_all", "comm.barrier", "T"),
-    ("mpiio/file.py", "MPIFile.read_at_all", "comm.barrier", "T"),
     ("mpiio/file.py", "MPIFile._two_phase_write", "comm.allgather", "GT"),
     ("mpiio/file.py", "MPIFile._two_phase_write", "comm.barrier", "T"),
     ("mpiio/file.py", "MPIFile._two_phase_write", "comm.barrier", "GT"),

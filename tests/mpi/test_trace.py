@@ -13,7 +13,7 @@ from repro.cluster import Cluster, ClusterSpec, NodeSpec
 from repro.errors import CollectiveMismatchError, DeadlockError
 from repro.mpi import run_job
 from repro.mpi.trace import attach_tracer, validate_tracer
-from repro.mpiio import Hints, MPIFile, UfsDriver
+from repro.mpiio import MPIFile, UfsDriver
 from repro.sim import Engine
 from repro.units import MiB
 from repro.workloads import LANL3, direct_stack, run_workload
@@ -150,19 +150,13 @@ OPEN_W = [("barrier", None), ("bcast", 0)]  # writer barrier + rank-0 create
 
 
 class TestCollectiveIoCoverage:
-    @pytest.mark.parametrize("cb_enable,per_round", [
-        # cb off: write_at_all/read_at_all write their own pieces, then
-        # synchronize (mpiio/file.py, the barrier in each).
-        (False, [("barrier", None)]),
-        # cb on: the workload's collective rounds run two-phase I/O.
-        (True, [("allgather", None), ("barrier", None)]),
-    ])
-    def test_lanl3_collective_rounds(self, cb_enable, per_round):
+    def test_lanl3_collective_rounds(self):
+        # The workload's collective rounds run two-phase I/O.
+        per_round = [("allgather", None), ("barrier", None)]
         world = make_world()
         tracer = attach_tracer(world.env, strict=True)
-        stack = direct_stack(world, Hints(cb_enable=cb_enable))
         wl = LANL3(4, total_bytes=4 * MiB, round_bytes=MiB)
-        res = run_workload(world, wl, stack, verify=True)
+        res = run_workload(world, wl, direct_stack(world), verify=True)
         assert res.read.verified
         assert _job_traces(tracer, 4) == {
             "lanl3-write": OPEN_W + per_round * 4,
@@ -176,9 +170,7 @@ class TestCollectiveIoCoverage:
         tracer = attach_tracer(world.env, strict=True)
 
         def fn(ctx):
-            f = yield from MPIFile.open(ctx, "/f", "w",
-                                        UfsDriver(world.volume),
-                                        Hints(cb_enable=True))
+            f = yield from MPIFile.open(ctx, "/f", "w", UfsDriver(world.volume))
             yield from f.write_at_all([])
             views = yield from f.read_at_all([])
             yield from f.close()

@@ -4,17 +4,16 @@ import pytest
 
 from repro.errors import UnsupportedOperation
 from repro.mpi import run_job
-from repro.mpiio import Hints, MPIFile, PlfsDriver, UfsDriver
+from repro.mpiio import MPIFile, PlfsDriver, UfsDriver
 from repro.pfs.data import PatternData
 from tests.conftest import make_world
 
 KB = 1000
 
 
-def strided_writer(driver_factory, path, per_proc, rec, hints=None, collective=False):
+def strided_writer(driver, path, per_proc, rec, collective=False):
     def fn(ctx):
-        driver = driver_factory()
-        f = yield from MPIFile.open(ctx, path, "w", driver, hints)
+        f = yield from MPIFile.open(ctx, path, "w", driver)
         pieces = []
         written = 0
         while written < per_proc:
@@ -28,16 +27,13 @@ def strided_writer(driver_factory, path, per_proc, rec, hints=None, collective=F
             for off, spec in pieces:
                 yield from f.write_at(off, spec)
         yield from f.close()
-        return f.size()
 
     return fn
 
 
-def strided_reader(driver_factory, path, per_proc, rec, hints=None,
-                   collective=False, shift=0):
+def strided_reader(driver, path, per_proc, rec, collective=False, shift=0):
     def fn(ctx):
-        driver = driver_factory()
-        f = yield from MPIFile.open(ctx, path, "r", driver, hints)
+        f = yield from MPIFile.open(ctx, path, "r", driver)
         src = (ctx.rank + shift) % ctx.nprocs
         reqs, specs = [], []
         got = 0
@@ -60,43 +56,50 @@ def strided_reader(driver_factory, path, per_proc, rec, hints=None,
     return fn
 
 
+def logical_size(w, use_plfs, path="/f"):
+    """The file's size as a later stat through the stack reports it."""
+    fs = w.mount if use_plfs else w.volume
+
+    def fn(ctx):
+        st = yield from fs.stat(ctx.client, path)
+        return st.size
+
+    return run_job(w.env, w.cluster, 1, fn, client_id_base=500).results[0]
+
+
 @pytest.mark.parametrize("use_plfs", [False, True], ids=["ufs", "plfs"])
 class TestDrivers:
     nprocs, per_proc, rec = 8, 35 * KB, 7 * KB
 
-    def factory(self, w, use_plfs):
-        return (lambda: PlfsDriver(w.mount)) if use_plfs else (lambda: UfsDriver(w.volume))
+    def driver(self, w, use_plfs):
+        return PlfsDriver(w.mount) if use_plfs else UfsDriver(w.volume)
 
     def test_independent_roundtrip(self, use_plfs):
         w = make_world()
-        fac = self.factory(w, use_plfs)
-        res = run_job(w.env, w.cluster, self.nprocs,
-                      strided_writer(fac, "/f", self.per_proc, self.rec))
-        # Ranks close at different times; the last closer sees the full size
-        # (and a PLFS write handle reports its own writer's EOF).
-        assert max(res.results) == self.nprocs * self.per_proc
+        drv = self.driver(w, use_plfs)
+        run_job(w.env, w.cluster, self.nprocs,
+                strided_writer(drv, "/f", self.per_proc, self.rec))
+        assert logical_size(w, use_plfs) == self.nprocs * self.per_proc
         rres = run_job(w.env, w.cluster, self.nprocs,
-                       strided_reader(fac, "/f", self.per_proc, self.rec, shift=2),
+                       strided_reader(drv, "/f", self.per_proc, self.rec, shift=2),
                        client_id_base=1000)
         assert all(rres.results)
 
     def test_collective_roundtrip_with_cb(self, use_plfs):
-        w = make_world()
-        fac = self.factory(w, use_plfs)
-        hints = Hints(cb_enable=True, cb_nodes=2)
-        res = run_job(w.env, w.cluster, self.nprocs,
-                      strided_writer(fac, "/f", self.per_proc, self.rec,
-                                     hints=hints, collective=True))
-        assert max(res.results) == self.nprocs * self.per_proc
+        w = make_world()  # 8 ranks on 2 nodes: 2 aggregators
+        drv = self.driver(w, use_plfs)
+        run_job(w.env, w.cluster, self.nprocs,
+                strided_writer(drv, "/f", self.per_proc, self.rec, collective=True))
+        assert logical_size(w, use_plfs) == self.nprocs * self.per_proc
         rres = run_job(w.env, w.cluster, self.nprocs,
-                       strided_reader(fac, "/f", self.per_proc, self.rec,
-                                      hints=hints, collective=True, shift=3),
+                       strided_reader(drv, "/f", self.per_proc, self.rec,
+                                      collective=True, shift=3),
                        client_id_base=1000)
         assert all(rres.results)
 
     def test_mkdir_creates_parents_and_repeat_is_free(self, use_plfs):
         w = make_world(n_volumes=2, federation="subdir")
-        driver = self.factory(w, use_plfs)()
+        driver = self.driver(w, use_plfs)
 
         def mds_ops():
             return sum(sum(v.mds.op_counts.values()) for v in w.volumes)
@@ -116,13 +119,11 @@ class TestDrivers:
 
     def test_cb_write_then_independent_read(self, use_plfs):
         w = make_world()
-        fac = self.factory(w, use_plfs)
-        hints = Hints(cb_enable=True)
+        drv = self.driver(w, use_plfs)
         run_job(w.env, w.cluster, self.nprocs,
-                strided_writer(fac, "/f", self.per_proc, self.rec,
-                               hints=hints, collective=True))
+                strided_writer(drv, "/f", self.per_proc, self.rec, collective=True))
         rres = run_job(w.env, w.cluster, self.nprocs,
-                       strided_reader(fac, "/f", self.per_proc, self.rec, shift=1),
+                       strided_reader(drv, "/f", self.per_proc, self.rec, shift=1),
                        client_id_base=1000)
         assert all(rres.results)
 
@@ -132,16 +133,15 @@ class TestCollectiveBuffering:
         """Two-phase turns many 1 KB writes into few large ones (§IV-D6)."""
         nprocs, per_proc, rec = 16, 64 * KB, 1 * KB
 
-        def count_requests(hints, collective):
-            w = make_world()
-            fac = lambda: UfsDriver(w.volume)  # noqa: E731
+        def count_requests(collective):
+            w = make_world()  # 16 ranks on 4 nodes: 4 aggregators
             run_job(w.env, w.cluster, nprocs,
-                    strided_writer(fac, "/f", per_proc, rec,
-                                   hints=hints, collective=collective))
+                    strided_writer(UfsDriver(w.volume), "/f", per_proc, rec,
+                                   collective=collective))
             return sum(o.requests for o in w.volume.pool.osds), w.env.now
 
-        reqs_plain, t_plain = count_requests(None, False)
-        reqs_cb, t_cb = count_requests(Hints(cb_enable=True, cb_nodes=4), True)
+        reqs_plain, t_plain = count_requests(False)  # a loop of write_at
+        reqs_cb, t_cb = count_requests(True)         # one write_at_all
         assert reqs_cb < reqs_plain / 5
         assert t_cb < t_plain
 
@@ -160,8 +160,7 @@ class TestCollectiveBuffering:
         w = make_world()
 
         def fn(ctx):
-            f = yield from MPIFile.open(ctx, "/f", "w", UfsDriver(w.volume),
-                                        Hints(cb_enable=True))
+            f = yield from MPIFile.open(ctx, "/f", "w", UfsDriver(w.volume))
             pieces = [(0, PatternData(1, 0, 10 * KB))] if ctx.rank == 0 else []
             yield from f.write_at_all(pieces)
             yield from f.write_at_all([])  # an all-empty round

@@ -1,23 +1,26 @@
-"""Edge cases of the two-phase collective buffering implementation."""
+"""Edge cases of the two-phase collective buffering implementation.
+
+There is one aggregator per node a job spans, so each test picks its
+world's cores per node to get the aggregator count it needs.
+"""
 
 import pytest
 
 from repro.mpi import run_job
-from repro.mpiio import Hints, MPIFile, UfsDriver
+from repro.mpiio import MPIFile, UfsDriver
 from repro.pfs.data import LiteralData, PatternData, ZeroData
 from repro.units import KB, KiB, MiB
 from tests.conftest import make_world
 
 
-def open_cb(ctx, world, mode, cb_nodes=2):
-    return MPIFile.open(ctx, "/f", mode, UfsDriver(world.volume),
-                        Hints(cb_enable=True, cb_nodes=cb_nodes))
+def open_cb(ctx, world, mode):
+    return MPIFile.open(ctx, "/f", mode, UfsDriver(world.volume))
 
 
 class TestTwoPhaseWrite:
     def test_piece_spanning_domain_boundary(self):
         """One rank's large piece splits across two aggregator domains."""
-        world = make_world()
+        world = make_world(cores=2)  # 4 ranks on 2 nodes: 2 aggregators
 
         def fn(ctx):
             f = yield from open_cb(ctx, world, "w")
@@ -36,10 +39,10 @@ class TestTwoPhaseWrite:
         assert node.data.read(2 * MiB, 2 * MiB).content_equal(PatternData(2, 0, 2 * MiB))
 
     def test_single_aggregator(self):
-        world = make_world()
+        world = make_world(cores=8)  # 8 ranks on one node: 1 aggregator
 
         def fn(ctx):
-            f = yield from open_cb(ctx, world, "w", cb_nodes=1)
+            f = yield from open_cb(ctx, world, "w")
             yield from f.write_at_all([(ctx.rank * KB, PatternData(ctx.rank, 0, KB))])
             yield from f.close()
 
@@ -48,25 +51,13 @@ class TestTwoPhaseWrite:
         for r in range(8):
             assert node.data.read(r * KB, KB).content_equal(PatternData(r, 0, KB))
 
-    def test_more_aggregators_than_ranks_clamped(self):
-        world = make_world()
-
-        def fn(ctx):
-            f = yield from MPIFile.open(ctx, "/f", "w", UfsDriver(world.volume),
-                                        Hints(cb_enable=True, cb_nodes=64))
-            yield from f.write_at_all([(ctx.rank * KB, LiteralData(b"z" * 1000))])
-            yield from f.close()
-
-        run_job(world.env, world.cluster, 2, fn)
-        assert world.volume.ns.resolve("/f").data.size == 2 * KB
-
     def test_interleaved_tiny_records_coalesce(self):
         """The aggregator's writes are big & few even with 1 KB records."""
-        world = make_world()
+        world = make_world(cores=8)  # one node: 1 aggregator
         nprocs = 8
 
         def fn(ctx):
-            f = yield from open_cb(ctx, world, "w", cb_nodes=1)
+            f = yield from open_cb(ctx, world, "w")
             pieces = [(i * nprocs * KB + ctx.rank * KB, PatternData(ctx.rank, i * KB, KB))
                       for i in range(16)]
             yield from f.write_at_all(pieces)
@@ -81,7 +72,7 @@ class TestTwoPhaseWrite:
 
 class TestTwoPhaseRead:
     def test_read_with_holes_returns_zeros(self):
-        world = make_world()
+        world = make_world(cores=2)  # 4 ranks on 2 nodes: 2 aggregators
 
         def writer(ctx):
             f = yield from open_cb(ctx, world, "w")
@@ -105,7 +96,7 @@ class TestTwoPhaseRead:
         assert all(res.results)
 
     def test_disjoint_requests_per_rank(self):
-        world = make_world()
+        world = make_world(cores=2)  # 4 ranks on 2 nodes: 2 aggregators
         nprocs = 4
 
         def writer(ctx):
@@ -131,7 +122,7 @@ class TestTwoPhaseRead:
         assert all(res.results)
 
     def test_empty_read_round(self):
-        world = make_world()
+        world = make_world(cores=2)  # 3 ranks on 2 nodes: 2 aggregators
 
         def fn(ctx):
             f = yield from open_cb(ctx, world, "w")
@@ -143,3 +134,26 @@ class TestTwoPhaseRead:
             return out == []
 
         assert all(run_job(world.env, world.cluster, 3, fn).results)
+
+
+class TestOneRank:
+    def test_one_rank_round_trip(self):
+        """A one-rank job is its own aggregator: pieces with a gap between
+        them go out and come back, and the gap reads as zeros."""
+        world = make_world()
+
+        def fn(ctx):
+            f = yield from open_cb(ctx, world, "w")
+            yield from f.write_at_all([(0, PatternData(1, 0, KB)),
+                                       (4 * KB, PatternData(2, 0, KB))])
+            yield from f.close()
+            g = yield from open_cb(ctx, world, "r")
+            views = yield from g.read_at_all([(4 * KB, KB), (KB, 3 * KB),
+                                              (0, KB)])
+            yield from g.close()
+            return (views[0].content_equal(PatternData(2, 0, KB))
+                    and views[1].to_bytes() == b"\x00" * 3 * KB
+                    and views[2].content_equal(PatternData(1, 0, KB)))
+
+        assert run_job(world.env, world.cluster, 1, fn).results == [True]
+        assert world.volume.ns.resolve("/f").data.size == 5 * KB

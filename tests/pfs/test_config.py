@@ -10,7 +10,7 @@ from repro.plfs.config import PlfsConfig
 class TestPfsConfigValidation:
     def test_defaults_valid(self):
         cfg = PfsConfig()
-        assert cfg.aggregate_osd_bw == cfg.n_osds * cfg.osd_bw
+        assert cfg.stripe_width <= cfg.n_osds
 
     @pytest.mark.parametrize("kw", [
         dict(n_osds=0),

@@ -51,7 +51,7 @@ class TestSpecs:
     def test_pattern_slice_matches_materialized(self):
         spec = PatternData(9, 1000, 50)
         sub = spec.slice(10, 20)
-        assert np.array_equal(sub.materialize(), spec.materialize()[10:30])
+        assert sub.to_bytes() == spec.to_bytes()[10:30]
 
     def test_structural_pattern_equality(self):
         assert PatternData(5, 30, 10).content_equal(PatternData(5, 30, 10))
@@ -71,7 +71,7 @@ class TestSpecs:
     def test_literal_roundtrip_and_equality(self):
         lit = LiteralData(b"hello world")
         assert lit.length == 11
-        assert lit.materialize().tobytes() == b"hello world"
+        assert lit.to_bytes() == b"hello world"
         assert lit.content_equal(LiteralData(b"hello world"))
         assert not lit.content_equal(LiteralData(b"hello worlD"))
 
@@ -82,7 +82,7 @@ class TestSpecs:
         assert lit.slice(0, 0).to_bytes() == b""
         assert lit.slice(0, 11).to_bytes() == b"hello world"
         assert lit.slice(2, 7).slice(1, 3).to_bytes() == b"lo "
-        assert lit.slice(4, 3).materialize().tobytes() == b"o w"
+        assert lit.slice(4, 3).to_bytes() == b"o w"
         with pytest.raises(InvalidArgument):
             lit.slice(6, 6)
 
@@ -111,7 +111,7 @@ class TestSpecs:
 
     def test_literal_equals_pattern_of_the_same_bytes(self):
         pat = PatternData(4, 100, 64)
-        lit = LiteralData(pat.materialize())
+        lit = LiteralData(pat.to_bytes())
         assert lit.content_equal(pat) and pat.content_equal(lit)
         assert lit.slice(10, 20).content_equal(pat.slice(10, 20))
         assert not lit.slice(10, 20).content_equal(pat.slice(11, 20))
@@ -155,8 +155,7 @@ class TestDataView:
                       LiteralData(b"cd").slice(1, 1)])
         assert v.to_bytes() == (b"ab" + bytes(2) + pattern_bytes(3, 5, 4).tobytes()
                                 + b"d")
-        assert v.to_bytes() == v.materialize().tobytes()
 
     def test_empty_views_equal(self):
         assert DataView([]).content_equal(DataView([]))
-        assert DataView([]).materialize().size == 0
+        assert DataView([]).to_bytes() == b""

@@ -179,13 +179,10 @@ class TestOriginal:
 
 
 class TestStorageCharge:
-    """Known charge defects under the data path, pinned like the memo one
-    above: the fix moves the model, so it lands with a regenerated
-    snapshot and re-pinned benchmark outputs."""
+    """Storage charges under the data path.  The bulk-read defect is
+    pinned like the memo one above: its fix moves the model, so it lands
+    with a regenerated snapshot and re-pinned benchmark outputs."""
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "FileHandle.read charges storage for [offset + hit, offset + length), "
-        "as if the resident blocks were a prefix of the read"))
     def test_read_fetches_the_blocks_that_missed(self):
         """With only block 1 of a 2 MiB file in the client's page cache, a
         read of the whole file fetches block 0 from the OSDs, not block 1."""

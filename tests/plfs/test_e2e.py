@@ -181,7 +181,7 @@ class TestOverwrites:
             assert fh.size == 101 * KB
             hole = yield from fh.read(0, KB)
             yield from fh.close()
-            return hole.materialize().any()
+            return any(hole.to_bytes())
 
         res = run_job(w.env, w.cluster, 1, reader, client_id_base=1000)
         assert res.results[0] == False  # noqa: E712

@@ -81,8 +81,8 @@ class TestWriterIndex:
         w = WriterIndex(writer_id=2, node_id=0)
         for i in range(7):
             w.record(i * 100, 50, physical=i * 50, stamp=float(i))
-        whole = w.serialize().materialize().tobytes()
-        spills = [w.serialize_range(lo, hi).materialize().tobytes()
+        whole = w.serialize().to_bytes()
+        spills = [w.serialize_range(lo, hi).to_bytes()
                   for lo, hi in ((0, 3), (3, 4), (4, 7))]
         assert spills[1] == whole[3 * RECORD_BYTES:4 * RECORD_BYTES]
         assert b"".join(spills) == whole

@@ -32,14 +32,14 @@ def test_slice_matches_materialized_slice(spec, data):
     length = data.draw(st.integers(min_value=0, max_value=spec.length - start))
     sub = spec.slice(start, length)
     assert sub.length == length
-    assert np.array_equal(sub.materialize(), spec.materialize()[start:start + length])
+    assert sub.to_bytes() == spec.to_bytes()[start:start + length]
 
 
 @given(specs)
 @settings(max_examples=100, deadline=None)
 def test_content_equal_reflexive_and_matches_bytes(spec):
     assert spec.content_equal(spec)
-    clone = LiteralData(spec.materialize())
+    clone = LiteralData(spec.to_bytes())
     assert spec.content_equal(clone)
     assert clone.content_equal(spec)
 
@@ -49,7 +49,7 @@ def test_content_equal_reflexive_and_matches_bytes(spec):
 def test_content_equal_agrees_with_materialization(a, b):
     """Structural equality may be conservative only in the False direction
     for huge specs; at these sizes it must be exact."""
-    truth = np.array_equal(a.materialize(), b.materialize())
+    truth = a.to_bytes() == b.to_bytes()
     assert a.content_equal(b) == truth
     assert b.content_equal(a) == truth
 
@@ -64,7 +64,7 @@ def test_view_slice_matches_bytes(pieces, data):
     length = data.draw(st.integers(min_value=0, max_value=view.length - start))
     sub = view.slice(start, length)
     assert sub.length == length
-    assert np.array_equal(sub.materialize(), view.materialize()[start:start + length])
+    assert sub.to_bytes() == view.to_bytes()[start:start + length]
 
 
 @given(st.lists(specs, max_size=6), st.data())
@@ -86,13 +86,13 @@ def test_view_equality_invariant_under_resplit(pieces, data):
 def test_composite_behaves_like_its_concatenation(pieces):
     view = DataView(pieces)
     comp = CompositeData(view)
-    lit = LiteralData(view.materialize())
+    lit = LiteralData(view.to_bytes())
     assert comp.length == view.length
     assert comp.content_equal(lit)
     assert lit.content_equal(comp)
     if comp.length >= 2:
         sub = comp.slice(1, comp.length - 2)
-        assert np.array_equal(sub.materialize(), view.materialize()[1:-1])
+        assert sub.to_bytes() == view.to_bytes()[1:-1]
 
 
 @given(st.integers(min_value=0, max_value=100),

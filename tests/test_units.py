@@ -3,17 +3,10 @@
 import pytest
 
 from repro import errors
-from repro.units import GiB, KiB, MiB, fmt_bw, fmt_bytes, fmt_time
+from repro.units import KiB, MiB, fmt_bw, fmt_time
 
 
 class TestFormatting:
-    def test_fmt_bytes(self):
-        assert fmt_bytes(0) == "0 B"
-        assert fmt_bytes(512) == "512 B"
-        assert fmt_bytes(50 * MiB) == "50.0 MiB"
-        assert fmt_bytes(3 * GiB) == "3.0 GiB"
-        assert fmt_bytes(1536) == "1.5 KiB"
-
     def test_fmt_bw(self):
         assert fmt_bw(1.25e9) == "1.25 GB/s"
         assert fmt_bw(310e6) == "310.00 MB/s"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.mpiio import PlfsDriver, UfsDriver
 from repro.units import KB
 from repro.workloads import IOR, MPIIOTest, Workload, direct_stack, plfs_stack
 from repro.workloads.base import PhaseResult
@@ -42,10 +43,11 @@ class TestStacks:
         assert direct_stack(world).name == "direct"
         assert plfs_stack(world).name == "plfs"
 
-    def test_driver_factories_fresh_per_call(self, world):
-        stack = plfs_stack(world)
-        assert stack.make_driver() is not stack.make_driver()
-        assert stack.make_driver().mount is world.mount
+    def test_stack_is_its_driver(self, world):
+        assert isinstance(plfs_stack(world), PlfsDriver)
+        assert plfs_stack(world).mount is world.mount
+        assert isinstance(direct_stack(world), UfsDriver)
+        assert direct_stack(world).volume is world.volume
 
 
 class TestPhaseResult:

@@ -90,8 +90,8 @@ class TestPlans:
 
 @pytest.mark.parametrize("stack_kind", ["direct", "plfs"])
 class TestRoundTrips:
-    def make_stack(self, world, kind, hints=None):
-        return direct_stack(world, hints) if kind == "direct" else plfs_stack(world, hints)
+    def make_stack(self, world, kind):
+        return direct_stack(world) if kind == "direct" else plfs_stack(world)
 
     @pytest.mark.parametrize("wl_factory", [
         lambda n: MPIIOTest(n, size_per_proc=40 * KB, transfer=10 * KB),
@@ -112,11 +112,9 @@ class TestRoundTrips:
         assert res.read.effective_bandwidth > 0
 
     def test_lanl3_collective_verified(self, stack_kind):
-        from repro.mpiio import Hints
-
-        world = make_world()
+        world = make_world(cores=2)  # 4 ranks on 2 nodes: 2 aggregators
         wl = LANL3(4, total_bytes=8 * MiB, round_bytes=4 * MiB)
-        stack = self.make_stack(world, stack_kind, Hints(cb_enable=True, cb_nodes=2))
+        stack = self.make_stack(world, stack_kind)
         res = run_workload(world, wl, stack, verify=True)
         assert res.read.verified is True
 
